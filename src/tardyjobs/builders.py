@@ -18,6 +18,8 @@ All three agree entry for entry; the cross-checks live in the test suite.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .core import Job, Vector
@@ -39,7 +41,8 @@ def build_solution_vector_dp(jobs: list[Job], horizon: int) -> Vector:
     """Knapsack DP: entry k = max weight of a subset with total p <= k."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if len(jobs) * horizon >= _NUMPY_DP_CUTOFF:
+    # int64 holds every entry only while the group's total weight does
+    if len(jobs) * horizon >= _NUMPY_DP_CUTOFF and sum(job.w for job in jobs) < 2**63:
         f = np.zeros(horizon + 1, dtype=np.int64)
         for job in jobs:
             if job.p <= horizon:
@@ -61,16 +64,11 @@ def step_concave_class_vector(weights: list[int], p: int, horizon: int) -> Vecto
     weights, so the vector steps up by sorted-descending weights at each
     multiple of p and is flat in between: a p-step concave vector.
     """
-    out: Vector = [0] * (horizon + 1)
-    ws = sorted(weights, reverse=True)
-    acc = 0
-    t = 0
-    for k in range(1, horizon + 1):
-        if k % p == 0 and t < len(ws):
-            acc += ws[t]
-            t += 1
-        out[k] = acc
-    return out
+    sums = list(accumulate(sorted(weights, reverse=True)[: horizon // p], initial=0))
+    out: Vector = []
+    for acc in sums[:-1]:
+        out += [acc] * p
+    return out + [sums[-1]] * (horizon + 1 - len(out))
 
 
 def build_solution_vector_concave(jobs: list[Job], horizon: int) -> Vector:
@@ -81,10 +79,12 @@ def build_solution_vector_concave(jobs: list[Job], horizon: int) -> Vector:
     for job in jobs:
         if job.p <= horizon:  # longer jobs can never fit
             classes.setdefault(job.p, []).append(job.w)
-    acc: Vector = [0] * (horizon + 1)
-    for p in sorted(classes):
-        bp = step_concave_class_vector(classes[p], p, horizon)
-        acc = convolve_sstep_concave(acc, bp, p)
+    if not classes:
+        return [0] * (horizon + 1)
+    first, *rest = sorted(classes)
+    acc = step_concave_class_vector(classes[first], first, horizon)
+    for p in rest:
+        acc = convolve_sstep_concave(acc, step_concave_class_vector(classes[p], p, horizon), p)
     return acc
 
 
@@ -96,13 +96,9 @@ def step_convex_class_vector(processing_times: list[int], w: int) -> Vector:
     right after each multiple of w and its stride-w subsample is convex.
     Horizon is the class's total weight.
     """
-    ps = sorted(processing_times)
-    out: Vector = [0] * (w * len(ps) + 1)
-    acc = 0
-    for t, p in enumerate(ps):
-        acc += p
-        for k in range(t * w + 1, (t + 1) * w + 1):
-            out[k] = acc
+    out: Vector = [0]
+    for acc in accumulate(sorted(processing_times)):
+        out += [acc] * w
     return out
 
 

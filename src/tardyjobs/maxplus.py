@@ -7,10 +7,13 @@ quadratic evaluation; the structured engines are merely faster when their
 precondition on the operands holds:
 
 * ``convolve_naive``          -- no precondition, O(|A|*|B|).
-* ``convolve_sstep_concave``  -- right operand is s-step concave; near-linear
-                                 via sliding-window maxima plus a monotone
-                                 argmax (matrix-searching) pass per residue
-                                 class modulo s.
+* ``convolve_sstep_concave``  -- right operand is s-step concave; each full
+                                 step of B meets a sliding-window maximum of
+                                 A, and the row maxima of the resulting
+                                 totally monotone matrices (one per residue
+                                 class modulo s) come from one batched
+                                 divide-and-conquer kernel: O(log L) numpy
+                                 passes of O(L) work for all classes.
 * ``convolve_with_ranges``    -- guided by per-index ranges ``[x_k, y_k]``
                                  certifying where optimal split witnesses
                                  lie; cost proportional to the total range
@@ -21,6 +24,12 @@ precondition on the operands holds:
                                  validates the structure and falls back to
                                  the naive engine.
 
+The (min,+) mirror ``minplus_convolve`` runs its step-convex engine through
+the same kernel by negation.  Vectorized paths compute in float64 and run
+only behind one guard: every sum of a finite entry of A and one of B must be
+exact there (magnitudes below 2**52).  Where it fails, and below
+``SMALL_PRODUCT_CUTOFF``, the naive evaluation answers, in exact Python ints.
+
 Outputs are truncated at the longer operand's length: the scheduling solvers
 never need entries past the current horizon, and monotone non-negative
 operands make the truncation lossless for later convolutions.  The (min,+)
@@ -30,8 +39,6 @@ mirror used by inverse (weight-indexed) vectors instead keeps the full
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -65,26 +72,32 @@ SMALL_PRODUCT_CUTOFF = 4096
 _EXACT_FLOAT_BOUND = 2**52
 
 
-def _max_abs_finite(v: Sequence) -> int:
-    m = 0
-    for x in v:
-        if x != NEG_INF and x != POS_INF:
-            a = -x if x < 0 else x
-            if a > m:
-                m = a
-    return m
+def _max_abs_finite(v: np.ndarray) -> float:
+    finite = v[np.isfinite(v)]
+    return float(np.abs(finite).max()) if finite.size else 0.0
 
 
-def _numpy_ok(A: Sequence, B: Sequence) -> bool:
-    return _max_abs_finite(A) + _max_abs_finite(B) < _EXACT_FLOAT_BOUND
+def _float_operands(A: Sequence, B: Sequence) -> tuple[np.ndarray, np.ndarray] | None:
+    """A and B as float64 arrays, or None when a sum of one finite entry of
+    each might not be exact in float64 (magnitudes reaching 2**52)."""
+    try:
+        a = np.asarray(A, dtype=np.float64)
+        b = np.asarray(B, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    if _max_abs_finite(a) + _max_abs_finite(b) < _EXACT_FLOAT_BOUND:
+        return a, b
+    return None
 
 
-def _from_float(v: float) -> int | float:
-    if v == NEG_INF:
-        return NEG_INF
-    if v == POS_INF:
-        return POS_INF
-    return int(v)
+def _to_vector(out: np.ndarray) -> Vector:
+    """Float64 result back to a list of ints, infinite entries as sentinels."""
+    finite = np.isfinite(out)
+    if finite.all():
+        return out.astype(np.int64).tolist()
+    vec = np.where(finite, out, 0).astype(np.int64).astype(object)
+    vec[~finite] = out[~finite]
+    return vec.tolist()
 
 
 def convolve_naive(A: Vector, B: Vector, *, full_length: bool = False) -> Vector:
@@ -99,15 +112,16 @@ def convolve_naive(A: Vector, B: Vector, *, full_length: bool = False) -> Vector
     L = len(A) + len(B) - 1 if full_length else max(len(A), len(B))
     if len(A) > len(B):  # loop over the shorter operand
         A, B = B, A
-    if len(A) * min(len(B), L) >= SMALL_PRODUCT_CUTOFF and _numpy_ok(A, B):
-        b = np.asarray(B, dtype=np.float64)
+    ops = _float_operands(A, B) if len(A) * min(len(B), L) >= SMALL_PRODUCT_CUTOFF else None
+    if ops is not None:
+        b = ops[1]
         out = np.full(L, NEG_INF)
         for k, a in enumerate(A):
             if a == NEG_INF or k >= L:
                 continue
             hi = min(len(B), L - k)
             np.maximum(out[k : k + hi], a + b[:hi], out=out[k : k + hi])
-        return [_from_float(v) for v in out.tolist()]
+        return _to_vector(out)
     out_py: Vector = [NEG_INF] * L
     for k, a in enumerate(A):
         if a == NEG_INF or k >= L:
@@ -125,24 +139,31 @@ def convolve_naive(A: Vector, B: Vector, *, full_length: bool = False) -> Vector
 # ---------------------------------------------------------------------------
 
 
-def _first_sstep_concave_violation(B: Sequence, s: int) -> int | None:
+def _first_violation(b: np.ndarray, off_stride_bad: np.ndarray, bends: np.ndarray, s: int) -> int | None:
+    """First index holding a sentinel, else the first breaking the step
+    structure: an off-stride entry flagged in ``off_stride_bad``, or a stride
+    entry ``l >= 2s`` whose second difference is flagged in ``bends``."""
+    sentinel = np.flatnonzero((b == NEG_INF) | (b == POS_INF))
+    if sentinel.size:
+        return int(sentinel[0])
+    bad = off_stride_bad & (np.arange(len(b)) % s != 0)
+    bad[2 * s :] |= bends & (np.arange(2 * s, len(b)) % s == 0)
+    first = np.flatnonzero(bad)
+    return int(first[0]) if first.size else None
+
+
+def _first_sstep_concave_violation(b: np.ndarray, s: int) -> int | None:
     """Index of the first entry breaking the s-step concave structure.
 
     Structure: the stride-s subsample B[0], B[s], B[2s], ... has
     non-increasing consecutive differences, and every off-stride entry
     copies its predecessor.  Sentinel entries are not step-structured.
     """
-    for i, v in enumerate(B):
-        if v == NEG_INF or v == POS_INF:
-            return i
-    for l in range(1, len(B)):
-        if l % s != 0:
-            if B[l] != B[l - 1]:
-                return l
-        elif l >= 2 * s:
-            if B[l] - B[l - s] > B[l - s] - B[l - 2 * s]:
-                return l
-    return None
+    copies = np.zeros(len(b), dtype=bool)
+    copies[1:] = b[1:] != b[:-1]
+    with np.errstate(invalid="ignore"):  # sentinels are reported first anyway
+        rise = b[s:] - b[:-s]  # rise[i] = B[i+s] - B[i]
+        return _first_violation(b, copies, rise[s:] > rise[:-s], s)
 
 
 def is_sstep_concave(B: Vector, s: int) -> bool:
@@ -150,10 +171,10 @@ def is_sstep_concave(B: Vector, s: int) -> bool:
     entries copy their predecessor."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    return _first_sstep_concave_violation(B, s) is None
+    return _first_sstep_concave_violation(np.asarray(B, dtype=object), s) is None
 
 
-def _first_sstep_convex_violation(B: Sequence, s: int) -> int | None:
+def _first_sstep_convex_violation(b: np.ndarray, s: int) -> int | None:
     """Mirror of the concave check for (min,+) step vectors.
 
     Structure: the stride-s subsample is convex (non-decreasing consecutive
@@ -161,17 +182,11 @@ def _first_sstep_convex_violation(B: Sequence, s: int) -> int | None:
     ``B[l] = B[s*ceil(l/s)]``.  This forces the last index to be a multiple
     of s.
     """
-    for i, v in enumerate(B):
-        if v == NEG_INF or v == POS_INF:
-            return i
-    for l in range(1, len(B)):
-        if l % s != 0:
-            if l + 1 >= len(B) or B[l] != B[l + 1]:
-                return l
-        elif l >= 2 * s:
-            if B[l] - B[l - s] < B[l - s] - B[l - 2 * s]:
-                return l
-    return None
+    copies = np.ones(len(b), dtype=bool)  # the last entry has no successor
+    copies[:-1] = b[:-1] != b[1:]
+    with np.errstate(invalid="ignore"):
+        rise = b[s:] - b[:-s]
+        return _first_violation(b, copies, rise[s:] < rise[:-s], s)
 
 
 def is_sstep_convex(B: Vector, s: int) -> bool:
@@ -179,142 +194,107 @@ def is_sstep_convex(B: Vector, s: int) -> bool:
     off-stride entries copy their successor."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    return _first_sstep_convex_violation(B, s) is None
+    return _first_sstep_convex_violation(np.asarray(B, dtype=object), s) is None
 
 
-def _window_max_ending(A: Sequence, width: int, length: int) -> list:
-    """out[m] = max(A[m-width+1 .. m] clipped to A's range), NEG_INF if empty.
+def _sliding_max(a: np.ndarray, width: int, length: int) -> np.ndarray:
+    """out[m] = max(a[m-width+1 .. m] clipped to a's range) for m < length,
+    NEG_INF where that window is empty.
 
-    Monotone-deque sliding maximum; O(length).
+    Van Herk/Gil-Werman: cut the padded input into blocks of ``width``; a
+    window spans at most two blocks, so it is the maximum of one block
+    suffix and one block prefix.  O(length) at any width.
     """
-    out = [NEG_INF] * length
-    dq: deque[int] = deque()
-    for m in range(length):
-        if m < len(A):
-            while dq and A[dq[-1]] <= A[m]:
-                dq.pop()
-            dq.append(m)
-        lo = m - width + 1
-        while dq and dq[0] < lo:
-            dq.popleft()
-        if dq:
-            out[m] = A[dq[0]]
-    return out
+    n_blocks = -(-(length + width - 1) // width)
+    x = np.full(n_blocks * width, NEG_INF)
+    x[width - 1 : width - 1 + min(len(a), length)] = a[:length]
+    blocks = x.reshape(n_blocks, width)
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:length], prefix[width - 1 : width - 1 + length])
 
 
-def _window_min_starting(A: Sequence, width: int, length: int) -> list:
-    """out[m] = min(A[m .. m+width-1] clipped to A's range) for
-    m in [-(width-1), length-1], POS_INF if empty.
+def _stride_maxplus(D: np.ndarray, Bc: np.ndarray, s: int) -> np.ndarray:
+    """out[l] = max of Bc[t] + D[l - t*s] over t < |Bc| with t*s <= l, for
+    concave Bc and D whose NEG_INF entries form a prefix and a suffix.
 
-    Returned list is offset by width-1: entry i holds the value at
-    m = i - (width - 1).
+    Output index l = q*s + r pairs with D[u*s + r], u = q - t, so residue
+    class r is the row maxima of the matrix M_r[q][u] = E_r[u] + Bc[q-u],
+    E_r = D[r::s].  Concave Bc makes the leftmost row argmax non-decreasing
+    in q, so divide and conquer over rows needs only the column window
+    between the argmaxes of the rows already solved around it.  The
+    recursion runs one level at a time over all classes at once: each level
+    evaluates the middle row of every open row range over its window in one
+    flattened pass, so a call costs O(log |D|) numpy passes of O(|D|) each.
     """
-    total = length + width - 1
-    out = [POS_INF] * total
-    dq: deque[int] = deque()
-    for m in range(length - 1, -width, -1):
-        if 0 <= m < len(A):
-            while dq and A[dq[-1]] >= A[m]:
-                dq.pop()
-            dq.append(m)
-        hi = m + width - 1
-        while dq and dq[0] > hi:
-            dq.popleft()
-        if dq:
-            out[m + width - 1] = A[dq[0]]
-    return out
-
-
-def _monotone_argmax(
-    n_rows: int,
-    value: Callable[[int, int], float],
-    bounds: Callable[[int], tuple[int, int]],
-) -> list[int]:
-    """Leftmost argmax per row for matrices whose leftmost row argmax is
-    non-decreasing in the row index (divide and conquer on rows).
-
-    ``bounds(row)`` gives the inclusive valid column range of that row;
-    both endpoints must be non-decreasing in the row.
-    """
-    out = [0] * n_rows
-
-    def rec(r0: int, r1: int, c0: int, c1: int) -> None:
-        if r0 > r1:
-            return
+    L, T = len(D), len(Bc)
+    Q = -(-L // s)  # rows per class
+    E = np.full(Q * s, NEG_INF)
+    E[:L] = D
+    E = E.reshape(Q, s).T.ravel()  # E_r[u] at r*Q + u
+    rows = np.full(Q * s, NEG_INF)
+    # open row ranges [r0, r1] with column windows [c0, c1], class offset base
+    base = np.arange(s) * Q
+    r0 = np.zeros(s, dtype=np.int64)
+    r1 = np.full(s, Q - 1)
+    c0 = np.zeros(s, dtype=np.int64)
+    c1 = np.full(s, Q - 1)
+    while base.size:
         mid = (r0 + r1) // 2
-        lo, hi = bounds(mid)
-        lo = max(lo, c0)
-        hi = min(hi, c1)
-        if lo > hi:
-            raise RuntimeError("monotone argmax: empty column window")
-        best_c = lo
-        best = value(mid, lo)
-        for c in range(lo + 1, hi + 1):
-            v = value(mid, c)
-            if v > best:
-                best, best_c = v, c
-        out[mid] = best_c
-        rec(r0, mid - 1, c0, best_c)
-        rec(mid + 1, r1, best_c, c1)
-
-    rec(0, n_rows - 1, -(1 << 62), 1 << 62)
-    return out
+        lo = np.maximum(c0, mid - (T - 1))
+        width = np.minimum(c1, mid) - lo + 1  # never empty, by monotonicity
+        starts = np.cumsum(width) - width
+        seg = np.repeat(np.arange(base.size), width)
+        k = np.arange(starts[-1] + width[-1])
+        vals = E[(base + lo - starts)[seg] + k] + Bc[(mid - lo + starts)[seg] - k]
+        best = np.maximum.reduceat(vals, starts)
+        rows[base + mid] = best
+        hits = np.flatnonzero(vals == best[seg])
+        arg = lo + hits[np.searchsorted(hits, starts)] - starts  # leftmost argmax
+        left, right = r0 < mid, mid < r1
+        base = np.concatenate((base[left], base[right]))
+        r0, r1 = np.concatenate((r0[left], mid[right] + 1)), np.concatenate((mid[left] - 1, r1[right]))
+        c0, c1 = np.concatenate((c0[left], arg[right])), np.concatenate((arg[left], c1[right]))
+    return rows.reshape(s, Q).T.ravel()[:L]
 
 
 def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
     """(max,+)-convolve where the right operand is s-step concave.
 
-    Output equals ``convolve_naive(A, B)`` entry for entry, computed in
-    near-linear time: for each residue class of the output index modulo s,
-    candidate splits reduce to sliding-window maxima of A combined with the
-    concave stride subsample of B, whose row optima are found by a monotone
-    argmax search.  Ties break toward the smaller split index.
+    Output equals ``convolve_naive(A, B)`` entry for entry.  Splits are
+    grouped by the step of B they use: the final step of B, which may be
+    shorter than s, is one sliding-window maximum of A; every full step t
+    pairs the stride entry ``B[t*s]`` with the width-s window maximum of A
+    ending at ``l - t*s``.  The full steps thus form, per residue class of l
+    modulo s, a totally monotone matrix whose row maxima one batched
+    divide-and-conquer kernel finds for all classes together, in
+    O(log L) numpy passes over O(L) entries (L the output length).
+
+    The kernel works in float64, so it runs only when every sum of a finite
+    entry of A and one of B is exact there (magnitudes below 2**52), and
+    only on A without ``NEG_INF`` entries and past ``SMALL_PRODUCT_CUTOFF``;
+    otherwise the call is answered by :func:`convolve_naive`, which keeps
+    an exact big-int path.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    bad = _first_sstep_concave_violation(B, s)
+    ops = _float_operands(A, B)
+    bad = _first_sstep_concave_violation(ops[1] if ops else np.asarray(B, dtype=object), s)
     if bad is not None:
         raise ValueError(f"right operand is not {s}-step concave: first violation at index {bad}")
-    L = max(len(A), len(B))
-    if len(A) * len(B) <= SMALL_PRODUCT_CUTOFF or any(
-        v == NEG_INF or v == POS_INF for v in A
-    ):
+    if ops is None or len(A) * len(B) <= SMALL_PRODUCT_CUTOFF or np.isinf(ops[0]).any():
         return convolve_naive(A, B)
-
-    Bc = list(B[::s])  # concave stride subsample
-    last_t = len(Bc) - 1
-    out: Vector = [NEG_INF] * L
-
-    # The final step of B may span fewer than s entries; it is handled as a
-    # single direct candidate so the matrix part sees only full windows.
-    last_width = len(B) - last_t * s
-    d_last = _window_max_ending(A, last_width, L - last_t * s)
-    base = Bc[last_t]
-    for m, v in enumerate(d_last):
-        if v != NEG_INF:
-            out[last_t * s + m] = base + v
-
-    if last_t > 0:
-        d_full = _window_max_ending(A, s, L)
-        for r in range(min(s, L)):
-            E = d_full[r::s]
-            n_rows = len(E)
-
-            def value(q: int, u: int, E=E, Bc=Bc) -> float:
-                return E[u] + Bc[q - u]
-
-            def bounds(q: int, last_t=last_t, n_cols=len(E)) -> tuple[int, int]:
-                return max(0, q - last_t + 1), min(q, n_cols - 1)
-
-            args = _monotone_argmax(n_rows, value, bounds)
-            for q, u in enumerate(args):
-                v = E[u] + Bc[q - u]
-                l = q * s + r
-                if v > out[l]:
-                    out[l] = v
-    return out
+    a, b = ops
+    L = max(len(a), len(b))
+    Bc = b[::s]  # concave stride subsample
+    start = (len(Bc) - 1) * s  # the final step of B covers b[start:]
+    out = np.full(L, NEG_INF)
+    out[start:] = Bc[-1] + _sliding_max(a, len(b) - start, L - start)
+    if len(Bc) > 1:
+        np.maximum(out, _stride_maxplus(_sliding_max(a, s, L), Bc[:-1], s), out=out)
+    return _to_vector(out)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +334,9 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
     _check_interval_structure(intervals, len(A), len(B))
     L = max(len(A), len(B))
     total = sum(y - x + 1 for iv in intervals if iv is not None for x, y in (iv,))
-    if total >= SMALL_PRODUCT_CUTOFF and _numpy_ok(A, B):
-        b = np.asarray(B, dtype=np.float64)
+    ops = _float_operands(A, B) if total >= SMALL_PRODUCT_CUTOFF else None
+    if ops is not None:
+        b = ops[1]
         out = np.full(L, NEG_INF)
         for k, a in enumerate(A):
             if a == NEG_INF or intervals[k] is None:
@@ -364,7 +345,7 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
             hi = min(y, L - 1 - k)
             if hi >= x:
                 np.maximum(out[k + x : k + hi + 1], a + b[x : hi + 1], out=out[k + x : k + hi + 1])
-        return [_from_float(v) for v in out.tolist()]
+        return _to_vector(out)
     out_py: Vector = [NEG_INF] * L
     for k, a in enumerate(A):
         if a == NEG_INF or intervals[k] is None:
@@ -403,14 +384,15 @@ def _minplus_naive(A: Vector, B: Vector) -> Vector:
     L = len(A) + len(B) - 1
     if len(A) > len(B):
         A, B = B, A
-    if len(A) * len(B) >= SMALL_PRODUCT_CUTOFF and _numpy_ok(A, B):
-        b = np.asarray(B, dtype=np.float64)
+    ops = _float_operands(A, B) if len(A) * len(B) >= SMALL_PRODUCT_CUTOFF else None
+    if ops is not None:
+        b = ops[1]
         out = np.full(L, POS_INF)
         for k, a in enumerate(A):
             if a == POS_INF:
                 continue
             np.minimum(out[k : k + len(B)], a + b, out=out[k : k + len(B)])
-        return [_from_float(v) for v in out.tolist()]
+        return _to_vector(out)
     out_py: Vector = [POS_INF] * L
     for k, a in enumerate(A):
         if a == POS_INF:
@@ -424,59 +406,24 @@ def _minplus_naive(A: Vector, B: Vector) -> Vector:
     return out_py
 
 
-def _inf_entries_form_suffix(A: Sequence) -> bool:
-    seen_inf = False
-    for v in A:
-        if v == POS_INF:
-            seen_inf = True
-        elif seen_inf:
-            return False
-    return True
+def _minplus_sstep_convex(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
+    """(min,+) counterpart of the s-step engine for convex step vectors.
 
-
-def _minplus_sstep_convex(A: Vector, B: Vector, s: int) -> Vector:
-    """(min,+) counterpart of the s-step engine for convex step vectors."""
-    L = len(A) + len(B) - 1
-    if len(A) * len(B) <= SMALL_PRODUCT_CUTOFF or not _inf_entries_form_suffix(A):
-        return _minplus_naive(A, B)
-
-    Bc = list(B[::s])  # convex stride subsample; last index of B is a multiple of s
-    last_t = len(Bc) - 1
-    out: Vector = [POS_INF] * L
-
-    # t = 0 contributes the single split j = 0.
-    base = Bc[0]
-    for l in range(min(len(A), L)):
-        if A[l] != POS_INF:
-            out[l] = A[l] + base
-
-    if last_t > 0:
-        # Steps t >= 1 pair Bc[t] with a width-s window of A starting at
-        # l - t*s; windows may stick out below 0, hence the offset array.
-        d_min = _window_min_starting(A, s, L)
-
-        for r in range(min(s, L)):
-            n_rows = (L - 1 - r) // s + 1
-
-            # E(v) = window minimum at m = (v-1)*s + r, i.e. step t = q-v+1.
-            def value(q: int, v: int, d_min=d_min, Bc=Bc, r=r, s=s) -> float:
-                m = (v - 1) * s + r
-                if m < -(s - 1):  # window entirely below index 0
-                    return POS_INF
-                return d_min[m + s - 1] + Bc[q - v + 1]
-
-            def bounds(q: int, last_t=last_t) -> tuple[int, int]:
-                return max(0, q - last_t + 1), q
-
-            def neg_value(q: int, v: int, value=value) -> float:
-                return -value(q, v)
-
-            args = _monotone_argmax(n_rows, neg_value, bounds)
-            for q, v in enumerate(args):
-                val = value(q, v)
-                l = q * s + r
-                if val < out[l]:
-                    out[l] = val
+    ``B[0]`` pairs with ``A[l]`` alone; step t >= 1 pairs ``B[t*s]`` with
+    the minimum of the width-s window of A starting at ``l - t*s``.
+    Negated, those windows are sliding maxima of -A ending at
+    ``l - (t-1)*s - 1`` and ``-B[s::s]`` is concave, so the (max,+) kernel
+    of the concave engine computes the steps.
+    """
+    L = len(a) + len(b) - 1
+    Bc = b[::s]  # convex stride subsample; last index of B is a multiple of s
+    out = np.full(L, POS_INF)
+    out[: len(a)] = a + Bc[0]
+    if len(Bc) > 1:
+        D = np.empty(L)
+        D[0] = NEG_INF  # the window before index 0 is empty
+        D[1:] = _sliding_max(-a, s, L - 1)
+        np.minimum(out, -_stride_maxplus(D, -Bc[1:], s), out=out)
     return out
 
 
@@ -485,7 +432,10 @@ def minplus_convolve(A: Vector, B: Vector, engine: "ConvolutionEngine | None" = 
 
     Output always has the full ``|A|+|B|-1`` length, since weight targets add
     across operands.  Equivalent to negating both operands (POS_INF mapping
-    to NEG_INF), (max,+)-convolving at full length, and negating back.
+    to NEG_INF), (max,+)-convolving at full length, and negating back.  The
+    step engine takes the same float64 guard and cutoff as
+    :func:`convolve_sstep_concave` and, on A, finite entries followed only
+    by ``POS_INF``; otherwise the naive evaluation answers.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
@@ -493,12 +443,19 @@ def minplus_convolve(A: Vector, B: Vector, engine: "ConvolutionEngine | None" = 
         return _minplus_naive(A, B)
     if engine.kind is EngineKind.SSTEP_CONCAVE:
         s = engine.s
-        bad = _first_sstep_convex_violation(B, s)
+        ops = _float_operands(A, B)
+        bad = _first_sstep_convex_violation(ops[1] if ops else np.asarray(B, dtype=object), s)
         if bad is not None:
             raise ValueError(
                 f"right operand is not {s}-step convex: first violation at index {bad}"
             )
-        return _minplus_sstep_convex(A, B, s)
+        if ops is None or len(A) * len(B) <= SMALL_PRODUCT_CUTOFF:
+            return _minplus_naive(A, B)
+        finite = np.isfinite(ops[0])
+        n_finite = np.count_nonzero(finite)
+        if not (finite[:n_finite].all() and (ops[0][n_finite:] == POS_INF).all()):
+            return _minplus_naive(A, B)
+        return _to_vector(_minplus_sstep_convex(*ops, s))
     raise ValueError(f"(min,+) convolution does not support engine kind {engine.kind}")
 
 

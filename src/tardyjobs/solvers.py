@@ -21,7 +21,9 @@ Two families:
   - ``INVERSE_BY_W``: run the whole merge chain in the weight-indexed
     (min,+) mirror, folding per-weight classes, capping entries above each
     group's due date; falls back to Lawler-Moore when n >= d_max, where
-    the baseline is at least as fast.
+    the baseline is at least as fast, and when the total weight exceeds
+    n * d_max, where the weight-indexed vectors would outgrow the
+    baseline's whole table.
   - ``AUTO``: pick a policy from the instance's size parameters.
 
 Every policy returns the exact optimum; they differ only in running time.
@@ -196,7 +198,7 @@ def solve_maxplus(instance: Instance, policy: SolverPolicy) -> SolveResult:
     if policy is SolverPolicy.LAWLER_MOORE:
         return lawler_moore(instance)
     if policy is SolverPolicy.INVERSE_BY_W:
-        if instance.n >= instance.d_max:
+        if instance.n >= instance.d_max or instance.w_total > instance.n * instance.d_max:
             return lawler_moore(instance)
         return _solve_inverse(instance, group_by_due_date(instance))
     acc: Vector = []

@@ -49,6 +49,12 @@ class TestDpBuilder:
         assert big == small
 
 
+    def test_huge_weights_stay_exact(self):
+        jobs = group([(1, 2**62)] * 3, 2000)
+        want = [0, 2**62, 2**63, 3 * 2**62] + [3 * 2**62] * 1997
+        assert build_solution_vector_dp(jobs, 2000) == want
+
+
 class TestConcaveBuilder:
     def test_single_class(self):
         jobs = group([(2, 5), (2, 1)], 4)
@@ -65,6 +71,31 @@ class TestConcaveBuilder:
             ws = [rng.randint(1, 9) for _ in range(rng.randint(0, 8))]
             horizon = rng.randint(0, 50)
             assert is_sstep_concave(step_concave_class_vector(ws, p, horizon), p)
+
+    def test_class_vector_matches_loop_reference(self):
+        rng = random.Random(45)
+        for _ in range(200):
+            p = rng.randint(1, 9)
+            ws = [rng.randint(1, 2**62) for _ in range(rng.randint(0, 8))]
+            horizon = rng.randint(0, 50)
+            ref, acc, taken = [0], 0, sorted(ws, reverse=True)
+            for k in range(1, horizon + 1):
+                if k % p == 0 and k // p <= len(taken):
+                    acc += taken[k // p - 1]
+                ref.append(acc)
+            assert step_concave_class_vector(ws, p, horizon) == ref
+
+    def test_folds_from_the_first_class(self, monkeypatch):
+        import tardyjobs.builders as builders
+
+        calls = []
+        real = builders.convolve_sstep_concave
+        monkeypatch.setattr(builders, "convolve_sstep_concave", lambda *a: calls.append(a) or real(*a))
+        jobs = group([(1, 4), (2, 5), (2, 1), (3, 2)], 6)
+        assert build_solution_vector_concave(jobs, 6) == build_solution_vector_dp(jobs, 6)
+        assert len(calls) == 2  # three processing-time classes
+        assert build_solution_vector_concave(group([(2, 5), (2, 1)], 4), 4) == [0, 0, 5, 5, 6]
+        assert len(calls) == 2
 
     def test_matches_dp(self):
         rng = random.Random(47)
@@ -89,6 +120,16 @@ class TestInverseBuilder:
             w = rng.randint(1, 9)
             ps = [rng.randint(1, 9) for _ in range(rng.randint(1, 8))]
             assert is_sstep_convex(step_convex_class_vector(ps, w), w)
+
+    def test_class_vector_matches_loop_reference(self):
+        rng = random.Random(57)
+        for _ in range(200):
+            w = rng.randint(1, 9)
+            ps = sorted(rng.randint(1, 2**62) for _ in range(rng.randint(0, 8)))
+            ref = [0]
+            for t in range(len(ps)):
+                ref += [sum(ps[: t + 1])] * w
+            assert step_convex_class_vector(ps[::-1], w) == ref
 
     def test_horizon_is_group_weight(self):
         jobs = group([(1, 3), (2, 4)], 9)

@@ -129,6 +129,94 @@ class TestSStepConcave:
         assert convolve_sstep_concave(a, b, 3) == convolve_naive(a, b)
 
 
+def sstep_convex(n_steps, s, rng):
+    """Random s-step convex vector with n_steps steps after its first entry."""
+    core = [rng.randint(0, 3)]
+    for d in sorted(rng.randint(0, 9) for _ in range(n_steps)):
+        core.append(core[-1] + d)
+    return [core[0]] + [core[t] for t in range(1, n_steps + 1) for _ in range(s)]
+
+
+class TestStepEnginesAtScale:
+    """The vectorized step engines on inputs past SMALL_PRODUCT_CUTOFF, as the
+    solvers call them, against the naive evaluation."""
+
+    def test_concave_fuzz_against_naive(self):
+        rng = random.Random(67)
+        for case in range(24):
+            s = rng.randint(1, 12)
+            n_a = rng.randint(300, 3000)
+            n_b = rng.randint(300, 3000) if case % 3 else n_a + rng.randint(1, 400)  # B longer
+            a = [rng.randint(0, 10**6) for _ in range(n_a)]
+            if case % 4 == 0:
+                a = [7] * n_a  # all ties
+            a = sorted(a) if case % 2 else a
+            b = sstep_concave(n_b, s, rng)
+            assert convolve_sstep_concave(a, b, s) == convolve_naive(a, b)
+
+    def test_convex_fuzz_against_naive(self):
+        rng = random.Random(71)
+        for case in range(24):
+            s = rng.randint(1, 12)
+            n_a = rng.randint(300, 3000)
+            a = sorted(rng.randint(0, 10**6) for _ in range(n_a))
+            if case % 4 == 0:
+                a = [5] * n_a  # all ties
+            if case % 2:  # capped accumulator: finite prefix, POS_INF suffix
+                cut = rng.randint(1, n_a - 1)
+                a[cut:] = [POS_INF] * (n_a - cut)
+            n_steps = rng.randint(300, 3000) // s if case % 3 else (n_a + rng.randint(1, 400)) // s
+            b = sstep_convex(max(n_steps, 1), s, rng)
+            got = minplus_convolve(a, b, ConvolutionEngine.sstep(s))
+            assert got == minplus_convolve(a, b)
+
+    def test_entries_beyond_float_exactness(self):
+        # shifting both operands by `big` shifts every output entry by 2*big,
+        # so the small operands give an exact reference
+        rng = random.Random(73)
+        big = 2**52 + 1
+        for s in (1, 3, 8):
+            a = [rng.randint(0, 99) for _ in range(400)]
+            b = sstep_concave(350, s, rng)
+            want = [2 * big + v for v in convolve_naive(a, b)]
+            assert convolve_sstep_concave([big + x for x in a], [big + x for x in b], s) == want
+            inv = sorted(rng.randint(0, 99) for _ in range(400))
+            c = sstep_convex(350 // s, s, rng)
+            want = [2 * big + v for v in minplus_convolve(inv, c)]
+            got = minplus_convolve([big + x for x in inv], [big + x for x in c], ConvolutionEngine.sstep(s))
+            assert got == want
+
+    def test_concave_precondition_names_first_index(self):
+        rng = random.Random(79)
+        # off stride: an entry stops copying its predecessor; on stride: a whole step bends upward
+        for s, bad, step in ((1, 377, slice(377, 378)), (4, 402, slice(402, 403)), (4, 404, slice(404, 408))):
+            b = sstep_concave(600, s, rng)
+            b[step] = [x + 10**6 for x in b[step]]
+            a = [rng.randint(0, 50) for _ in range(500)]
+            with pytest.raises(ValueError, match=f"first violation at index {bad}$"):
+                convolve_sstep_concave(a, b, s)
+            with pytest.raises(ValueError, match=f"first violation at index {bad}$"):
+                convolve_sstep_concave(a, [2**60 + x for x in b], s)
+
+    def test_convex_precondition_names_first_index(self):
+        rng = random.Random(83)
+        # off stride: an entry stops copying its successor; on stride: a whole step bends downward
+        for s, bad, step in ((1, 377, slice(377, 378)), (4, 401, slice(401, 402)), (4, 404, slice(401, 405))):
+            b = sstep_convex(600 // s, s, rng)
+            b[step] = [x - 10**6 for x in b[step]]
+            a = sorted(rng.randint(0, 50) for _ in range(500))
+            with pytest.raises(ValueError, match=f"first violation at index {bad}$"):
+                minplus_convolve(a, b, ConvolutionEngine.sstep(s))
+            with pytest.raises(ValueError, match=f"first violation at index {bad}$"):
+                minplus_convolve(a, [2**60 + x for x in b], ConvolutionEngine.sstep(s))
+
+    def test_sentinel_in_step_operand_is_named(self):
+        b = [0] * 500
+        b[321] = NEG_INF
+        with pytest.raises(ValueError, match="index 321$"):
+            convolve_sstep_concave([0] * 400, b, 2)
+
+
 class TestConvolveWithRanges:
     def test_left_identity_full_interval(self):
         b = [0, 4, 4, 9]

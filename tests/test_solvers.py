@@ -120,6 +120,15 @@ class TestSolveMaxplus:
             )
 
 
+    def test_huge_weights_exact_under_every_policy(self):
+        # three jobs whose total weight overflows int64 and dwarfs n * d_max
+        inst = Instance(tuple(J(i, 1, 2**62, 2000) for i in range(3)))
+        want = lawler_moore(inst)
+        assert want.min_tardy_weight == 0
+        for policy in [*ALL_POLICIES, SolverPolicy.AUTO]:
+            assert solve(inst, policy) == want
+
+
 class TestPrefixSemantics:
     def test_first_iteration_is_group_vector(self):
         inst = Instance((J(0, 2, 3, 4), J(1, 1, 1, 4), J(2, 2, 2, 9)))
