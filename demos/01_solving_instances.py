@@ -11,7 +11,6 @@ from tardyjobs import (
     brute_force,
     generate_instance,
     solve,
-    solve_maxplus,
 )
 
 # A tiny hand-built instance: three jobs on one machine.  Job 2 is hopeless
@@ -35,7 +34,7 @@ for policy in [
     SolverPolicy.CONCAVE_BY_P,
     SolverPolicy.INVERSE_BY_W,
 ]:
-    res = solve_maxplus(inst, policy)
+    res = solve(inst, policy)
     print(f"{policy.value:>14}: min tardy weight = {res.min_tardy_weight}")
 
 print("brute force   :", brute_force(inst).min_tardy_weight)
@@ -43,6 +42,7 @@ print("brute force   :", brute_force(inst).min_tardy_weight)
 # Reconstruction attaches a feasible early set achieving the optimum.
 res = solve(inst, SolverPolicy.AUTO, reconstruct=True)
 print("witness early set (job ids):", res.early_set)
+print("policy that ran:", res.policy.value)
 
 # Generated instances are deterministic in the seed, which makes results
 # reproducible across runs and languages.

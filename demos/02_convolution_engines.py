@@ -7,7 +7,6 @@ the same output.
 """
 
 from tardyjobs import (
-    ConvolutionEngine,
     Job,
     build_solution_vector_dp,
     convolve_naive,
@@ -40,11 +39,6 @@ print("\nclass vector (two p=2 jobs, weights 6 and 3):", bp)
 print("is 2-step concave:", is_sstep_concave(bp, 2))
 assert convolve_sstep_concave(A, bp, 2) == convolve_naive(A, bp)
 print("step-concave engine output equals the naive engine")
-
-# The ConvolutionEngine dataclass bundles an engine choice with its
-# parameters; solvers pass these around instead of raw functions.
-eng = ConvolutionEngine.sstep(2)
-print("engine:", eng.kind.value, "s =", eng.s)
 
 # Inverse (weight-indexed) vectors use the (min,+) mirror: entry k is the
 # least processing time reaching weight k, and targets add across groups.

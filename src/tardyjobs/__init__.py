@@ -34,21 +34,17 @@ from .fractional import (
 from .generate import SplitMix64, generate_instance
 from .instance_io import parse_instance, serialize_instance
 from .maxplus import (
-    ConvolutionEngine,
-    EngineKind,
     convolve_naive,
     convolve_sstep_concave,
     convolve_with_ranges,
-    is_bounded_monotone,
     is_sstep_concave,
     is_sstep_convex,
     minplus_convolve,
 )
-from .oracle import brute_force, brute_force_permutations, brute_force_vector, edd_feasible
+from .oracle import brute_force, brute_force_vector, edd_feasible
 from .prediction import (
     RangeIntervals,
     compute_range_intervals,
-    delta,
     validate_range_intervals,
 )
 from .solvers import (
@@ -57,20 +53,16 @@ from .solvers import (
     auto_select,
     forward_states,
     lawler_moore,
-    prefix_vector_semantics_check,
     reconstruct_schedule,
     solve,
-    solve_maxplus,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BenchDisagreement",
-    "ConvolutionEngine",
     "DEFAULT_CALIBRATION",
     "DueDateGrouping",
-    "EngineKind",
     "FractionalSolutionVector",
     "Instance",
     "Job",
@@ -82,7 +74,6 @@ __all__ = [
     "SplitMix64",
     "auto_select",
     "brute_force",
-    "brute_force_permutations",
     "brute_force_vector",
     "build_inverse_solution_vector",
     "build_solution_vector_concave",
@@ -91,7 +82,6 @@ __all__ = [
     "convolve_naive",
     "convolve_sstep_concave",
     "convolve_with_ranges",
-    "delta",
     "edd_feasible",
     "forward_states",
     "fractional_gap_check",
@@ -99,19 +89,16 @@ __all__ = [
     "generate_instance",
     "group_by_due_date",
     "inverse_to_direct",
-    "is_bounded_monotone",
     "is_sstep_concave",
     "is_sstep_convex",
     "lawler_moore",
     "minplus_convolve",
     "parse_instance",
-    "prefix_vector_semantics_check",
     "reconstruct_schedule",
     "rows_to_csv",
     "run_bench",
     "serialize_instance",
     "solve",
-    "solve_maxplus",
     "validate_range_intervals",
     "validate_solution_vector",
     "wspt_sort",

@@ -28,7 +28,7 @@ import time
 from typing import Iterable
 
 from .generate import generate_instance
-from .solvers import SolverPolicy, lawler_moore, solve_maxplus
+from .solvers import SolverPolicy, solve
 
 __all__ = ["BenchDisagreement", "run_bench", "rows_to_csv", "CSV_COLUMNS"]
 
@@ -75,7 +75,7 @@ def run_bench(config: dict) -> list[dict]:
                 answer = None
                 for _ in range(repetitions):
                     t0 = time.perf_counter_ns()
-                    result = solve_maxplus(instance, policy)
+                    result = solve(instance, policy)
                     reps.append(time.perf_counter_ns() - t0)
                     if answer is None:
                         answer = result.min_tardy_weight
@@ -88,12 +88,7 @@ def run_bench(config: dict) -> list[dict]:
                 timings[policy.value] = reps
             if verify:
                 ref = _reference_policy(policies)
-                ref_answer = (
-                    lawler_moore(instance)
-                    if ref is SolverPolicy.LAWLER_MOORE
-                    else solve_maxplus(instance, ref)
-                ).min_tardy_weight
-                answers[f"reference:{ref.value}"] = ref_answer
+                answers[f"reference:{ref.value}"] = solve(instance, ref).min_tardy_weight
             if len(set(answers.values())) != 1:
                 raise BenchDisagreement(
                     f"answers disagree on seed {seed} {params}: {answers}"

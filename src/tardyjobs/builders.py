@@ -23,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from .core import Job, Vector
-from .maxplus import ConvolutionEngine, convolve_sstep_concave, minplus_convolve
+from .maxplus import convolve_sstep_concave, minplus_convolve
 
 __all__ = [
     "build_solution_vector_dp",
@@ -34,27 +34,18 @@ __all__ = [
     "step_convex_class_vector",
 ]
 
-_NUMPY_DP_CUTOFF = 4096
-
 
 def build_solution_vector_dp(jobs: list[Job], horizon: int) -> Vector:
     """Knapsack DP: entry k = max weight of a subset with total p <= k."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     # int64 holds every entry only while the group's total weight does
-    if len(jobs) * horizon >= _NUMPY_DP_CUTOFF and sum(job.w for job in jobs) < 2**63:
-        f = np.zeros(horizon + 1, dtype=np.int64)
-        for job in jobs:
-            if job.p <= horizon:
-                np.maximum(f[job.p :], f[: horizon + 1 - job.p] + job.w, out=f[job.p :])
-        return [int(v) for v in f.tolist()]
-    f: Vector = [0] * (horizon + 1)
+    dtype = np.int64 if sum(job.w for job in jobs) < 2**63 else object
+    f = np.zeros(horizon + 1, dtype=dtype)
     for job in jobs:
-        for k in range(horizon, job.p - 1, -1):
-            v = f[k - job.p] + job.w
-            if v > f[k]:
-                f[k] = v
-    return f
+        if job.p <= horizon:
+            np.maximum(f[job.p :], f[: horizon + 1 - job.p] + job.w, out=f[job.p :])
+    return f.tolist()
 
 
 def step_concave_class_vector(weights: list[int], p: int, horizon: int) -> Vector:
@@ -116,7 +107,7 @@ def build_inverse_solution_vector(jobs: list[Job]) -> Vector:
     acc: Vector = [0]
     for w in sorted(classes):
         bw = step_convex_class_vector(classes[w], w)
-        acc = minplus_convolve(acc, bw, ConvolutionEngine.sstep(w))
+        acc = minplus_convolve(acc, bw, w)
     return acc
 
 

@@ -15,7 +15,7 @@ from .bench import BenchDisagreement, rows_to_csv, run_bench
 from .generate import DISTRIBUTIONS, generate_instance
 from .instance_io import parse_instance, serialize_instance
 from .oracle import DEFAULT_CAP, brute_force
-from .solvers import SolverPolicy, auto_select, reconstruct_schedule, solve_maxplus
+from .solvers import SolverPolicy, solve
 
 __all__ = ["main"]
 
@@ -64,9 +64,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         instance = parse_instance(sys.stdin)
     else:
         instance = parse_instance(args.input)
-    policy = SolverPolicy(args.algo)
-    resolved = auto_select(instance) if policy is SolverPolicy.AUTO else policy
-    result = solve_maxplus(instance, resolved)
+    result = solve(instance, SolverPolicy(args.algo), reconstruct=args.reconstruct)
 
     if args.verify:
         if instance.n <= DEFAULT_CAP:
@@ -75,26 +73,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else:
             other = (
                 SolverPolicy.MAXPLUS_NAIVE
-                if resolved is SolverPolicy.LAWLER_MOORE
+                if result.policy is SolverPolicy.LAWLER_MOORE
                 else SolverPolicy.LAWLER_MOORE
             )
             check_name = other.value
-            check = solve_maxplus(instance, other).min_tardy_weight
+            check = solve(instance, other).min_tardy_weight
         if check != result.min_tardy_weight:
             print(
-                f"INTERNAL INCONSISTENCY: {resolved.value} returned "
+                f"INTERNAL INCONSISTENCY: {result.policy.value} returned "
                 f"{result.min_tardy_weight} but {check_name} returned {check}",
                 file=sys.stderr,
             )
             return 2
 
     out = {
-        "policy": resolved.value,
+        "policy": result.policy.value,
         "min_tardy_weight": result.min_tardy_weight,
         "max_early_weight": result.max_early_weight,
     }
     if args.reconstruct:
-        out["early_set"] = reconstruct_schedule(instance, result.max_early_weight)
+        out["early_set"] = list(result.early_set)
     print(json.dumps(out))
     return 0
 

@@ -20,7 +20,10 @@ unreachable weight targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .solvers import SolverPolicy
 
 # Saturating sentinels for infeasible entries: NEG_INF in (max,+) vectors,
 # POS_INF in (min,+) vectors.  Python float infinities compare exactly
@@ -103,12 +106,14 @@ class SolveResult:
 
     ``min_tardy_weight + max_early_weight`` always equals the instance's
     total weight.  ``early_set`` (job ids) is populated only when schedule
-    reconstruction was requested.
+    reconstruction was requested.  ``policy`` is the policy that ran, after
+    ``AUTO`` and fallbacks were resolved; the oracle leaves it ``None``.
     """
 
     min_tardy_weight: int
     max_early_weight: int
     early_set: tuple[int, ...] | None = None
+    policy: SolverPolicy | None = None
 
 
 def group_by_due_date(instance: Instance) -> DueDateGrouping:

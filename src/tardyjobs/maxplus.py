@@ -1,4 +1,4 @@
-"""Interchangeable (max,+)- and (min,+)-convolution engines.
+"""The (max,+)- and (min,+)-convolution engines.
 
 The (max,+)-convolution of vectors ``A`` and ``B`` is the vector ``C`` with
 ``C[l] = max_k (A[k] + B[l-k])`` over all index pairs that are valid in both
@@ -18,17 +18,16 @@ precondition on the operands holds:
                                  certifying where optimal split witnesses
                                  lie; cost proportional to the total range
                                  width.
-* bounded-monotone plugin     -- an engine slot for externally supplied
-                                 subquadratic routines for monotone vectors
-                                 with bounded values; the default delegate
-                                 validates the structure and falls back to
-                                 the naive engine.
 
 The (min,+) mirror ``minplus_convolve`` runs its step-convex engine through
-the same kernel by negation.  Vectorized paths compute in float64 and run
-only behind one guard: every sum of a finite entry of A and one of B must be
-exact there (magnitudes below 2**52).  Where it fails, and below
-``SMALL_PRODUCT_CUTOFF``, the naive evaluation answers, in exact Python ints.
+the same kernel by negation.
+
+Each operation has one numpy body, which runs on one of two element types.
+It computes in float64 while every sum of a finite entry of A and one of B
+is exact there (magnitudes below 2**52), and otherwise on ``dtype=object``
+arrays of the exact Python ints and the infinite sentinels.  Either way the
+answer is exact.  ``SMALL_PRODUCT_CUTOFF`` only chooses between a step
+engine and the naive evaluation on small operands; magnitude never does.
 
 Outputs are truncated at the longer operand's length: the scheduling solvers
 never need entries past the current horizon, and monotone non-negative
@@ -39,9 +38,7 @@ mirror used by inverse (weight-indexed) vectors instead keeps the full
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -51,24 +48,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .prediction import RangeIntervals
 
 __all__ = [
-    "EngineKind",
-    "ConvolutionEngine",
     "convolve_naive",
     "convolve_sstep_concave",
     "convolve_with_ranges",
     "minplus_convolve",
     "is_sstep_concave",
     "is_sstep_convex",
-    "is_bounded_monotone",
 ]
 
-# Below this |A|*|B| product the structured engines just run the naive
-# evaluation: the asymptotics only pay off past it.  Tests shrink it to 0 to
-# force the structured code paths on small inputs.
+# Below this |A|*|B| product the step engines just run the naive evaluation:
+# their asymptotics only pay off past it.  Tests shrink it to 0 to force the
+# step engines' code paths on small inputs.
 SMALL_PRODUCT_CUTOFF = 4096
 
-# Sums of finite entries must stay exactly representable in float64 for the
-# vectorized paths; anything bigger falls back to pure-Python big ints.
+# Sums of finite entries must stay exactly representable in float64; past
+# this bound the kernels run on exact Python-int object arrays.
 _EXACT_FLOAT_BOUND = 2**52
 
 
@@ -77,21 +71,24 @@ def _max_abs_finite(v: np.ndarray) -> float:
     return float(np.abs(finite).max()) if finite.size else 0.0
 
 
-def _float_operands(A: Sequence, B: Sequence) -> tuple[np.ndarray, np.ndarray] | None:
-    """A and B as float64 arrays, or None when a sum of one finite entry of
-    each might not be exact in float64 (magnitudes reaching 2**52)."""
+def _operands(A: Sequence, B: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """A and B as float64 arrays when every sum of one finite entry of each
+    is exact in float64 (magnitudes below 2**52), else as object arrays of
+    the exact ints and sentinels."""
     try:
         a = np.asarray(A, dtype=np.float64)
         b = np.asarray(B, dtype=np.float64)
+        if _max_abs_finite(a) + _max_abs_finite(b) < _EXACT_FLOAT_BOUND:
+            return a, b
     except OverflowError:  # an int beyond the float range
-        return None
-    if _max_abs_finite(a) + _max_abs_finite(b) < _EXACT_FLOAT_BOUND:
-        return a, b
-    return None
+        pass
+    return np.array(A, dtype=object), np.array(B, dtype=object)
 
 
 def _to_vector(out: np.ndarray) -> Vector:
-    """Float64 result back to a list of ints, infinite entries as sentinels."""
+    """A kernel's result back to a list of ints, infinite entries as sentinels."""
+    if out.dtype == object:
+        return out.tolist()
     finite = np.isfinite(out)
     if finite.all():
         return out.astype(np.int64).tolist()
@@ -100,38 +97,23 @@ def _to_vector(out: np.ndarray) -> Vector:
     return vec.tolist()
 
 
-def convolve_naive(A: Vector, B: Vector, *, full_length: bool = False) -> Vector:
+def convolve_naive(A: Vector, B: Vector) -> Vector:
     """(max,+)-convolve two vectors by direct evaluation of the definition.
 
-    The output has ``max(|A|, |B|)`` entries (``|A|+|B|-1`` with
-    ``full_length=True``); operand indices out of range contribute nothing.
-    Entries equal to ``NEG_INF`` saturate.
+    The output has ``max(|A|, |B|)`` entries; operand indices out of range
+    contribute nothing.  Entries equal to ``NEG_INF`` saturate.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
-    L = len(A) + len(B) - 1 if full_length else max(len(A), len(B))
     if len(A) > len(B):  # loop over the shorter operand
         A, B = B, A
-    ops = _float_operands(A, B) if len(A) * min(len(B), L) >= SMALL_PRODUCT_CUTOFF else None
-    if ops is not None:
-        b = ops[1]
-        out = np.full(L, NEG_INF)
-        for k, a in enumerate(A):
-            if a == NEG_INF or k >= L:
-                continue
-            hi = min(len(B), L - k)
-            np.maximum(out[k : k + hi], a + b[:hi], out=out[k : k + hi])
-        return _to_vector(out)
-    out_py: Vector = [NEG_INF] * L
+    _, b = _operands(A, B)
+    L = len(B)
+    out = np.full(L, NEG_INF, dtype=b.dtype)
     for k, a in enumerate(A):
-        if a == NEG_INF or k >= L:
-            continue
-        hi = min(len(B), L - k)
-        for j in range(hi):
-            v = a + B[j]
-            if v > out_py[k + j]:
-                out_py[k + j] = v
-    return out_py
+        if a != NEG_INF:
+            np.maximum(out[k:], a + b[: L - k], out=out[k:])
+    return _to_vector(out)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +188,7 @@ def _sliding_max(a: np.ndarray, width: int, length: int) -> np.ndarray:
     suffix and one block prefix.  O(length) at any width.
     """
     n_blocks = -(-(length + width - 1) // width)
-    x = np.full(n_blocks * width, NEG_INF)
+    x = np.full(n_blocks * width, NEG_INF, dtype=a.dtype)
     x[width - 1 : width - 1 + min(len(a), length)] = a[:length]
     blocks = x.reshape(n_blocks, width)
     prefix = np.maximum.accumulate(blocks, axis=1).ravel()
@@ -229,10 +211,10 @@ def _stride_maxplus(D: np.ndarray, Bc: np.ndarray, s: int) -> np.ndarray:
     """
     L, T = len(D), len(Bc)
     Q = -(-L // s)  # rows per class
-    E = np.full(Q * s, NEG_INF)
+    E = np.full(Q * s, NEG_INF, dtype=D.dtype)
     E[:L] = D
     E = E.reshape(Q, s).T.ravel()  # E_r[u] at r*Q + u
-    rows = np.full(Q * s, NEG_INF)
+    rows = np.full(Q * s, NEG_INF, dtype=D.dtype)
     # open row ranges [r0, r1] with column windows [c0, c1], class offset base
     base = np.arange(s) * Q
     r0 = np.zeros(s, dtype=np.int64)
@@ -270,27 +252,23 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
     divide-and-conquer kernel finds for all classes together, in
     O(log L) numpy passes over O(L) entries (L the output length).
 
-    The kernel works in float64, so it runs only when every sum of a finite
-    entry of A and one of B is exact there (magnitudes below 2**52), and
-    only on A without ``NEG_INF`` entries and past ``SMALL_PRODUCT_CUTOFF``;
-    otherwise the call is answered by :func:`convolve_naive`, which keeps
-    an exact big-int path.
+    The kernel runs past ``SMALL_PRODUCT_CUTOFF`` on A without ``NEG_INF``
+    entries; otherwise the call is answered by :func:`convolve_naive`.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    ops = _float_operands(A, B)
-    bad = _first_sstep_concave_violation(ops[1] if ops else np.asarray(B, dtype=object), s)
+    a, b = _operands(A, B)
+    bad = _first_sstep_concave_violation(b, s)
     if bad is not None:
         raise ValueError(f"right operand is not {s}-step concave: first violation at index {bad}")
-    if ops is None or len(A) * len(B) <= SMALL_PRODUCT_CUTOFF or np.isinf(ops[0]).any():
+    if len(A) * len(B) <= SMALL_PRODUCT_CUTOFF or (a == NEG_INF).any():
         return convolve_naive(A, B)
-    a, b = ops
     L = max(len(a), len(b))
     Bc = b[::s]  # concave stride subsample
     start = (len(Bc) - 1) * s  # the final step of B covers b[start:]
-    out = np.full(L, NEG_INF)
+    out = np.full(L, NEG_INF, dtype=a.dtype)
     out[start:] = Bc[-1] + _sliding_max(a, len(b) - start, L - start)
     if len(Bc) > 1:
         np.maximum(out, _stride_maxplus(_sliding_max(a, s, L), Bc[:-1], s), out=out)
@@ -333,45 +311,16 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
     intervals = list(R.intervals)
     _check_interval_structure(intervals, len(A), len(B))
     L = max(len(A), len(B))
-    total = sum(y - x + 1 for iv in intervals if iv is not None for x, y in (iv,))
-    ops = _float_operands(A, B) if total >= SMALL_PRODUCT_CUTOFF else None
-    if ops is not None:
-        b = ops[1]
-        out = np.full(L, NEG_INF)
-        for k, a in enumerate(A):
-            if a == NEG_INF or intervals[k] is None:
-                continue
-            x, y = intervals[k]
-            hi = min(y, L - 1 - k)
-            if hi >= x:
-                np.maximum(out[k + x : k + hi + 1], a + b[x : hi + 1], out=out[k + x : k + hi + 1])
-        return _to_vector(out)
-    out_py: Vector = [NEG_INF] * L
+    _, b = _operands(A, B)
+    out = np.full(L, NEG_INF, dtype=b.dtype)
     for k, a in enumerate(A):
         if a == NEG_INF or intervals[k] is None:
             continue
         x, y = intervals[k]
         hi = min(y, L - 1 - k)
-        for j in range(x, hi + 1):
-            v = a + B[j]
-            if v > out_py[k + j]:
-                out_py[k + j] = v
-    return out_py
-
-
-# ---------------------------------------------------------------------------
-# bounded-monotone slot
-# ---------------------------------------------------------------------------
-
-
-def is_bounded_monotone(A: Vector, b) -> bool:
-    """True iff A is monotone non-decreasing with every entry at most b."""
-    prev = NEG_INF
-    for v in A:
-        if v < prev or v > b:
-            return False
-        prev = v
-    return True
+        if hi >= x:
+            np.maximum(out[k + x : k + hi + 1], a + b[x : hi + 1], out=out[k + x : k + hi + 1])
+    return _to_vector(out)
 
 
 # ---------------------------------------------------------------------------
@@ -381,29 +330,14 @@ def is_bounded_monotone(A: Vector, b) -> bool:
 
 def _minplus_naive(A: Vector, B: Vector) -> Vector:
     """Full-length (min,+)-convolution; POS_INF entries saturate."""
-    L = len(A) + len(B) - 1
     if len(A) > len(B):
         A, B = B, A
-    ops = _float_operands(A, B) if len(A) * len(B) >= SMALL_PRODUCT_CUTOFF else None
-    if ops is not None:
-        b = ops[1]
-        out = np.full(L, POS_INF)
-        for k, a in enumerate(A):
-            if a == POS_INF:
-                continue
-            np.minimum(out[k : k + len(B)], a + b, out=out[k : k + len(B)])
-        return _to_vector(out)
-    out_py: Vector = [POS_INF] * L
+    _, b = _operands(A, B)
+    out = np.full(len(A) + len(B) - 1, POS_INF, dtype=b.dtype)
     for k, a in enumerate(A):
-        if a == POS_INF:
-            continue
-        for j, bv in enumerate(B):
-            if bv == POS_INF:
-                continue
-            v = a + bv
-            if v < out_py[k + j]:
-                out_py[k + j] = v
-    return out_py
+        if a != POS_INF:
+            np.minimum(out[k : k + len(B)], a + b, out=out[k : k + len(B)])
+    return _to_vector(out)
 
 
 def _minplus_sstep_convex(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
@@ -417,108 +351,41 @@ def _minplus_sstep_convex(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
     """
     L = len(a) + len(b) - 1
     Bc = b[::s]  # convex stride subsample; last index of B is a multiple of s
-    out = np.full(L, POS_INF)
+    out = np.full(L, POS_INF, dtype=a.dtype)
     out[: len(a)] = a + Bc[0]
     if len(Bc) > 1:
-        D = np.empty(L)
+        D = np.empty(L, dtype=a.dtype)
         D[0] = NEG_INF  # the window before index 0 is empty
         D[1:] = _sliding_max(-a, s, L - 1)
         np.minimum(out, -_stride_maxplus(D, -Bc[1:], s), out=out)
     return out
 
 
-def minplus_convolve(A: Vector, B: Vector, engine: "ConvolutionEngine | None" = None) -> Vector:
+def minplus_convolve(A: Vector, B: Vector, s: int | None = None) -> Vector:
     """(min,+)-convolve inverse vectors: C[l] = min over splits of A[k]+B[l-k].
 
     Output always has the full ``|A|+|B|-1`` length, since weight targets add
     across operands.  Equivalent to negating both operands (POS_INF mapping
-    to NEG_INF), (max,+)-convolving at full length, and negating back.  The
-    step engine takes the same float64 guard and cutoff as
-    :func:`convolve_sstep_concave` and, on A, finite entries followed only
-    by ``POS_INF``; otherwise the naive evaluation answers.
+    to NEG_INF), (max,+)-convolving at full length, and negating back.
+
+    With a step size ``s`` the right operand must be s-step convex and the
+    step engine answers: past ``SMALL_PRODUCT_CUTOFF`` and on A whose finite
+    entries are followed only by ``POS_INF``, as in a capped accumulator.
+    Otherwise, and without ``s``, the naive evaluation answers.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
-    if engine is None or engine.kind is EngineKind.NAIVE:
+    if s is None:
         return _minplus_naive(A, B)
-    if engine.kind is EngineKind.SSTEP_CONCAVE:
-        s = engine.s
-        ops = _float_operands(A, B)
-        bad = _first_sstep_convex_violation(ops[1] if ops else np.asarray(B, dtype=object), s)
-        if bad is not None:
-            raise ValueError(
-                f"right operand is not {s}-step convex: first violation at index {bad}"
-            )
-        if ops is None or len(A) * len(B) <= SMALL_PRODUCT_CUTOFF:
-            return _minplus_naive(A, B)
-        finite = np.isfinite(ops[0])
-        n_finite = np.count_nonzero(finite)
-        if not (finite[:n_finite].all() and (ops[0][n_finite:] == POS_INF).all()):
-            return _minplus_naive(A, B)
-        return _to_vector(_minplus_sstep_convex(*ops, s))
-    raise ValueError(f"(min,+) convolution does not support engine kind {engine.kind}")
-
-
-# ---------------------------------------------------------------------------
-# engine abstraction
-# ---------------------------------------------------------------------------
-
-
-class EngineKind(Enum):
-    NAIVE = "naive"
-    SSTEP_CONCAVE = "sstep-concave"
-    RANGE_GUIDED = "range-guided"
-    BOUNDED_MONOTONE_PLUGIN = "bounded-monotone"
-
-
-@dataclass(frozen=True)
-class ConvolutionEngine:
-    """A (max,+)-convolution strategy plus its parameters.
-
-    All engines are extensionally equal to the naive engine on inputs that
-    satisfy their structural precondition.  Engines are stateless and safe
-    to share across threads.
-    """
-
-    kind: EngineKind = EngineKind.NAIVE
-    s: int | None = None
-    intervals: "RangeIntervals | None" = None
-    b: int | None = None
-    plugin: Callable[[Vector, Vector], Vector] | None = None
-
-    @staticmethod
-    def naive() -> "ConvolutionEngine":
-        return ConvolutionEngine(EngineKind.NAIVE)
-
-    @staticmethod
-    def sstep(s: int) -> "ConvolutionEngine":
-        if s < 1:
-            raise ValueError(f"s must be >= 1, got {s}")
-        return ConvolutionEngine(EngineKind.SSTEP_CONCAVE, s=s)
-
-    @staticmethod
-    def range_guided(intervals: "RangeIntervals") -> "ConvolutionEngine":
-        return ConvolutionEngine(EngineKind.RANGE_GUIDED, intervals=intervals)
-
-    @staticmethod
-    def bounded_monotone(
-        b: int, plugin: Callable[[Vector, Vector], Vector] | None = None
-    ) -> "ConvolutionEngine":
-        return ConvolutionEngine(EngineKind.BOUNDED_MONOTONE_PLUGIN, b=b, plugin=plugin)
-
-    def convolve(self, A: Vector, B: Vector) -> Vector:
-        """(max,+)-convolve A and B with this engine."""
-        if self.kind is EngineKind.NAIVE:
-            return convolve_naive(A, B)
-        if self.kind is EngineKind.SSTEP_CONCAVE:
-            return convolve_sstep_concave(A, B, self.s)
-        if self.kind is EngineKind.RANGE_GUIDED:
-            return convolve_with_ranges(A, B, self.intervals)
-        if self.kind is EngineKind.BOUNDED_MONOTONE_PLUGIN:
-            for name, v in (("left", A), ("right", B)):
-                if not is_bounded_monotone(v, self.b):
-                    raise ValueError(f"{name} operand is not {self.b}-bounded monotone")
-            if self.plugin is not None:
-                return self.plugin(A, B)
-            return convolve_naive(A, B)
-        raise ValueError(f"unknown engine kind {self.kind!r}")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    a, b = _operands(A, B)
+    bad = _first_sstep_convex_violation(b, s)
+    if bad is not None:
+        raise ValueError(f"right operand is not {s}-step convex: first violation at index {bad}")
+    finite = (a != POS_INF) & (a != NEG_INF)
+    n_finite = np.count_nonzero(finite)
+    capped = finite[:n_finite].all() and (a[n_finite:] == POS_INF).all()
+    if len(A) * len(B) <= SMALL_PRODUCT_CUTOFF or not capped:
+        return _minplus_naive(A, B)
+    return _to_vector(_minplus_sstep_convex(a, b, s))

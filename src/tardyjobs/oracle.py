@@ -2,16 +2,10 @@
 
 Used by the test suite to certify every solver and builder, and by the
 CLI's verify mode.  ``brute_force`` enumerates early sets in due-date order
-with feasibility pruning; ``brute_force_permutations`` enumerates every
-processing order outright and exists to confirm that restricting attention
-to due-date-ordered early sets loses nothing.
+with feasibility pruning.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
-
-import numpy as np
 
 from .core import Instance, Job, SolveResult, Vector
 
@@ -19,7 +13,6 @@ __all__ = [
     "edd_feasible",
     "brute_force",
     "brute_force_vector",
-    "brute_force_permutations",
 ]
 
 DEFAULT_CAP = 20
@@ -102,32 +95,3 @@ def brute_force_vector(jobs: list[Job], horizon: int, cap: int = DEFAULT_CAP) ->
         if out[k] < out[k - 1]:
             out[k] = out[k - 1]
     return out
-
-
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
-def _perm_matrix(n: int) -> np.ndarray:
-    if n not in _PERM_CACHE:
-        _PERM_CACHE[n] = np.array(list(permutations(range(n))), dtype=np.int64)
-    return _PERM_CACHE[n]
-
-
-def brute_force_permutations(instance: Instance, cap: int = 8) -> SolveResult:
-    """Exact optimum over every processing order of all n jobs.
-
-    Vectorized over the n! permutations: a job is early in an order iff its
-    running completion time is within its due date.  Exponentially more
-    work than :func:`brute_force`; only for validating that due-date-ordered
-    enumeration is lossless.
-    """
-    _check_cap(instance.n, cap)
-    jobs = list(instance.jobs)
-    perms = _perm_matrix(len(jobs))
-    p = np.array([j.p for j in jobs], dtype=np.int64)
-    w = np.array([j.w for j in jobs], dtype=np.int64)
-    d = np.array([j.d for j in jobs], dtype=np.int64)
-    completion = np.cumsum(p[perms], axis=1)
-    early = completion <= d[perms]
-    best = int((w[perms] * early).sum(axis=1).max())
-    return SolveResult(min_tardy_weight=instance.w_total - best, max_early_weight=best)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import Vector
 from .fractional import FractionalSolutionVector
@@ -35,7 +34,6 @@ __all__ = [
     "RangeIntervals",
     "compute_range_intervals",
     "validate_range_intervals",
-    "delta",
 ]
 
 
@@ -193,16 +191,3 @@ def validate_range_intervals(A: Vector, B: Vector, R: RangeIntervals) -> list[st
             violations.append(f"condition-3 violation at k={k}: endpoints not monotone")
         prev = iv
     return violations
-
-
-def delta(
-    a_frac: FractionalSolutionVector,
-    b_frac: FractionalSolutionVector,
-    c_frac: FractionalSolutionVector,
-    k: int,
-    l: int,
-) -> Fraction:
-    """Exact fractional gap ``C'[k+l] - (A'[k] + B'[l])`` of one split."""
-    if not (0 <= k < len(a_frac)) or not (0 <= l < len(b_frac)) or k + l >= len(c_frac):
-        raise ValueError(f"split (k={k}, l={l}) out of range")
-    return c_frac.value(k + l) - a_frac.value(k) - b_frac.value(l)

@@ -5,7 +5,7 @@ Two families:
 * :func:`lawler_moore` -- the classic O(n * d_max) dynamic program over
   jobs in due-date order, used as the baseline and as the reconstruction
   backend.
-* :func:`solve_maxplus` -- partition jobs by due date, build a solution
+* the due-date merge -- partition jobs by due date, build a solution
   vector per group, and merge the groups in due-date order with
   (max,+)-convolutions.  After merging group i the accumulator entry k
   holds the best early weight achievable from the first i groups within
@@ -27,6 +27,8 @@ Two families:
   - ``AUTO``: pick a policy from the instance's size parameters.
 
 Every policy returns the exact optimum; they differ only in running time.
+:func:`solve` is the entry point: it resolves ``AUTO``, applies the
+fallbacks, runs the policy and reports which policy ran.
 """
 
 from __future__ import annotations
@@ -54,28 +56,23 @@ from .core import (
 )
 from .fractional import fractional_solution_vector
 from .maxplus import (
-    ConvolutionEngine,
     convolve_naive,
     convolve_sstep_concave,
     convolve_with_ranges,
     minplus_convolve,
 )
-from .oracle import brute_force_vector, edd_feasible
+from .oracle import edd_feasible
 from .prediction import compute_range_intervals
 
 __all__ = [
     "SolverPolicy",
     "DEFAULT_CALIBRATION",
     "lawler_moore",
-    "solve_maxplus",
     "solve",
     "forward_states",
     "auto_select",
-    "prefix_vector_semantics_check",
     "reconstruct_schedule",
 ]
-
-_NUMPY_DP_CUTOFF = 4096
 
 
 class SolverPolicy(Enum):
@@ -94,26 +91,14 @@ def lawler_moore(instance: Instance) -> SolveResult:
     its due date, so states above d_j never gain job j.  O(n * d_max).
     """
     jobs = sorted(instance.jobs, key=lambda j: (j.d, j.id))
-    d_max = instance.d_max
-    if instance.n * d_max >= _NUMPY_DP_CUTOFF and instance.w_total < 2**52:
-        f = np.full(d_max + 1, NEG_INF)
-        f[0] = 0.0
-        for job in jobs:
-            if job.p > job.d:  # can never be early
-                continue
-            hi = job.d
-            np.maximum(f[job.p : hi + 1], f[: hi + 1 - job.p] + job.w, out=f[job.p : hi + 1])
-        best = int(f.max())
-    else:
-        f: Vector = [NEG_INF] * (d_max + 1)
-        f[0] = 0
-        for job in jobs:
-            for k in range(job.d, job.p - 1, -1):
-                v = f[k - job.p] + job.w
-                if v > f[k]:
-                    f[k] = v
-        best = int(max(f))
-    return SolveResult(min_tardy_weight=instance.w_total - best, max_early_weight=best)
+    # float64 sums stay exact only while the total weight is below 2**52
+    f = np.full(instance.d_max + 1, NEG_INF, dtype=np.float64 if instance.w_total < 2**52 else object)
+    f[0] = 0
+    for job in jobs:
+        if job.p <= job.d:  # otherwise it can never be early
+            np.maximum(f[job.p : job.d + 1], f[: job.d + 1 - job.p] + job.w, out=f[job.p : job.d + 1])
+    best = int(f.max())
+    return SolveResult(instance.w_total - best, best, policy=SolverPolicy.LAWLER_MOORE)
 
 
 def _group_vector(jobs: tuple[Job, ...], horizon: int, policy: SolverPolicy) -> Vector:
@@ -134,7 +119,7 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
 
     The accumulator after iteration i spans budgets 0..d^(i) and holds the
     best early weight of the first i groups per budget.  Introspection
-    surface for tests and demos; :func:`solve_maxplus` consumes it.
+    surface for tests and demos; :func:`solve` consumes it.
     """
     grouping = group_by_due_date(instance)
     dates, groups = grouping.due_dates, grouping.groups
@@ -171,8 +156,8 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
         yield i, acc
 
 
-def _solve_inverse(instance: Instance, grouping: DueDateGrouping) -> SolveResult:
-    """Weight-indexed (min,+) mirror of the merge chain."""
+def _solve_inverse(grouping: DueDateGrouping) -> int:
+    """Weight-indexed (min,+) mirror of the merge chain; the best early weight."""
     acc: Vector = [0]
     for d_i, grp in zip(grouping.due_dates, grouping.groups):
         classes: dict[int, list[int]] = {}
@@ -180,32 +165,10 @@ def _solve_inverse(instance: Instance, grouping: DueDateGrouping) -> SolveResult
             classes.setdefault(job.w, []).append(job.p)
         for w in sorted(classes):
             bw = step_convex_class_vector(classes[w], w)
-            acc = minplus_convolve(acc, bw, ConvolutionEngine.sstep(w))
+            acc = minplus_convolve(acc, bw, w)
         # entries needing more time than this due date are infeasible from here on
         acc = [v if v <= d_i else POS_INF for v in acc]
-    best = 0
-    for k in range(len(acc) - 1, -1, -1):
-        if acc[k] != POS_INF:
-            best = k
-            break
-    return SolveResult(min_tardy_weight=instance.w_total - best, max_early_weight=best)
-
-
-def solve_maxplus(instance: Instance, policy: SolverPolicy) -> SolveResult:
-    """Exact optimum via due-date-group merging under the given policy."""
-    if policy is SolverPolicy.AUTO:
-        policy = auto_select(instance)
-    if policy is SolverPolicy.LAWLER_MOORE:
-        return lawler_moore(instance)
-    if policy is SolverPolicy.INVERSE_BY_W:
-        if instance.n >= instance.d_max or instance.w_total > instance.n * instance.d_max:
-            return lawler_moore(instance)
-        return _solve_inverse(instance, group_by_due_date(instance))
-    acc: Vector = []
-    for _, acc in forward_states(instance, policy):
-        pass
-    best = int(acc[-1])
-    return SolveResult(min_tardy_weight=instance.w_total - best, max_early_weight=best)
+    return max(k for k, v in enumerate(acc) if v != POS_INF)
 
 
 DEFAULT_CALIBRATION: dict[SolverPolicy, float] = {
@@ -255,32 +218,28 @@ def solve(
     reconstruct: bool = False,
     calibration: dict[SolverPolicy, float] | None = None,
 ) -> SolveResult:
-    """Solve an instance; optionally attach a witness early set."""
-    resolved = auto_select(instance, calibration) if policy is SolverPolicy.AUTO else policy
-    result = solve_maxplus(instance, resolved)
-    if reconstruct:
-        early = reconstruct_schedule(instance, result.max_early_weight)
-        result = SolveResult(
-            min_tardy_weight=result.min_tardy_weight,
-            max_early_weight=result.max_early_weight,
-            early_set=tuple(early),
-        )
-    return result
+    """Exact optimum under the given policy; optionally a witness early set.
 
-
-def prefix_vector_semantics_check(instance: Instance, i: int, acc: Vector) -> bool:
-    """True iff acc matches the brute-force optima of the first i groups.
-
-    Test-only: checks that the merge accumulator after iteration i equals,
-    entry for entry, the exhaustive optimum over the union of the first i
-    due-date groups at each budget.
+    The one place that resolves ``AUTO`` (through :func:`auto_select`) and
+    the ``INVERSE_BY_W`` fallbacks to Lawler-Moore described above; the
+    result's ``policy`` names the policy that ran.
     """
-    grouping = group_by_due_date(instance)
-    prefix: list[Job] = []
-    for g in grouping.groups[:i]:
-        prefix.extend(g)
-    expected = brute_force_vector(prefix, len(acc) - 1)
-    return list(acc) == expected
+    if policy is SolverPolicy.AUTO:
+        policy = auto_select(instance, calibration)
+    if policy is SolverPolicy.INVERSE_BY_W and (
+        instance.n >= instance.d_max or instance.w_total > instance.n * instance.d_max
+    ):
+        policy = SolverPolicy.LAWLER_MOORE
+    if policy is SolverPolicy.LAWLER_MOORE:
+        best = lawler_moore(instance).max_early_weight
+    elif policy is SolverPolicy.INVERSE_BY_W:
+        best = _solve_inverse(group_by_due_date(instance))
+    else:
+        for _, acc in forward_states(instance, policy):
+            pass
+        best = int(acc[-1])
+    early = tuple(reconstruct_schedule(instance, best)) if reconstruct else None
+    return SolveResult(instance.w_total - best, best, early, policy)
 
 
 def reconstruct_schedule(instance: Instance, target_weight: int) -> list[int]:

@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
-from tardyjobs import SolverPolicy, generate_instance
+from tardyjobs import (
+    Instance,
+    SolveResult,
+    SolverPolicy,
+    brute_force_vector,
+    generate_instance,
+    group_by_due_date,
+)
 from tardyjobs.generate import SplitMix64
 
 ALL_POLICIES = [
@@ -31,3 +43,46 @@ def forced_structured_engines(monkeypatch):
     import tardyjobs.maxplus as mp
 
     monkeypatch.setattr(mp, "SMALL_PRODUCT_CUTOFF", 0)
+
+
+def prefix_vector_semantics_check(instance: Instance, i: int, acc: list) -> bool:
+    """True iff acc matches the brute-force optima of the first i groups.
+
+    Checks that the merge accumulator after iteration i equals, entry for
+    entry, the exhaustive optimum over the union of the first i due-date
+    groups at each budget.
+    """
+    prefix = [job for g in group_by_due_date(instance).groups[:i] for job in g]
+    return list(acc) == brute_force_vector(prefix, len(acc) - 1)
+
+
+def delta(a_frac, b_frac, c_frac, k: int, l: int) -> Fraction:
+    """Exact fractional gap ``C'[k+l] - (A'[k] + B'[l])`` of one split."""
+    if not (0 <= k < len(a_frac)) or not (0 <= l < len(b_frac)) or k + l >= len(c_frac):
+        raise ValueError(f"split (k={k}, l={l}) out of range")
+    return c_frac.value(k + l) - a_frac.value(k) - b_frac.value(l)
+
+
+@functools.cache
+def _perm_matrix(n: int) -> np.ndarray:
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+
+
+def brute_force_permutations(instance: Instance, cap: int = 8) -> SolveResult:
+    """Exact optimum over every processing order of all n jobs.
+
+    Vectorized over the n! permutations: a job is early in an order iff its
+    running completion time is within its due date.  Exponentially more
+    work than :func:`brute_force`; only for validating that due-date-ordered
+    enumeration is lossless.
+    """
+    if instance.n > cap:
+        raise ValueError(f"instance too large for brute force: n={instance.n} > cap={cap}")
+    jobs = list(instance.jobs)
+    perms = _perm_matrix(len(jobs))
+    p = np.array([j.p for j in jobs], dtype=np.int64)
+    w = np.array([j.w for j in jobs], dtype=np.int64)
+    d = np.array([j.d for j in jobs], dtype=np.int64)
+    early = np.cumsum(p[perms], axis=1) <= d[perms]
+    best = int((w[perms] * early).sum(axis=1).max())
+    return SolveResult(min_tardy_weight=instance.w_total - best, max_early_weight=best)

@@ -14,7 +14,6 @@ from tardyjobs import (
     RangeIntervals,
     SolverPolicy,
     brute_force,
-    brute_force_permutations,
     brute_force_vector,
     build_inverse_solution_vector,
     build_solution_vector_concave,
@@ -30,13 +29,12 @@ from tardyjobs import (
     group_by_due_date,
     inverse_to_direct,
     solve,
-    solve_maxplus,
     validate_range_intervals,
 )
 from tardyjobs.bench import run_bench
 from tardyjobs.generate import SplitMix64
 
-from conftest import ALL_POLICIES
+from conftest import ALL_POLICIES, brute_force_permutations
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -64,7 +62,7 @@ def oracle_sweep():
         )
         want = brute_force(inst).min_tardy_weight
         for policy in ALL_POLICIES:
-            got = solve_maxplus(inst, policy).min_tardy_weight
+            got = solve(inst, policy).min_tardy_weight
             if got != want:
                 policy_failures.append((trial, policy.value, want, got))
         res = solve(inst, SolverPolicy.MAXPLUS_NAIVE, reconstruct=True)

@@ -133,7 +133,7 @@ class TestBench:
     def test_disagreement_aborts(self, monkeypatch):
         import tardyjobs.bench as bench_mod
 
-        real = bench_mod.solve_maxplus
+        real = bench_mod.solve
 
         def broken(instance, policy):
             res = real(instance, policy)
@@ -141,7 +141,7 @@ class TestBench:
                 return type(res)(res.min_tardy_weight + 1, res.max_early_weight)
             return res
 
-        monkeypatch.setattr(bench_mod, "solve_maxplus", broken)
+        monkeypatch.setattr(bench_mod, "solve", broken)
         with pytest.raises(BenchDisagreement):
             run_bench(self.CONFIG)
 

@@ -8,19 +8,35 @@ import tardyjobs.maxplus as mp
 from tardyjobs import (
     NEG_INF,
     POS_INF,
-    ConvolutionEngine,
-    EngineKind,
     RangeIntervals,
     convolve_naive,
     convolve_sstep_concave,
     convolve_with_ranges,
-    is_bounded_monotone,
     is_sstep_concave,
     is_sstep_convex,
     minplus_convolve,
 )
 
 vec = st.lists(st.integers(min_value=-20, max_value=50), min_size=1, max_size=24)
+
+
+def reference(A, B, length, best=max):
+    """The definition in plain Python: entry l < length is the best of
+    A[k] + B[l-k] over the splits valid in both operands."""
+    return [
+        best(A[k] + B[l - k] for k in range(max(0, l - len(B) + 1), min(l, len(A) - 1) + 1))
+        for l in range(length)
+    ]
+
+
+def with_sentinel(sentinel):
+    return st.lists(
+        st.one_of(st.integers(min_value=-20, max_value=50), st.just(sentinel)), min_size=1, max_size=24
+    )
+
+
+def shifted(v, by):
+    return [x + by for x in v]
 
 
 def sstep_concave(draw_len, s, rng):
@@ -49,24 +65,19 @@ class TestConvolveNaive:
         with pytest.raises(ValueError):
             convolve_naive([0], [])
 
-    def test_full_length(self):
-        assert convolve_naive([0, 2], [0, 1, 3], full_length=True) == [0, 2, 3, 5]
-
     def test_neg_inf_saturates(self):
         assert convolve_naive([NEG_INF, 0], [0, 4]) == [NEG_INF, 0]
-        assert convolve_naive([NEG_INF, 0], [0, 4], full_length=True) == [NEG_INF, 0, 4]
+        assert convolve_naive([0, 4], [NEG_INF, 0, NEG_INF]) == reference([0, 4], [NEG_INF, 0, NEG_INF], 3)
 
-    def test_numpy_path_matches_python(self, monkeypatch):
+    def test_numpy_path_matches_python(self):
         rng = random.Random(7)
         A = [rng.randint(-5, 30) for _ in range(90)]
         B = [rng.randint(-5, 30) for _ in range(80)]
-        fast = convolve_naive(A, B)
-        monkeypatch.setattr(mp, "SMALL_PRODUCT_CUTOFF", 10**12)
-        assert convolve_naive(A, B) == fast
+        assert convolve_naive(A, B) == reference(A, B, 90)
 
     def test_big_ints_fall_back_exactly(self):
         big = 2**60
-        assert convolve_naive([0, big], [0, big], full_length=True) == [0, big, 2 * big]
+        assert convolve_naive([0, big], [0, big, big + 1]) == [0, big, 2 * big]
 
     @given(vec, vec)
     @settings(max_examples=100, deadline=None)
@@ -167,24 +178,32 @@ class TestStepEnginesAtScale:
                 a[cut:] = [POS_INF] * (n_a - cut)
             n_steps = rng.randint(300, 3000) // s if case % 3 else (n_a + rng.randint(1, 400)) // s
             b = sstep_convex(max(n_steps, 1), s, rng)
-            got = minplus_convolve(a, b, ConvolutionEngine.sstep(s))
+            got = minplus_convolve(a, b, s)
             assert got == minplus_convolve(a, b)
 
-    def test_entries_beyond_float_exactness(self):
+    def test_entries_beyond_float_exactness(self, monkeypatch):
         # shifting both operands by `big` shifts every output entry by 2*big,
-        # so the small operands give an exact reference
+        # so the small operands give an exact reference; the step engines must
+        # answer on exact object arrays, never by falling back to naive
         rng = random.Random(73)
         big = 2**52 + 1
+        cases = []
         for s in (1, 3, 8):
             a = [rng.randint(0, 99) for _ in range(400)]
             b = sstep_concave(350, s, rng)
-            want = [2 * big + v for v in convolve_naive(a, b)]
-            assert convolve_sstep_concave([big + x for x in a], [big + x for x in b], s) == want
             inv = sorted(rng.randint(0, 99) for _ in range(400))
             c = sstep_convex(350 // s, s, rng)
-            want = [2 * big + v for v in minplus_convolve(inv, c)]
-            got = minplus_convolve([big + x for x in inv], [big + x for x in c], ConvolutionEngine.sstep(s))
-            assert got == want
+            cases.append((s, a, b, convolve_naive(a, b), inv, c, minplus_convolve(inv, c)))
+
+        def refuse(*args):
+            raise AssertionError("a step engine fell back to the naive evaluation")
+
+        monkeypatch.setattr(mp, "convolve_naive", refuse)
+        monkeypatch.setattr(mp, "_minplus_naive", refuse)
+        for s, a, b, want, inv, c, want_inv in cases:
+            assert convolve_sstep_concave(shifted(a, big), shifted(b, big), s) == shifted(want, 2 * big)
+            got = minplus_convolve(shifted(inv, big), shifted(c, big), s)
+            assert got == shifted(want_inv, 2 * big)
 
     def test_concave_precondition_names_first_index(self):
         rng = random.Random(79)
@@ -206,15 +225,35 @@ class TestStepEnginesAtScale:
             b[step] = [x - 10**6 for x in b[step]]
             a = sorted(rng.randint(0, 50) for _ in range(500))
             with pytest.raises(ValueError, match=f"first violation at index {bad}$"):
-                minplus_convolve(a, b, ConvolutionEngine.sstep(s))
+                minplus_convolve(a, b, s)
             with pytest.raises(ValueError, match=f"first violation at index {bad}$"):
-                minplus_convolve(a, [2**60 + x for x in b], ConvolutionEngine.sstep(s))
+                minplus_convolve(a, [2**60 + x for x in b], s)
 
     def test_sentinel_in_step_operand_is_named(self):
         b = [0] * 500
         b[321] = NEG_INF
         with pytest.raises(ValueError, match="index 321$"):
             convolve_sstep_concave([0] * 400, b, 2)
+
+
+class TestOneKernel:
+    """Each operation has one numpy body; float64 and exact object arrays
+    must both give the definition's answer."""
+
+    @given(with_sentinel(NEG_INF), with_sentinel(NEG_INF), st.sampled_from([0, 2**60]))
+    @settings(max_examples=150, deadline=None)
+    def test_maxplus_operations_match_reference(self, a, b, shift):
+        a, b = shifted(a, shift), shifted(b, shift)
+        want = reference(a, b, max(len(a), len(b)))
+        assert convolve_naive(a, b) == want
+        full = RangeIntervals(tuple((0, len(b) - 1) for _ in a), error=0)
+        assert convolve_with_ranges(a, b, full) == want
+
+    @given(with_sentinel(POS_INF), with_sentinel(POS_INF), st.sampled_from([0, 2**60]))
+    @settings(max_examples=150, deadline=None)
+    def test_minplus_matches_reference(self, a, b, shift):
+        a, b = shifted(a, shift), shifted(b, shift)
+        assert minplus_convolve(a, b) == reference(a, b, len(a) + len(b) - 1, best=min)
 
 
 class TestConvolveWithRanges:
@@ -239,31 +278,6 @@ class TestConvolveWithRanges:
             convolve_with_ranges([0, 1], [0, 1], RangeIntervals(((0, 1),), 0))
 
 
-class TestBoundedMonotone:
-    def test_examples(self):
-        assert is_bounded_monotone([0, 2, 2, 5], 5)
-        assert not is_bounded_monotone([0, 2, 1], 5)
-        assert not is_bounded_monotone([0, 6], 5)
-
-    def test_engine_validates_then_delegates(self):
-        eng = ConvolutionEngine.bounded_monotone(5)
-        assert eng.convolve([0, 2], [0, 1, 3]) == convolve_naive([0, 2], [0, 1, 3])
-        with pytest.raises(ValueError, match="bounded monotone"):
-            eng.convolve([0, 9], [0, 1])
-
-    def test_plugin_slot(self):
-        calls = []
-
-        def plug(a, b):
-            calls.append((list(a), list(b)))
-            return convolve_naive(a, b)
-
-        eng = ConvolutionEngine.bounded_monotone(10, plugin=plug)
-        out = eng.convolve([0, 3], [0, 2, 4])
-        assert out == convolve_naive([0, 3], [0, 2, 4])
-        assert calls
-
-
 class TestMinPlus:
     def test_sentinel_propagation(self):
         assert minplus_convolve([0, POS_INF], [0, 3]) == [0, 3, POS_INF]
@@ -285,7 +299,7 @@ class TestMinPlus:
             return [-x for x in v]
 
         got = minplus_convolve(a, b)
-        ref = [-x for x in convolve_naive(neg(a), neg(b), full_length=True)]
+        ref = [-x for x in reference(neg(a), neg(b), len(a) + len(b) - 1)]
         assert got == ref
 
     def test_is_sstep_convex(self):
@@ -296,7 +310,7 @@ class TestMinPlus:
 
     def test_sstep_engine_validates(self):
         with pytest.raises(ValueError, match="not 2-step convex"):
-            minplus_convolve([0, 1], [0, 3, 4, 8, 8], ConvolutionEngine.sstep(2))
+            minplus_convolve([0, 1], [0, 3, 4, 8, 8], 2)
 
     def test_sstep_engine_fuzz(self, forced_structured_engines):
         rng = random.Random(29)
@@ -313,13 +327,8 @@ class TestMinPlus:
             if rng.random() < 0.4 and len(a) > 1:  # capped-accumulator shape
                 cut = rng.randint(1, len(a) - 1)
                 a[cut:] = [POS_INF] * (len(a) - cut)
-            got = minplus_convolve(a, b, ConvolutionEngine.sstep(s))
+            got = minplus_convolve(a, b, s)
             assert got == minplus_convolve(a, b)
-
-    def test_unsupported_engine_kind(self):
-        eng = ConvolutionEngine.bounded_monotone(5)
-        with pytest.raises(ValueError, match="does not support"):
-            minplus_convolve([0], [0], eng)
 
 
 class TestEngineEquivalence:
@@ -332,15 +341,6 @@ class TestEngineEquivalence:
             s = rng.randint(1, 5)
             b = sstep_concave(rng.randint(1, 32), s, rng)
             want = convolve_naive(a, b)
-            assert ConvolutionEngine.sstep(s).convolve(a, b) == want
+            assert convolve_sstep_concave(a, b, s) == want
             full = RangeIntervals(tuple((0, len(b) - 1) for _ in a), error=10**9)
-            assert ConvolutionEngine.range_guided(full).convolve(a, b) == want
-            assert ConvolutionEngine.naive().convolve(a, b) == want
-
-    def test_engine_kind_values(self):
-        assert {k.value for k in EngineKind} == {
-            "naive",
-            "sstep-concave",
-            "range-guided",
-            "bounded-monotone",
-        }
+            assert convolve_with_ranges(a, b, full) == want

@@ -6,11 +6,12 @@ from tardyjobs import (
     Instance,
     Job,
     brute_force,
-    brute_force_permutations,
     brute_force_vector,
     edd_feasible,
     generate_instance,
 )
+
+from conftest import brute_force_permutations
 
 
 def J(i, p, w, d):

@@ -8,7 +8,6 @@ from tardyjobs import (
     RangeIntervals,
     compute_range_intervals,
     convolve_naive,
-    delta,
     fractional_solution_vector,
     generate_instance,
     group_by_due_date,
@@ -16,6 +15,8 @@ from tardyjobs import (
 )
 from tardyjobs.builders import build_solution_vector_dp
 from tardyjobs.fractional import FractionalSolutionVector
+
+from conftest import delta
 
 
 def fsv(values, scale=1):

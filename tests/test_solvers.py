@@ -11,17 +11,16 @@ from tardyjobs import (
     brute_force,
     build_solution_vector_dp,
     forward_states,
+    generate_instance,
     group_by_due_date,
     lawler_moore,
-    prefix_vector_semantics_check,
     reconstruct_schedule,
     solve,
-    solve_maxplus,
     validate_solution_vector,
 )
 from tardyjobs.generate import SplitMix64
 
-from conftest import ALL_POLICIES, random_small_instance
+from conftest import ALL_POLICIES, prefix_vector_semantics_check, random_small_instance
 
 
 def J(i, p, w, d):
@@ -45,6 +44,14 @@ class TestLawlerMoore:
         res = lawler_moore(TWO_JOBS)
         assert res.min_tardy_weight + res.max_early_weight == TWO_JOBS.w_total
 
+    def test_total_weight_past_float_exactness(self):
+        # w_total >= 2**52 runs the DP on exact object arrays
+        rng = SplitMix64(4242)
+        for trial in range(60):
+            inst = random_small_instance(rng, seed=trial + 3000, w_max=2**60)
+            assert inst.w_total >= 2**52
+            assert lawler_moore(inst).min_tardy_weight == brute_force(inst).min_tardy_weight
+
 
 class TestSolveMaxplus:
     def test_single_due_date_is_knapsack(self):
@@ -52,13 +59,13 @@ class TestSolveMaxplus:
         inst = Instance(jobs)
         knap = build_solution_vector_dp(list(jobs), 7)[7]
         for policy in ALL_POLICIES:
-            res = solve_maxplus(inst, policy)
+            res = solve(inst, policy)
             assert res.max_early_weight == knap
 
     def test_both_jobs_early(self):
         inst = Instance((J(0, 1, 2, 1), J(1, 1, 2, 2)))
         for policy in ALL_POLICIES:
-            assert solve_maxplus(inst, policy).min_tardy_weight == 0
+            assert solve(inst, policy).min_tardy_weight == 0
 
     def test_policies_match_oracle(self):
         rng = SplitMix64(12345)
@@ -66,7 +73,7 @@ class TestSolveMaxplus:
             inst = random_small_instance(rng, seed=trial)
             want = brute_force(inst).min_tardy_weight
             for policy in ALL_POLICIES:
-                assert solve_maxplus(inst, policy).min_tardy_weight == want, (
+                assert solve(inst, policy).min_tardy_weight == want, (
                     policy,
                     trial,
                     [(j.p, j.w, j.d) for j in inst.jobs],
@@ -83,18 +90,18 @@ class TestSolveMaxplus:
                 seed=trial, n=n, d_hash=rng.randint(1, min(n, d_max, 20)),
                 d_max=d_max, p_max=12, w_max=12,
             )
-            answers = {p: solve_maxplus(inst, p).min_tardy_weight for p in ALL_POLICIES}
+            answers = {p: solve(inst, p).min_tardy_weight for p in ALL_POLICIES}
             assert len(set(answers.values())) == 1, answers
 
     def test_input_order_invariance(self):
         rng = random.Random(89)
         base = [J(i, rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 15)) for i in range(9)]
-        want = solve_maxplus(Instance(tuple(base)), SolverPolicy.MAXPLUS_NAIVE).min_tardy_weight
+        want = solve(Instance(tuple(base)), SolverPolicy.MAXPLUS_NAIVE).min_tardy_weight
         for _ in range(10):
             rng.shuffle(base)
             inst = Instance(tuple(base))
             for policy in ALL_POLICIES:
-                assert solve_maxplus(inst, policy).min_tardy_weight == want
+                assert solve(inst, policy).min_tardy_weight == want
 
     def test_accumulators_are_valid_solution_vectors(self):
         rng = SplitMix64(777)
@@ -115,10 +122,9 @@ class TestSolveMaxplus:
         for trial in range(40):
             inst = random_small_instance(rng, seed=trial + 900)
             assert (
-                solve_maxplus(inst, SolverPolicy.AUTO).min_tardy_weight
+                solve(inst, SolverPolicy.AUTO).min_tardy_weight
                 == brute_force(inst).min_tardy_weight
             )
-
 
     def test_huge_weights_exact_under_every_policy(self):
         # three jobs whose total weight overflows int64 and dwarfs n * d_max
@@ -126,7 +132,22 @@ class TestSolveMaxplus:
         want = lawler_moore(inst)
         assert want.min_tardy_weight == 0
         for policy in [*ALL_POLICIES, SolverPolicy.AUTO]:
-            assert solve(inst, policy) == want
+            got = solve(inst, policy)
+            assert (got.min_tardy_weight, got.max_early_weight) == (0, want.max_early_weight)
+
+    def test_weights_past_float_exactness_under_every_policy(self):
+        # w_max = 2**60 puts every merge on the exact object-array kernels
+        inst = generate_instance(seed=3, n=120, d_hash=4, d_max=600, p_max=5, w_max=2**60)
+        want = lawler_moore(inst).min_tardy_weight
+        for policy in [*ALL_POLICIES, SolverPolicy.AUTO]:
+            assert solve(inst, policy).min_tardy_weight == want, policy
+
+    def test_reports_the_policy_that_ran(self):
+        inst = TWO_JOBS  # n >= d_max: inverse-w falls back to Lawler-Moore
+        assert solve(inst, SolverPolicy.AUTO).policy is auto_select(inst)
+        assert solve(inst, SolverPolicy.INVERSE_BY_W).policy is SolverPolicy.LAWLER_MOORE
+        assert solve(inst, SolverPolicy.CONCAVE_BY_P).policy is SolverPolicy.CONCAVE_BY_P
+        assert brute_force(inst).policy is None
 
 
 class TestPrefixSemantics:
