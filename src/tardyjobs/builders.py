@@ -62,19 +62,31 @@ def step_concave_class_vector(weights: list[int], p: int, horizon: int) -> Vecto
     return out + [sums[-1]] * (horizon + 1 - len(out))
 
 
-def build_solution_vector_concave(jobs: list[Job], horizon: int) -> Vector:
-    """Same output as the DP builder, via per-processing-time concave folds."""
+def build_solution_vector_concave(jobs: list[Job], horizon: int, acc: Vector | None = None) -> Vector:
+    """Same output as the DP builder, via per-processing-time concave folds.
+
+    With ``acc`` given, the classes are folded into it instead: ``acc`` is a
+    monotone solution vector of other jobs (a merged prefix) spanning at most
+    ``horizon + 1`` budgets, padded with its last entry up to ``horizon``,
+    and the result is its (max,+)-convolution with this group's vector.
+    Without it the fold starts from the first class vector, so a group of
+    c classes costs c - 1 kernel calls.
+    """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     classes: dict[int, list[int]] = {}
     for job in jobs:
         if job.p <= horizon:  # longer jobs can never fit
             classes.setdefault(job.p, []).append(job.w)
-    if not classes:
-        return [0] * (horizon + 1)
-    first, *rest = sorted(classes)
-    acc = step_concave_class_vector(classes[first], first, horizon)
-    for p in rest:
+    order = sorted(classes)
+    if acc is None:
+        if not order:
+            return [0] * (horizon + 1)
+        first = order.pop(0)
+        acc = step_concave_class_vector(classes[first], first, horizon)
+    else:
+        acc = list(acc) + [acc[-1]] * (horizon + 1 - len(acc))
+    for p in order:
         acc = convolve_sstep_concave(acc, step_concave_class_vector(classes[p], p, horizon), p)
     return acc
 
@@ -93,21 +105,23 @@ def step_convex_class_vector(processing_times: list[int], w: int) -> Vector:
     return out
 
 
-def build_inverse_solution_vector(jobs: list[Job]) -> Vector:
+def build_inverse_solution_vector(jobs: list[Job], acc: Vector = (0,)) -> Vector:
     """Inverse vector of a group: entry k = min total p with weight >= k.
 
     Built by folding the per-weight class vectors with the (min,+) step
-    engine.  The due-date cap is not applied here; solvers cap afterwards
-    (entries above the cap become POS_INF).  Horizon is the group's total
-    weight.
+    engine into ``acc``.  By default ``acc`` is ``[0]`` and the horizon is
+    the group's total weight; given the inverse vector of other jobs (a
+    merged prefix, possibly capped with ``POS_INF``), the result is its
+    (min,+)-convolution with this group's vector and spans their summed
+    weights.  The due-date cap is not applied here; solvers cap afterwards
+    (entries above the cap become POS_INF).
     """
     classes: dict[int, list[int]] = {}
     for job in jobs:
         classes.setdefault(job.w, []).append(job.p)
-    acc: Vector = [0]
+    acc = list(acc)
     for w in sorted(classes):
-        bw = step_convex_class_vector(classes[w], w)
-        acc = minplus_convolve(acc, bw, w)
+        acc = minplus_convolve(acc, step_convex_class_vector(classes[w], w), w)
     return acc
 
 

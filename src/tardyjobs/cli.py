@@ -15,7 +15,7 @@ from .bench import BenchDisagreement, rows_to_csv, run_bench
 from .generate import DISTRIBUTIONS, generate_instance
 from .instance_io import parse_instance, serialize_instance
 from .oracle import DEFAULT_CAP, brute_force
-from .solvers import SolverPolicy, solve
+from .solvers import SolverPolicy, reconstruct_schedule, solve
 
 __all__ = ["main"]
 
@@ -64,7 +64,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         instance = parse_instance(sys.stdin)
     else:
         instance = parse_instance(args.input)
-    result = solve(instance, SolverPolicy(args.algo), reconstruct=args.reconstruct)
+    result = solve(instance, SolverPolicy(args.algo))
 
     if args.verify:
         if instance.n <= DEFAULT_CAP:
@@ -91,8 +91,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "min_tardy_weight": result.min_tardy_weight,
         "max_early_weight": result.max_early_weight,
     }
-    if args.reconstruct:
-        out["early_set"] = list(result.early_set)
+    if args.reconstruct:  # after verification, which reports a wrong optimum as exit 2
+        out["early_set"] = reconstruct_schedule(instance, result.max_early_weight)
     print(json.dumps(out))
     return 0
 

@@ -39,10 +39,9 @@ from typing import Iterator
 import numpy as np
 
 from .builders import (
+    build_inverse_solution_vector,
     build_solution_vector_concave,
     build_solution_vector_dp,
-    step_concave_class_vector,
-    step_convex_class_vector,
 )
 from .core import (
     NEG_INF,
@@ -55,12 +54,7 @@ from .core import (
     group_by_due_date,
 )
 from .fractional import fractional_solution_vector
-from .maxplus import (
-    convolve_naive,
-    convolve_sstep_concave,
-    convolve_with_ranges,
-    minplus_convolve,
-)
+from .maxplus import convolve_naive, convolve_with_ranges
 from .oracle import edd_feasible
 from .prediction import compute_range_intervals
 
@@ -84,34 +78,39 @@ class SolverPolicy(Enum):
     AUTO = "auto"
 
 
-def lawler_moore(instance: Instance) -> SolveResult:
-    """Baseline DP: jobs in due-date order, state = exact early processing time.
+def _edd_order(instance: Instance) -> list[Job]:
+    """The instance's jobs in due-date order, ties by id."""
+    return sorted(instance.jobs, key=lambda j: (j.d, j.id))
 
-    A job can join the early set only while its completion time stays within
-    its due date, so states above d_j never gain job j.  O(n * d_max).
+
+def _lawler_moore_dp(instance: Instance, taken: np.ndarray | None = None) -> np.ndarray:
+    """The Lawler-Moore table: entry k = best early weight in exactly time k.
+
+    Jobs enter in :func:`_edd_order`.  A job can join the early set only
+    while its completion time stays within its due date, so states above
+    d_j never gain job j.  With ``taken`` (bool, n x (d_max+1)) given, row i
+    records the states where the i-th job strictly improved the table.
     """
-    jobs = sorted(instance.jobs, key=lambda j: (j.d, j.id))
     # float64 sums stay exact only while the total weight is below 2**52
     f = np.full(instance.d_max + 1, NEG_INF, dtype=np.float64 if instance.w_total < 2**52 else object)
     f[0] = 0
-    for job in jobs:
-        if job.p <= job.d:  # otherwise it can never be early
-            np.maximum(f[job.p : job.d + 1], f[: job.d + 1 - job.p] + job.w, out=f[job.p : job.d + 1])
-    best = int(f.max())
+    for i, job in enumerate(_edd_order(instance)):
+        p, d = job.p, job.d
+        if p <= d:  # otherwise it can never be early
+            gain = f[: d + 1 - p] + job.w
+            if taken is not None:
+                taken[i, p : d + 1] = gain > f[p : d + 1]
+            np.maximum(f[p : d + 1], gain, out=f[p : d + 1])
+    return f
+
+
+def lawler_moore(instance: Instance) -> SolveResult:
+    """Baseline DP over jobs in due-date order, state = exact early time.  O(n * d_max)."""
+    best = int(_lawler_moore_dp(instance).max())
     return SolveResult(instance.w_total - best, best, policy=SolverPolicy.LAWLER_MOORE)
 
 
-def _group_vector(jobs: tuple[Job, ...], horizon: int, policy: SolverPolicy) -> Vector:
-    if policy is SolverPolicy.CONCAVE_BY_P:
-        return build_solution_vector_concave(list(jobs), horizon)
-    return build_solution_vector_dp(list(jobs), horizon)
-
-
-def _extend(vec: Vector, horizon: int) -> Vector:
-    """Pad a monotone vector with its last value up to the given horizon."""
-    if len(vec) >= horizon + 1:
-        return vec
-    return list(vec) + [vec[-1]] * (horizon + 1 - len(vec))
+_MERGE_POLICIES = (SolverPolicy.MAXPLUS_NAIVE, SolverPolicy.PREDICTION, SolverPolicy.CONCAVE_BY_P)
 
 
 def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[int, Vector]]:
@@ -119,40 +118,31 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
 
     The accumulator after iteration i spans budgets 0..d^(i) and holds the
     best early weight of the first i groups per budget.  Introspection
-    surface for tests and demos; :func:`solve` consumes it.
+    surface for tests and demos; :func:`solve` consumes it.  Raises
+    ``ValueError`` for a policy that does not run the forward merge.
     """
+    if policy not in _MERGE_POLICIES:
+        raise ValueError(f"forward merge does not apply to policy {policy}")
     grouping = group_by_due_date(instance)
-    dates, groups = grouping.due_dates, grouping.groups
-
-    acc = _group_vector(groups[0], dates[0], policy)
-    yield 1, acc
-    prefix_jobs = list(groups[0])
-
-    for i in range(2, len(dates) + 1):
-        d_i = dates[i - 1]
-        grp = groups[i - 1]
-        if policy is SolverPolicy.MAXPLUS_NAIVE:
+    acc: Vector | None = None
+    prefix: tuple[Job, ...] = ()
+    prefix_frac = None
+    for i, (d_i, grp) in enumerate(zip(grouping.due_dates, grouping.groups), start=1):
+        if policy is SolverPolicy.CONCAVE_BY_P:
+            acc = build_solution_vector_concave(list(grp), d_i, acc)
+        elif acc is None:
+            acc = build_solution_vector_dp(list(grp), d_i)
+        elif policy is SolverPolicy.MAXPLUS_NAIVE:
             acc = convolve_naive(acc, build_solution_vector_dp(list(grp), d_i))
-        elif policy is SolverPolicy.PREDICTION:
-            b_vec = build_solution_vector_dp(list(grp), d_i)
-            union = prefix_jobs + list(grp)
-            a_frac = fractional_solution_vector(Instance(tuple(prefix_jobs)))
-            b_frac = fractional_solution_vector(Instance(tuple(grp)))
-            c_frac = fractional_solution_vector(Instance(tuple(union)))
-            ranges = compute_range_intervals(a_frac, b_frac, c_frac, i, instance.w_max)
-            acc = convolve_with_ranges(acc, b_vec, ranges)
-        elif policy is SolverPolicy.CONCAVE_BY_P:
-            acc = _extend(acc, d_i)
-            classes: dict[int, list[int]] = {}
-            for job in grp:
-                if job.p <= d_i:
-                    classes.setdefault(job.p, []).append(job.w)
-            for p in sorted(classes):
-                bp = step_concave_class_vector(classes[p], p, d_i)
-                acc = convolve_sstep_concave(acc, bp, p)
-        else:
-            raise ValueError(f"forward merge does not apply to policy {policy}")
-        prefix_jobs.extend(grp)
+        else:  # PREDICTION
+            if prefix_frac is None:
+                prefix_frac = fractional_solution_vector(Instance(prefix))
+            b_frac = fractional_solution_vector(Instance(grp))
+            c_frac = fractional_solution_vector(Instance(prefix + grp))
+            ranges = compute_range_intervals(prefix_frac, b_frac, c_frac, i, instance.w_max)
+            acc = convolve_with_ranges(acc, build_solution_vector_dp(list(grp), d_i), ranges)
+            prefix_frac = c_frac  # the union is the next merge's prefix
+        prefix += grp
         yield i, acc
 
 
@@ -160,12 +150,7 @@ def _solve_inverse(grouping: DueDateGrouping) -> int:
     """Weight-indexed (min,+) mirror of the merge chain; the best early weight."""
     acc: Vector = [0]
     for d_i, grp in zip(grouping.due_dates, grouping.groups):
-        classes: dict[int, list[int]] = {}
-        for job in grp:
-            classes.setdefault(job.w, []).append(job.p)
-        for w in sorted(classes):
-            bw = step_convex_class_vector(classes[w], w)
-            acc = minplus_convolve(acc, bw, w)
+        acc = build_inverse_solution_vector(list(grp), acc)
         # entries needing more time than this due date are infeasible from here on
         acc = [v if v <= d_i else POS_INF for v in acc]
     return max(k for k, v in enumerate(acc) if v != POS_INF)
@@ -216,7 +201,6 @@ def solve(
     policy: SolverPolicy = SolverPolicy.AUTO,
     *,
     reconstruct: bool = False,
-    calibration: dict[SolverPolicy, float] | None = None,
 ) -> SolveResult:
     """Exact optimum under the given policy; optionally a witness early set.
 
@@ -225,7 +209,7 @@ def solve(
     result's ``policy`` names the policy that ran.
     """
     if policy is SolverPolicy.AUTO:
-        policy = auto_select(instance, calibration)
+        policy = auto_select(instance)
     if policy is SolverPolicy.INVERSE_BY_W and (
         instance.n >= instance.d_max or instance.w_total > instance.n * instance.d_max
     ):
@@ -245,30 +229,21 @@ def solve(
 def reconstruct_schedule(instance: Instance, target_weight: int) -> list[int]:
     """Recover an early set of exactly the given optimal weight.
 
-    Re-runs the baseline DP with one layer per job and walks the layers
-    backwards.  Raises if the target is not the DP optimum (a solver bug),
-    or if the recovered set fails verification.
+    Re-runs the Lawler-Moore DP while recording, per job, the states where
+    taking it strictly improved the table (one bool per job and budget), and
+    walks those records back from the first optimal state.  Raises
+    ``ValueError`` if the target is not the DP optimum (a solver bug), and
+    ``RuntimeError`` if the recovered set fails verification.
     """
-    jobs = sorted(instance.jobs, key=lambda j: (j.d, j.id))
-    d_max = instance.d_max
-    layers: list[Vector] = [[0] + [NEG_INF] * d_max]
-    for job in jobs:
-        prev = layers[-1]
-        cur = list(prev)
-        for k in range(job.p, job.d + 1):
-            v = prev[k - job.p] + job.w
-            if v > cur[k]:
-                cur[k] = v
-        layers.append(cur)
-    final = layers[-1]
-    best = max(final)
+    taken = np.zeros((instance.n, instance.d_max + 1), dtype=bool)
+    f = _lawler_moore_dp(instance, taken)
+    best = int(f.max())
     if target_weight != best:
         raise ValueError(f"no early set of weight {target_weight}: the optimum is {best}")
-    k = final.index(best)
+    k = int(np.argmax(f))
     chosen: list[Job] = []
-    for idx in range(len(jobs) - 1, -1, -1):
-        if layers[idx + 1][k] != layers[idx][k]:
-            job = jobs[idx]
+    for i, job in reversed(list(enumerate(_edd_order(instance)))):
+        if taken[i, k]:
             chosen.append(job)
             k -= job.p
     early_ids = sorted(j.id for j in chosen)

@@ -3,13 +3,16 @@ import random
 import pytest
 
 from tardyjobs import (
+    POS_INF,
     Job,
     build_inverse_solution_vector,
     build_solution_vector_concave,
     build_solution_vector_dp,
+    convolve_naive,
     inverse_to_direct,
     is_sstep_concave,
     is_sstep_convex,
+    minplus_convolve,
 )
 from tardyjobs.builders import step_concave_class_vector, step_convex_class_vector
 
@@ -97,6 +100,16 @@ class TestConcaveBuilder:
         assert build_solution_vector_concave(group([(2, 5), (2, 1)], 4), 4) == [0, 0, 5, 5, 6]
         assert len(calls) == 2
 
+    def test_acc_matches_naive_merge(self):
+        rng = random.Random(49)
+        for _ in range(150):
+            jobs, d = random_group(rng)
+            prefix, d0 = random_group(rng, d_max=d)
+            acc = build_solution_vector_dp(prefix, d0)
+            want = convolve_naive(acc, build_solution_vector_dp(jobs, d))
+            assert build_solution_vector_concave(jobs, d, acc) == want
+        assert build_solution_vector_concave([], 3, [0, 2]) == [0, 2, 2, 2]
+
     def test_matches_dp(self):
         rng = random.Random(47)
         for _ in range(200):
@@ -130,6 +143,17 @@ class TestInverseBuilder:
             for t in range(len(ps)):
                 ref += [sum(ps[: t + 1])] * w
             assert step_convex_class_vector(ps[::-1], w) == ref
+
+    def test_acc_matches_minplus_merge(self):
+        rng = random.Random(55)
+        for _ in range(150):
+            jobs, d = random_group(rng)
+            prefix, d0 = random_group(rng)
+            # a capped prefix, as the solvers pass it: POS_INF past its due date
+            acc = [v if v <= d0 else POS_INF for v in build_inverse_solution_vector(prefix)]
+            want = minplus_convolve(acc, build_inverse_solution_vector(jobs))
+            assert build_inverse_solution_vector(jobs, acc) == want
+        assert build_inverse_solution_vector([], [0, 4]) == [0, 4]
 
     def test_horizon_is_group_weight(self):
         jobs = group([(1, 3), (2, 4)], 9)

@@ -169,6 +169,23 @@ class TestCli:
         by_id = {j.id: j for j in inst.jobs}
         assert sum(by_id[i].w for i in out["early_set"]) == out["max_early_weight"]
 
+    @pytest.mark.parametrize("extra", [[], ["--reconstruct"]])
+    def test_wrong_optimum_exits_2(self, tmp_path, capsys, monkeypatch, extra):
+        import tardyjobs.solvers as solvers
+
+        real = solvers.lawler_moore
+
+        def off_by_one(instance):
+            res = real(instance)
+            return type(res)(res.min_tardy_weight + 1, res.max_early_weight - 1, policy=res.policy)
+
+        monkeypatch.setattr(solvers, "lawler_moore", off_by_one)
+        path, _ = self._instance_file(tmp_path)
+        assert main(["solve", str(path), "--algo", "lawler-moore", "--verify", *extra]) == 2
+        captured = capsys.readouterr()
+        assert "INTERNAL INCONSISTENCY" in captured.err
+        assert captured.out == ""
+
     def test_solve_invalid_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"jobs":[{"p":0,"w":1,"d":1}]}')

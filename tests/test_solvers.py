@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from tardyjobs import (
     auto_select,
     brute_force,
     build_solution_vector_dp,
+    edd_feasible,
     forward_states,
     generate_instance,
     group_by_due_date,
@@ -170,6 +172,25 @@ class TestPrefixSemantics:
         *_, (i, acc) = forward_states(inst, SolverPolicy.MAXPLUS_NAIVE)
         assert acc[-1] == brute_force(inst).max_early_weight
 
+    @pytest.mark.parametrize(
+        "policy", [SolverPolicy.LAWLER_MOORE, SolverPolicy.INVERSE_BY_W, SolverPolicy.AUTO]
+    )
+    def test_rejects_policies_without_forward_merge(self, policy):
+        inst = Instance((J(0, 1, 1, 3), J(1, 2, 2, 3)))  # one due date: no merge at all
+        with pytest.raises(ValueError, match="forward merge"):
+            list(forward_states(inst, policy))
+
+    def test_prediction_carries_the_union_vector_forward(self, monkeypatch):
+        import tardyjobs.solvers as solvers
+
+        calls = []
+        real = solvers.fractional_solution_vector
+        monkeypatch.setattr(solvers, "fractional_solution_vector", lambda inst: calls.append(inst) or real(inst))
+        inst = generate_instance(seed=7, n=80, d_hash=16, d_max=400)
+        states = list(forward_states(inst, SolverPolicy.PREDICTION))
+        assert len(calls) == 2 * 16 - 1  # the first prefix, then group and union per merge
+        assert states[-1][1][-1] == lawler_moore(inst).max_early_weight
+
 
 class TestReconstruct:
     def test_single_fitting_job(self):
@@ -191,9 +212,31 @@ class TestReconstruct:
         res = solve(TWO_JOBS, SolverPolicy.MAXPLUS_NAIVE, reconstruct=True)
         assert res.early_set == (1,)
 
-    def test_witness_always_verifies(self):
-        from tardyjobs import edd_feasible
+    def test_witness_exact_past_float_exactness(self):
+        # w_total >= 2**52 records the taken states on the object-array DP
+        rng = SplitMix64(9191)
+        for trial in range(40):
+            inst = random_small_instance(rng, seed=trial + 5000, w_max=2**60)
+            assert inst.w_total >= 2**52
+            res = solve(inst, SolverPolicy.CONCAVE_BY_P, reconstruct=True)
+            by_id = {j.id: j for j in inst.jobs}
+            chosen = [by_id[i] for i in res.early_set]
+            assert sum(j.w for j in chosen) == res.max_early_weight == brute_force(inst).max_early_weight
+            assert edd_feasible(chosen)
 
+    def test_peak_memory_is_about_one_byte_per_state(self):
+        inst = generate_instance(seed=1, n=400, d_hash=16, d_max=20000)
+        best = lawler_moore(inst).max_early_weight
+        tracemalloc.start()
+        try:
+            reconstruct_schedule(inst, best)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the taken matrix holds n * (d_max + 1) bools, 8 MB here
+        assert peak < 2 * inst.n * (inst.d_max + 1)
+
+    def test_witness_always_verifies(self):
         rng = SplitMix64(555)
         for trial in range(60):
             inst = random_small_instance(rng, seed=trial + 777)
