@@ -13,7 +13,6 @@ from .builders import (
     build_inverse_solution_vector,
     build_solution_vector_concave,
     build_solution_vector_dp,
-    inverse_to_direct,
 )
 from .core import (
     NEG_INF,
@@ -88,7 +87,6 @@ __all__ = [
     "fractional_solution_vector",
     "generate_instance",
     "group_by_due_date",
-    "inverse_to_direct",
     "is_sstep_concave",
     "is_sstep_convex",
     "lawler_moore",

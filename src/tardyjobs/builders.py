@@ -8,12 +8,13 @@ built three ways:
 * grouping jobs by equal processing time ``p``: the vector of one such
   class is ``p``-step concave (top weights first, so increments shrink),
   and folding classes with the step-concave engine is near-linear, or
-* the weight-indexed mirror: group by equal weight ``w``, fold per-class
+* the weight-indexed mirror: group by equal weight ``w`` and fold per-class
   *inverse* vectors (minimum processing time per weight target) with the
-  (min,+) step engine, then map the result back if a budget-indexed vector
-  is needed.
+  (min,+) step engine.  Solvers read the optimum off the capped inverse
+  vector as its largest finite index, so it is never mapped back.
 
-All three agree entry for entry; the cross-checks live in the test suite.
+The two direct builders agree entry for entry, and the inverse vector
+encodes the same optima; the cross-checks live in the test suite.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "build_solution_vector_dp",
     "build_solution_vector_concave",
     "build_inverse_solution_vector",
-    "inverse_to_direct",
     "step_concave_class_vector",
     "step_convex_class_vector",
 ]
@@ -123,20 +123,3 @@ def build_inverse_solution_vector(jobs: list[Job], acc: Vector = (0,)) -> Vector
     for w in sorted(classes):
         acc = minplus_convolve(acc, step_convex_class_vector(classes[w], w), w)
     return acc
-
-
-def inverse_to_direct(inv: Vector, horizon: int) -> Vector:
-    """Convert an inverse vector back to budget indexing.
-
-    entry[k] = largest weight target whose minimum processing time is <= k.
-    Round-trips with the direct builders on the same job group.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    out: Vector = [0] * (horizon + 1)
-    w = 0
-    for k in range(horizon + 1):
-        while w + 1 < len(inv) and inv[w + 1] <= k:
-            w += 1
-        out[k] = w
-    return out

@@ -1,7 +1,8 @@
 """Command-line interface: solve, generate, and benchmark.
 
 Exit codes: 0 on success, 1 on input/validation errors, 2 on internal
-inconsistencies (solver disagreement with verification).
+inconsistencies (a solver's optimum disagrees with ``--verify``'s check or
+with the witness DP of ``--reconstruct``).
 """
 
 from __future__ import annotations
@@ -91,8 +92,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "min_tardy_weight": result.min_tardy_weight,
         "max_early_weight": result.max_early_weight,
     }
-    if args.reconstruct:  # after verification, which reports a wrong optimum as exit 2
-        out["early_set"] = reconstruct_schedule(instance, result.max_early_weight)
+    if args.reconstruct:
+        try:
+            out["early_set"] = reconstruct_schedule(instance, result.max_early_weight)
+        except (ValueError, RuntimeError) as exc:  # the instance parsed: a solver is wrong
+            print(f"INTERNAL INCONSISTENCY: {result.policy.value}: {exc}", file=sys.stderr)
+            return 2
     print(json.dumps(out))
     return 0
 

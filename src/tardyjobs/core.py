@@ -95,10 +95,6 @@ class DueDateGrouping:
     due_dates: tuple[int, ...]
     groups: tuple[tuple[Job, ...], ...]
 
-    @property
-    def id_groups(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(j.id for j in g) for g in self.groups)
-
 
 @dataclass(frozen=True)
 class SolveResult:

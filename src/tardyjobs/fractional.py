@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import Instance, Job
 
@@ -36,9 +37,10 @@ class FractionalSolutionVector:
 
     ``scaled[k] / scale`` is the exact value at budget k; ``scale`` is the
     lcm of the instance's processing times so every entry is integral after
-    scaling.  ``units``, when tracked, maps job id to the number of unit
-    slices the greedy schedule took from that job (``units[j] / p_j`` is
-    the implicit fractional assignment ``x_j``).
+    scaling.  ``units`` maps job id to the number of unit slices the greedy
+    schedule took from that job (``units[j] / p_j`` is the implicit
+    fractional assignment ``x_j``); :func:`fractional_solution_vector`
+    always sets it.
     """
 
     scaled: tuple[int, ...]
@@ -58,70 +60,38 @@ class FractionalSolutionVector:
 def wspt_sort(jobs: list[Job]) -> list[Job]:
     """Sort jobs by non-increasing weight-to-processing-time ratio.
 
-    Ratios are compared exactly (no floating point); ties keep id order.
+    Ratios are compared exactly as the integers ``w * (L // p)``, where L is
+    the lcm of the processing times; ties keep id order.
     """
-    return sorted(jobs, key=lambda j: (Fraction(-j.w, j.p), j.id))
+    lcm = math.lcm(*(j.p for j in jobs))
+    return sorted(jobs, key=lambda j: (-j.w * (lcm // j.p), j.id))
 
 
-def fractional_solution_vector(
-    instance: Instance, *, track_units: bool = False
-) -> FractionalSolutionVector:
+def fractional_solution_vector(instance: Instance) -> FractionalSolutionVector:
     """Greedy fractional solution vector over budgets 0..d_max.
 
-    Jobs are taken in WSPT order, one unit of processing per budget step.
-    A unit of the current job is admitted only while the job has processing
-    time left and no due date at or after the job's own would be overloaded;
-    otherwise the scan advances to the next job and retries the same budget.
-    Once jobs run out, remaining entries repeat the last value.
-
-    The due-date slack needed by the admission test is kept as a running
-    suffix minimum: each admitted unit lowers it by one, and it is recomputed
-    only when the scan advances to the next job.
+    Jobs are taken in WSPT order, each as many unit slices as fit at once:
+    with ``room[t]`` the due date t minus the units already placed against
+    due dates <= t, job j takes ``min(p_j, min(room[i:]))`` units, where i
+    indexes its own due date, and the take is subtracted from ``room[i:]``.
+    Each unit adds the job's rate ``w_j / p_j``, so the vector is the prefix
+    sums of the rates in take order, flat once jobs run out.
     """
-    grouping_dates = sorted({j.d for j in instance.jobs})
-    date_index = {d: i for i, d in enumerate(grouping_dates)}
-    m = len(grouping_dates)
-    load = [0] * m  # p^(i): units placed against due date i or earlier
-
-    jobs = wspt_sort(list(instance.jobs))
-    scale = math.lcm(*(j.p for j in jobs))
-    d_max = instance.d_max
-
-    scaled = [0] * (d_max + 1)
-    units: dict[int, int] = {j.id: 0 for j in jobs} if track_units else None
-
-    def suffix_slack(i: int) -> int:
-        return min(grouping_dates[t] - load[t] for t in range(i, m))
-
-    j = 0
-    cur = jobs[0]
-    cur_i = date_index[cur.d]
-    cur_rate = cur.w * (scale // cur.p)  # w_j/p_j, scaled
-    taken = 0  # units taken from the current job
-    slack = suffix_slack(cur_i)
-
-    for k in range(1, d_max + 1):
-        while j < len(jobs) and (cur.p - taken <= 0 or slack <= 0):
-            j += 1
-            if j < len(jobs):
-                cur = jobs[j]
-                cur_i = date_index[cur.d]
-                cur_rate = cur.w * (scale // cur.p)
-                taken = 0
-                slack = suffix_slack(cur_i)
-        if j >= len(jobs):
-            # remaining budgets add nothing (ratio-0 padding)
-            for k2 in range(k, d_max + 1):
-                scaled[k2] = scaled[k2 - 1]
-            break
-        scaled[k] = scaled[k - 1] + cur_rate
-        taken += 1
-        slack -= 1
-        for t in range(cur_i, m):
-            load[t] += 1
-        if track_units:
-            units[cur.id] += 1
-
+    dates = sorted({j.d for j in instance.jobs})
+    date_index = {d: i for i, d in enumerate(dates)}
+    room = list(dates)
+    scale = math.lcm(*(j.p for j in instance.jobs))
+    rates: list[int] = []  # w_j/p_j scaled, once per unit taken
+    units: dict[int, int] = {}
+    for job in wspt_sort(list(instance.jobs)):
+        i = date_index[job.d]
+        take = min(job.p, *room[i:])
+        for t in range(i, len(room)):
+            room[t] -= take
+        rates += [job.w * (scale // job.p)] * take
+        units[job.id] = take
+    scaled = list(accumulate(rates, initial=0))
+    scaled += [scaled[-1]] * (instance.d_max + 1 - len(scaled))
     return FractionalSolutionVector(scaled=tuple(scaled), scale=scale, units=units)
 
 

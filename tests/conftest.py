@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tardyjobs import (
+    FractionalSolutionVector,
     Instance,
     SolveResult,
     SolverPolicy,
@@ -61,6 +63,64 @@ def delta(a_frac, b_frac, c_frac, k: int, l: int) -> Fraction:
     if not (0 <= k < len(a_frac)) or not (0 <= l < len(b_frac)) or k + l >= len(c_frac):
         raise ValueError(f"split (k={k}, l={l}) out of range")
     return c_frac.value(k + l) - a_frac.value(k) - b_frac.value(l)
+
+
+def fractional_by_units(instance: Instance) -> FractionalSolutionVector:
+    """Reference fractional solution vector: the WSPT greedy, one unit at a time.
+
+    Jobs are sorted by exact ``Fraction`` ratios.  Each budget step admits one
+    unit of the current job while it has processing time left and no due date
+    at or after its own is full; otherwise the scan moves on to the next job
+    and retries the same budget.  Once jobs run out the entries repeat.
+    """
+    dates = sorted({j.d for j in instance.jobs})
+    date_index = {d: i for i, d in enumerate(dates)}
+    m = len(dates)
+    load = [0] * m  # units placed against due date i or earlier
+    jobs = sorted(instance.jobs, key=lambda j: (Fraction(-j.w, j.p), j.id))
+    scale = math.lcm(*(j.p for j in jobs))
+    scaled = [0] * (instance.d_max + 1)
+    units = {j.id: 0 for j in jobs}
+
+    def suffix_slack(i: int) -> int:
+        return min(dates[t] - load[t] for t in range(i, m))
+
+    j, taken = 0, 0
+    slack = suffix_slack(date_index[jobs[0].d])
+    for k in range(1, instance.d_max + 1):
+        while j < len(jobs) and (jobs[j].p - taken <= 0 or slack <= 0):
+            j += 1
+            if j < len(jobs):
+                taken = 0
+                slack = suffix_slack(date_index[jobs[j].d])
+        if j >= len(jobs):
+            scaled[k:] = [scaled[k - 1]] * (instance.d_max + 1 - k)
+            break
+        cur = jobs[j]
+        scaled[k] = scaled[k - 1] + cur.w * (scale // cur.p)
+        taken += 1
+        slack -= 1
+        for t in range(date_index[cur.d], m):
+            load[t] += 1
+        units[cur.id] += 1
+    return FractionalSolutionVector(scaled=tuple(scaled), scale=scale, units=units)
+
+
+def inverse_to_direct(inv: list, horizon: int) -> list:
+    """Convert an inverse vector back to budget indexing.
+
+    entry[k] = largest weight target whose minimum processing time is <= k.
+    Round-trips with the direct builders on the same job group.
+    """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    out = [0] * (horizon + 1)
+    w = 0
+    for k in range(horizon + 1):
+        while w + 1 < len(inv) and inv[w + 1] <= k:
+            w += 1
+        out[k] = w
+    return out
 
 
 @functools.cache

@@ -27,14 +27,13 @@ from tardyjobs import (
     fractional_solution_vector,
     generate_instance,
     group_by_due_date,
-    inverse_to_direct,
     solve,
     validate_range_intervals,
 )
 from tardyjobs.bench import run_bench
 from tardyjobs.generate import SplitMix64
 
-from conftest import ALL_POLICIES, brute_force_permutations
+from conftest import ALL_POLICIES, brute_force_permutations, inverse_to_direct
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

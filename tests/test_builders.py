@@ -9,12 +9,13 @@ from tardyjobs import (
     build_solution_vector_concave,
     build_solution_vector_dp,
     convolve_naive,
-    inverse_to_direct,
     is_sstep_concave,
     is_sstep_convex,
     minplus_convolve,
 )
 from tardyjobs.builders import step_concave_class_vector, step_convex_class_vector
+
+from conftest import inverse_to_direct
 
 
 def group(specs, d):

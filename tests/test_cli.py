@@ -169,7 +169,9 @@ class TestCli:
         by_id = {j.id: j for j in inst.jobs}
         assert sum(by_id[i].w for i in out["early_set"]) == out["max_early_weight"]
 
-    @pytest.mark.parametrize("extra", [[], ["--reconstruct"]])
+    @pytest.mark.parametrize(
+        "extra", [["--verify"], ["--verify", "--reconstruct"], ["--reconstruct"]]
+    )
     def test_wrong_optimum_exits_2(self, tmp_path, capsys, monkeypatch, extra):
         import tardyjobs.solvers as solvers
 
@@ -181,7 +183,7 @@ class TestCli:
 
         monkeypatch.setattr(solvers, "lawler_moore", off_by_one)
         path, _ = self._instance_file(tmp_path)
-        assert main(["solve", str(path), "--algo", "lawler-moore", "--verify", *extra]) == 2
+        assert main(["solve", str(path), "--algo", "lawler-moore", *extra]) == 2
         captured = capsys.readouterr()
         assert "INTERNAL INCONSISTENCY" in captured.err
         assert captured.out == ""

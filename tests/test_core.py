@@ -47,13 +47,13 @@ class TestGroupByDueDate:
         inst = Instance((J(0, 1, 1, 3), J(1, 1, 1, 1), J(2, 1, 1, 3)))
         g = group_by_due_date(inst)
         assert g.due_dates == (1, 3)
-        assert g.id_groups == ((1,), (0, 2))
+        assert [[j.id for j in grp] for grp in g.groups] == [[1], [0, 2]]
 
     def test_single_date(self):
         inst = Instance(tuple(J(i, 1, 1, 4) for i in range(5)))
         g = group_by_due_date(inst)
         assert g.due_dates == (4,)
-        assert g.id_groups == ((0, 1, 2, 3, 4),)
+        assert [[j.id for j in grp] for grp in g.groups] == [[0, 1, 2, 3, 4]]
 
     def test_all_distinct(self):
         inst = Instance(tuple(J(i, 1, 1, i + 1) for i in range(6)))

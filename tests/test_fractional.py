@@ -14,6 +14,8 @@ from tardyjobs import (
 )
 from tardyjobs.fractional import FractionalSolutionVector
 
+from conftest import fractional_by_units
+
 
 def J(i, p, w, d=10):
     return Job(id=i, p=p, w=w, d=d)
@@ -87,7 +89,7 @@ class TestFractionalVector:
                 seed=trial + 500, n=n, d_hash=rng.randint(1, min(n, d_max)),
                 d_max=d_max, p_max=7, w_max=7,
             )
-            frac = fractional_solution_vector(inst, track_units=True)
+            frac = fractional_solution_vector(inst)
             by_p = {j.id: j.p for j in inst.jobs}
             fractional_jobs = [
                 jid for jid, u in frac.units.items() if 0 < u < by_p[jid]
@@ -101,6 +103,32 @@ class TestFractionalVector:
         vals = frac.values()
         for k in range(1, len(vals)):
             assert vals[k] - vals[k - 1] in rates
+
+
+def test_matches_unit_by_unit_reference():
+    # the per-job greedy against the one-unit-per-budget simulation; the
+    # draws cover p > d, weights past 2^64 and a processing-time lcm past 2^63
+    rng = random.Random(71)
+    edges = set()
+    for _ in range(1000):
+        n = rng.randint(1, 30)
+        d_max = rng.randint(1, 200)
+        dates = [rng.randint(1, d_max) for _ in range(rng.randint(1, n))]
+        p_max = rng.choice((3, 12, 100))
+        w_max = rng.choice((6, 2**70))
+        inst = Instance(tuple(
+            Job(id=i, p=rng.randint(1, p_max), w=rng.randint(1, w_max), d=rng.choice(dates))
+            for i in range(n)
+        ))
+        got, want = fractional_solution_vector(inst), fractional_by_units(inst)
+        assert (got.scaled, got.scale, got.units) == (want.scaled, want.scale, want.units)
+        if any(j.p > j.d for j in inst.jobs):
+            edges.add("p > d")
+        if inst.w_max >= 2**64:
+            edges.add("w >= 2^64")
+        if got.scale > 2**63:
+            edges.add("lcm > 2^63")
+    assert edges == {"p > d", "w >= 2^64", "lcm > 2^63"}
 
 
 class TestGapCheck:
