@@ -4,6 +4,14 @@ The harness times each (policy, instance, repetition) triple and refuses
 to report timings unless every policy agrees on every answer.  Doubling
 the number of distinct due dates with everything else fixed roughly
 doubles the naive merge chain's runtime.
+
+AUTO's cost constants come from the same harness.  From the root of the
+repository, the first command times every shape of bench/auto_grid.json
+(minutes) and rewrites the medians in BENCH_auto_grid.json; the second
+prints the constants fitted to them, to paste into DEFAULT_CALIBRATION:
+
+    python scripts/fit_auto.py --measure
+    python scripts/fit_auto.py
 """
 
 import statistics

@@ -49,6 +49,7 @@ from .prediction import (
 from .solvers import (
     DEFAULT_CALIBRATION,
     SolverPolicy,
+    auto_estimates,
     auto_select,
     forward_states,
     lawler_moore,
@@ -71,6 +72,7 @@ __all__ = [
     "SolveResult",
     "SolverPolicy",
     "SplitMix64",
+    "auto_estimates",
     "auto_select",
     "brute_force",
     "brute_force_vector",

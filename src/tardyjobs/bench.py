@@ -14,7 +14,8 @@ The config is a JSON-compatible dict:
     }
 
 One CSV row is emitted per (policy, instance, repetition) with the wall
-time in nanoseconds.  Correctness comes before timing: all policies (plus
+time in nanoseconds.  Repetitions run in rounds that solve the instance
+once under every policy.  Correctness comes before timing: all policies (plus
 an untimed reference solve when ``verify`` is on) must agree on every
 instance, otherwise the run aborts with :class:`BenchDisagreement` and no
 rows are reported for it.
@@ -69,23 +70,20 @@ def run_bench(config: dict) -> list[dict]:
         for seed in cell["seeds"]:
             instance = generate_instance(seed=int(seed), distribution=distribution, **params)
             answers: dict[str, int] = {}
-            timings: dict[str, list[int]] = {}
-            for policy in policies:
-                reps: list[int] = []
-                answer = None
-                for _ in range(repetitions):
+            timings: dict[str, list[int]] = {policy.value: [] for policy in policies}
+            # one round per repetition, each policy once per round, so that a
+            # slow stretch of a shared machine falls on every policy alike
+            for _ in range(repetitions):
+                for policy in policies:
                     t0 = time.perf_counter_ns()
                     result = solve(instance, policy)
-                    reps.append(time.perf_counter_ns() - t0)
-                    if answer is None:
-                        answer = result.min_tardy_weight
-                    elif answer != result.min_tardy_weight:
+                    timings[policy.value].append(time.perf_counter_ns() - t0)
+                    answer = answers.setdefault(policy.value, result.min_tardy_weight)
+                    if answer != result.min_tardy_weight:
                         raise BenchDisagreement(
                             f"policy {policy.value} is nondeterministic on seed {seed}: "
                             f"{answer} vs {result.min_tardy_weight}"
                         )
-                answers[policy.value] = answer
-                timings[policy.value] = reps
             if verify:
                 ref = _reference_policy(policies)
                 answers[f"reference:{ref.value}"] = solve(instance, ref).min_tardy_weight

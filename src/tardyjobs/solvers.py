@@ -24,16 +24,37 @@ Two families:
     the baseline is at least as fast, and when the total weight exceeds
     n * d_max, where the weight-indexed vectors would outgrow the
     baseline's whole table.
-  - ``AUTO``: pick a policy from the instance's size parameters.
+  - ``AUTO``: run the candidate with the smallest estimated time.  The
+    candidates are the three policies that are fastest on some shape of the
+    committed timing grid: Lawler-Moore, concave-p and inverse-w.  Naive and
+    prediction build every group with the knapsack DP, as much work as the
+    whole Lawler-Moore table, so they run only when asked for.
 
 Every policy returns the exact optimum; they differ only in running time.
 :func:`solve` is the entry point: it resolves ``AUTO``, applies the
 fallbacks, runs the policy and reports which policy ran.
+
+AUTO's estimate for a candidate is ``a * calls + b * units`` ms, counted in
+what the candidate's loops touch (d_i is the due date of group i):
+
+* Lawler-Moore: n numpy row updates, over sum_j max(0, d_j - p_j + 1) cells;
+* concave-p: per group, one kernel call per processing-time class with
+  p <= d_i, over (d_i + 1) * log(d_i + 2) units per class;
+* inverse-w: per group, one kernel call per weight class, over the running
+  total weight of the groups up to and including it per class.
+
+Where inverse-w would fall back, its estimate is Lawler-Moore's.  The
+constants ``(a, b)`` are configuration, ``DEFAULT_CALIBRATION``, fitted by
+``scripts/fit_auto.py`` to the per-policy medians in ``BENCH_auto_grid.json``.
+:func:`auto_estimates` returns the estimates and :func:`auto_select` the
+choice.  The counts take a few linear passes over the jobs and no sort.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
+from math import log
 from typing import Iterator
 
 import numpy as np
@@ -64,6 +85,7 @@ __all__ = [
     "lawler_moore",
     "solve",
     "forward_states",
+    "auto_estimates",
     "auto_select",
     "reconstruct_schedule",
 ]
@@ -156,44 +178,93 @@ def _solve_inverse(grouping: DueDateGrouping) -> int:
     return max(k for k, v in enumerate(acc) if v != POS_INF)
 
 
-DEFAULT_CALIBRATION: dict[SolverPolicy, float] = {
-    SolverPolicy.LAWLER_MOORE: 1.0,
-    SolverPolicy.MAXPLUS_NAIVE: 1.0,
-    SolverPolicy.PREDICTION: 1.0,
-    SolverPolicy.CONCAVE_BY_P: 1.0,
-    SolverPolicy.INVERSE_BY_W: 1.0,
+# Fitted by scripts/fit_auto.py to the policy medians in BENCH_auto_grid.json
+# (shapes from bench/auto_grid.json): per candidate, (ms per call, ms per unit)
+# in the counts of _auto_counts.
+DEFAULT_CALIBRATION: dict[SolverPolicy, tuple[float, float]] = {
+    SolverPolicy.LAWLER_MOORE: (0.00426, 7.7e-07),
+    SolverPolicy.CONCAVE_BY_P: (0.513, 4.64e-05),
+    SolverPolicy.INVERSE_BY_W: (0.193, 0.000395),
 }
 
 
-def auto_select(
-    instance: Instance, calibration: dict[SolverPolicy, float] | None = None
-) -> SolverPolicy:
-    """Pick the policy with the smallest estimated operation count.
+def _inverse_falls_back(instance: Instance) -> bool:
+    """Whether inverse-w runs Lawler-Moore instead (see the module docstring)."""
+    return instance.n >= instance.d_max or instance.w_total > instance.n * instance.d_max
 
-    Estimates follow each policy's asymptotic cost in the instance
-    parameters; the calibration mapping scales them per policy (constant
-    factors are configuration, not code).  Ties go to the earlier policy
-    in declaration order.
+
+def _auto_counts(instance: Instance) -> dict[SolverPolicy, tuple[int, float]]:
+    """Per candidate: (calls, units), the counts of the module docstring.
+
+    Where inverse-w would fall back, it has no entry.  The counts come from
+    the jobs' attribute lists and the distinct (d, p) and (d, w) pairs in
+    them, with no grouping or sort of the jobs.
+    """
+    ds = [job.d for job in instance.jobs]
+    ps = [job.p for job in instance.jobs]
+    pairs = set(zip(ds, ps))
+    if all(p <= d for d, p in pairs):
+        cells = sum(ds) - sum(ps) + instance.n
+    else:  # a job that can never be early touches no cells
+        cells = sum(d - p + 1 for d, p in zip(ds, ps) if p <= d)
+    p_classes = Counter(d for d, p in pairs if p <= d)
+    counts = {
+        SolverPolicy.LAWLER_MOORE: (instance.n, cells),
+        SolverPolicy.CONCAVE_BY_P: (
+            sum(p_classes.values()),
+            sum(c * (d + 1) * log(d + 2) for d, c in p_classes.items()),
+        ),
+    }
+    if not _inverse_falls_back(instance):
+        dw = Counter(zip(ds, [job.w for job in instance.jobs]))  # (d, w) -> how many jobs
+        weight: Counter[int] = Counter()
+        w_classes: Counter[int] = Counter()
+        for (d, w), c in dw.items():
+            weight[d] += c * w
+            w_classes[d] += 1
+        running = units = 0
+        for d in sorted(weight):
+            running += weight[d]
+            units += w_classes[d] * running
+        counts[SolverPolicy.INVERSE_BY_W] = (len(dw), units)
+    return counts
+
+
+def auto_estimates(
+    instance: Instance, calibration: dict[SolverPolicy, tuple[float, float]] | None = None
+) -> dict[SolverPolicy, float]:
+    """Estimated ms of each AUTO candidate on the instance.
+
+    Each is ``a * calls + b * units`` in the counts of the module docstring,
+    with ``(a, b)`` from ``calibration`` where given, else from
+    ``DEFAULT_CALIBRATION``.  Where inverse-w would fall back, its estimate
+    is Lawler-Moore's.  Lawler-Moore comes first, so ``min`` breaks a tie in
+    its favour.
     """
     cal = DEFAULT_CALIBRATION if calibration is None else {**DEFAULT_CALIBRATION, **calibration}
-    n, dm, dh = instance.n, instance.d_max, instance.d_hash
-    pm, wm = instance.p_max, instance.w_max
-    estimates = [
-        (SolverPolicy.LAWLER_MOORE, n * dm),
-        (SolverPolicy.MAXPLUS_NAIVE, n + dh * dm * dm),
-        (SolverPolicy.PREDICTION, dh * n + dh * dh * dm * wm),
-        (SolverPolicy.CONCAVE_BY_P, dh * n + dh * dm * pm),
-        (
-            SolverPolicy.INVERSE_BY_W,
-            n * dm if n >= dm else n * n + dm * wm * wm,
-        ),
-    ]
-    best_policy, best_cost = estimates[0][0], cal[estimates[0][0]] * estimates[0][1]
-    for policy, est in estimates[1:]:
-        cost = cal[policy] * est
-        if cost < best_cost:
-            best_policy, best_cost = policy, cost
-    return best_policy
+    estimates = {}
+    for policy, (calls, units) in _auto_counts(instance).items():
+        per_call, per_unit = cal[policy]
+        estimates[policy] = per_call * calls + per_unit * units
+    estimates.setdefault(SolverPolicy.INVERSE_BY_W, estimates[SolverPolicy.LAWLER_MOORE])
+    return estimates
+
+
+def auto_select(
+    instance: Instance, calibration: dict[SolverPolicy, tuple[float, float]] | None = None
+) -> SolverPolicy:
+    """The AUTO candidate with the smallest estimate in :func:`auto_estimates`.
+
+    The candidates are Lawler-Moore, concave-p and inverse-w, the policies
+    that are fastest on some shape of ``bench/auto_grid.json``; ties go to
+    the earlier one in that order.  Each estimate is ``a * calls + b *
+    units`` ms in the counts of the module docstring, after inverse-w's
+    fallback; ``(a, b)`` comes from ``DEFAULT_CALIBRATION``, fitted by
+    ``scripts/fit_auto.py`` to ``BENCH_auto_grid.json``, with entries of
+    ``calibration`` taking precedence.
+    """
+    estimates = auto_estimates(instance, calibration)
+    return min(estimates, key=estimates.get)
 
 
 def solve(
@@ -206,15 +277,19 @@ def solve(
 
     The one place that resolves ``AUTO`` (through :func:`auto_select`) and
     the ``INVERSE_BY_W`` fallbacks to Lawler-Moore described above; the
-    result's ``policy`` names the policy that ran.
+    result's ``policy`` names the policy that ran.  A Lawler-Moore witness
+    solve runs the DP once, inside :func:`reconstruct_schedule`.
     """
     if policy is SolverPolicy.AUTO:
         policy = auto_select(instance)
-    if policy is SolverPolicy.INVERSE_BY_W and (
-        instance.n >= instance.d_max or instance.w_total > instance.n * instance.d_max
-    ):
+    if policy is SolverPolicy.INVERSE_BY_W and _inverse_falls_back(instance):
         policy = SolverPolicy.LAWLER_MOORE
-    if policy is SolverPolicy.LAWLER_MOORE:
+    early = None
+    if policy is SolverPolicy.LAWLER_MOORE and reconstruct:
+        early = tuple(reconstruct_schedule(instance))
+        chosen = set(early)
+        best = sum(job.w for job in instance.jobs if job.id in chosen)
+    elif policy is SolverPolicy.LAWLER_MOORE:
         best = lawler_moore(instance).max_early_weight
     elif policy is SolverPolicy.INVERSE_BY_W:
         best = _solve_inverse(group_by_due_date(instance))
@@ -222,23 +297,27 @@ def solve(
         for _, acc in forward_states(instance, policy):
             pass
         best = int(acc[-1])
-    early = tuple(reconstruct_schedule(instance, best)) if reconstruct else None
+    if reconstruct and early is None:
+        early = tuple(reconstruct_schedule(instance, best))
     return SolveResult(instance.w_total - best, best, early, policy)
 
 
-def reconstruct_schedule(instance: Instance, target_weight: int) -> list[int]:
-    """Recover an early set of exactly the given optimal weight.
+def reconstruct_schedule(instance: Instance, target_weight: int | None = None) -> list[int]:
+    """Recover an early set of the given optimal weight, or of the optimum.
 
-    Re-runs the Lawler-Moore DP while recording, per job, the states where
+    Runs the Lawler-Moore DP while recording, per job, the states where
     taking it strictly improved the table (one bool per job and budget), and
-    walks those records back from the first optimal state.  Raises
-    ``ValueError`` if the target is not the DP optimum (a solver bug), and
-    ``RuntimeError`` if the recovered set fails verification.
+    walks those records back from the first optimal state.  Without a target
+    the DP's optimum is the target.  Raises ``ValueError`` if the target is
+    not the DP optimum (a solver bug), and ``RuntimeError`` if the recovered
+    set fails verification.
     """
     taken = np.zeros((instance.n, instance.d_max + 1), dtype=bool)
     f = _lawler_moore_dp(instance, taken)
     best = int(f.max())
-    if target_weight != best:
+    if target_weight is None:
+        target_weight = best
+    elif target_weight != best:
         raise ValueError(f"no early set of weight {target_weight}: the optimum is {best}")
     k = int(np.argmax(f))
     chosen: list[Job] = []

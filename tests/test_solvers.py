@@ -1,5 +1,7 @@
+import math
 import random
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 
@@ -8,6 +10,7 @@ from tardyjobs import (
     Instance,
     Job,
     SolverPolicy,
+    auto_estimates,
     auto_select,
     brute_force,
     build_solution_vector_dp,
@@ -30,6 +33,8 @@ def J(i, p, w, d):
 
 
 TWO_JOBS = Instance((J(0, 2, 3, 2), J(1, 2, 5, 3)))
+
+AUTO_CANDIDATES = (SolverPolicy.LAWLER_MOORE, SolverPolicy.CONCAVE_BY_P, SolverPolicy.INVERSE_BY_W)
 
 
 class TestLawlerMoore:
@@ -236,6 +241,31 @@ class TestReconstruct:
         # the taken matrix holds n * (d_max + 1) bools, 8 MB here
         assert peak < 2 * inst.n * (inst.d_max + 1)
 
+    @pytest.mark.parametrize(
+        "policy, shape",
+        [
+            (SolverPolicy.LAWLER_MOORE, dict(n=200, d_hash=16, d_max=2000)),
+            (SolverPolicy.AUTO, dict(n=200, d_hash=16, d_max=2000)),  # AUTO picks Lawler-Moore
+            (SolverPolicy.INVERSE_BY_W, dict(n=300, d_hash=4, d_max=200)),  # n >= d_max: the fallback
+        ],
+        ids=["lawler-moore", "auto", "inverse-w-fallback"],
+    )
+    def test_lawler_moore_witness_runs_the_dp_once(self, policy, shape, monkeypatch):
+        import tardyjobs.solvers as solvers
+
+        calls = []
+        real = solvers._lawler_moore_dp
+        monkeypatch.setattr(solvers, "_lawler_moore_dp", lambda *args: calls.append(args) or real(*args))
+        inst = generate_instance(seed=1, **shape)
+        res = solve(inst, policy, reconstruct=True)
+        assert res.policy is SolverPolicy.LAWLER_MOORE
+        assert len(calls) == 1
+        by_id = {j.id: j for j in inst.jobs}
+        chosen = [by_id[i] for i in res.early_set]
+        assert sum(j.w for j in chosen) == res.max_early_weight == inst.w_total - res.min_tardy_weight
+        assert res.max_early_weight == int(real(inst).max())
+        assert edd_feasible(chosen)
+
     def test_witness_always_verifies(self):
         rng = SplitMix64(555)
         for trial in range(60):
@@ -253,11 +283,52 @@ class TestAutoSelect:
         assert auto_select(inst) in ALL_POLICIES
 
     def test_calibration_is_configuration(self):
-        inst = TWO_JOBS
-        # an absurd penalty on everything except one policy forces that policy
-        cal = {p: 1e18 for p in DEFAULT_CALIBRATION}
-        cal[SolverPolicy.PREDICTION] = 1.0
-        assert auto_select(inst, cal) is SolverPolicy.PREDICTION
+        inst = generate_instance(seed=1, n=50, d_hash=4, d_max=1000)  # inverse-w runs as itself here
+        # an absurd cost on every candidate except one forces that one
+        for policy in AUTO_CANDIDATES:
+            cal = {p: (1e18, 1e18) for p in DEFAULT_CALIBRATION}
+            cal[policy] = (1.0, 1.0)
+            assert auto_select(inst, cal) is policy
+
+    def test_picks_only_candidates(self):
+        rng = SplitMix64(4711)
+        instances = [random_small_instance(rng, seed=trial + 1200) for trial in range(200)]
+        instances += [
+            generate_instance(seed=3, n=n, d_hash=4, d_max=d_max, p_max=p_max, w_max=w_max)
+            for n, d_max, p_max, w_max in [(50, 10**6, 10, 10), (500, 400, 3, 1), (120, 600, 5, 2**60)]
+        ]
+        for inst in instances:
+            assert auto_select(inst) in AUTO_CANDIDATES
+
+    def test_estimates_apply_the_inverse_fallback(self):
+        estimates = auto_estimates(TWO_JOBS)  # n >= d_max: inverse-w would run Lawler-Moore
+        assert set(estimates) == set(AUTO_CANDIDATES)
+        assert estimates[SolverPolicy.INVERSE_BY_W] == estimates[SolverPolicy.LAWLER_MOORE]
+        assert auto_select(TWO_JOBS) is SolverPolicy.LAWLER_MOORE
+
+    def test_auto_counts_match_a_per_group_pass(self):
+        from tardyjobs.solvers import _auto_counts, _inverse_falls_back
+
+        rng = SplitMix64(606)
+        live = 0
+        for trial in range(100):
+            inst = random_small_instance(rng, seed=trial + 6000, w_max=10 if trial % 2 else 2**70)
+            grouping = group_by_due_date(inst)
+            p_classes = [len({j.p for j in g if j.p <= d}) for d, g in zip(grouping.due_dates, grouping.groups)]
+            w_classes = [len({j.w for j in g}) for g in grouping.groups]
+            running = accumulate(sum(j.w for j in g) for g in grouping.groups)
+            got = _auto_counts(inst)
+            assert got[SolverPolicy.LAWLER_MOORE] == (inst.n, sum(j.d - j.p + 1 for j in inst.jobs if j.p <= j.d))
+            assert got[SolverPolicy.CONCAVE_BY_P] == (
+                sum(p_classes),
+                pytest.approx(sum(c * (d + 1) * math.log(d + 2) for c, d in zip(p_classes, grouping.due_dates))),
+            )
+            if _inverse_falls_back(inst):
+                assert SolverPolicy.INVERSE_BY_W not in got
+            else:
+                assert got[SolverPolicy.INVERSE_BY_W] == (sum(w_classes), sum(c * w for c, w in zip(w_classes, running)))
+                live += 1
+        assert live > 10
 
     def test_few_jobs_huge_horizon_prefers_baseline(self):
         # n*d_max is tiny next to every convolution bound here
