@@ -3,8 +3,10 @@
 A solution vector maps a processing-time budget to the best early weight
 within that budget.  Merging two job sets is a (max,+)-convolution of
 their vectors; this script shows the interchangeable engines agreeing on
-the same output.
+the same output.  Vectors are numpy arrays (float64 at these magnitudes).
 """
+
+import numpy as np
 
 from tardyjobs import (
     Job,
@@ -29,7 +31,7 @@ assert validate_solution_vector(A) == [] and validate_solution_vector(B) == []
 
 merged = convolve_naive(A, B)
 print("A merged with B:", merged)
-print("best early weight within budget 10:", merged[10])
+print("best early weight within budget 10:", int(merged[10]))
 
 # When every job in a class shares processing time p, the class vector
 # steps at multiples of p with shrinking increments: a p-step concave
@@ -37,7 +39,7 @@ print("best early weight within budget 10:", merged[10])
 bp = step_concave_class_vector([6, 3], 2, 10)
 print("\nclass vector (two p=2 jobs, weights 6 and 3):", bp)
 print("is 2-step concave:", is_sstep_concave(bp, 2))
-assert convolve_sstep_concave(A, bp, 2) == convolve_naive(A, bp)
+assert np.array_equal(convolve_sstep_concave(A, bp, 2), convolve_naive(A, bp))
 print("step-concave engine output equals the naive engine")
 
 # Inverse (weight-indexed) vectors use the (min,+) mirror: entry k is the

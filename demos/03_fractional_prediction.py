@@ -7,6 +7,8 @@ near-optimal counterpart budgets lie; restricting the convolution to those
 ranges keeps it exact while skipping most of the split space.
 """
 
+import numpy as np
+
 from tardyjobs import (
     Instance,
     brute_force_vector,
@@ -57,8 +59,8 @@ for i in range(2, len(dates) + 1):
     print("  all range conditions hold:", validate_range_intervals(acc, b_vec, ranges) == [])
 
     guided = convolve_with_ranges(acc, b_vec, ranges)
-    assert guided == convolve_naive(acc, b_vec)
+    assert np.array_equal(guided, convolve_naive(acc, b_vec))
     print("  range-guided output equals the naive engine")
     acc = guided
 
-print("\noptimal early weight:", acc[-1])
+print("\noptimal early weight:", int(acc[-1]))

@@ -32,6 +32,7 @@ import platform
 import statistics
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 
@@ -109,7 +110,8 @@ def report(shapes, constants) -> None:
     """Print each shape's pick against its fastest policy."""
     misses = 0
     for instance, medians in shapes:
-        pick = auto_select(instance, constants)
+        with patch.dict(DEFAULT_CALIBRATION, constants):
+            pick = auto_select(instance)
         fastest = min(medians, key=medians.get)
         ratio = medians[pick] / medians[fastest]
         misses += ratio > 1.5

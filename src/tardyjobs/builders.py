@@ -14,17 +14,17 @@ built three ways:
   vector as its largest finite index, so it is never mapped back.
 
 The two direct builders agree entry for entry, and the inverse vector
-encodes the same optima; the cross-checks live in the test suite.
+encodes the same optima; the cross-checks live in the test suite.  Every
+builder returns a :data:`~tardyjobs.core.Vector`: float64 while the sums
+it holds stay below ``EXACT_FLOAT_BOUND``, else exact Python ints.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 import numpy as np
 
 from .core import Job, Vector
-from .maxplus import convolve_sstep_concave, minplus_convolve
+from .maxplus import EXACT_FLOAT_BOUND, _operands, convolve_sstep_concave, minplus_convolve
 
 __all__ = [
     "build_solution_vector_dp",
@@ -35,17 +35,21 @@ __all__ = [
 ]
 
 
+def _prefix_sums(values: list[int]) -> Vector:
+    """0 and the running sums of ``values``."""
+    return np.cumsum([0, *values], dtype=np.float64 if sum(values) < EXACT_FLOAT_BOUND else object)
+
+
 def build_solution_vector_dp(jobs: list[Job], horizon: int) -> Vector:
     """Knapsack DP: entry k = max weight of a subset with total p <= k."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    # int64 holds every entry only while the group's total weight does
-    dtype = np.int64 if sum(job.w for job in jobs) < 2**63 else object
-    f = np.zeros(horizon + 1, dtype=dtype)
+    total = sum(job.w for job in jobs)
+    f = np.zeros(horizon + 1, dtype=np.float64 if total < EXACT_FLOAT_BOUND else object)
     for job in jobs:
         if job.p <= horizon:
             np.maximum(f[job.p :], f[: horizon + 1 - job.p] + job.w, out=f[job.p :])
-    return f.tolist()
+    return f
 
 
 def step_concave_class_vector(weights: list[int], p: int, horizon: int) -> Vector:
@@ -55,11 +59,8 @@ def step_concave_class_vector(weights: list[int], p: int, horizon: int) -> Vecto
     weights, so the vector steps up by sorted-descending weights at each
     multiple of p and is flat in between: a p-step concave vector.
     """
-    sums = list(accumulate(sorted(weights, reverse=True)[: horizon // p], initial=0))
-    out: Vector = []
-    for acc in sums[:-1]:
-        out += [acc] * p
-    return out + [sums[-1]] * (horizon + 1 - len(out))
+    sums = _prefix_sums(sorted(weights, reverse=True)[: horizon // p])
+    return sums[np.minimum(np.arange(horizon + 1) // p, len(sums) - 1)]
 
 
 def build_solution_vector_concave(jobs: list[Job], horizon: int, acc: Vector | None = None) -> Vector:
@@ -81,11 +82,12 @@ def build_solution_vector_concave(jobs: list[Job], horizon: int, acc: Vector | N
     order = sorted(classes)
     if acc is None:
         if not order:
-            return [0] * (horizon + 1)
+            return np.zeros(horizon + 1)
         first = order.pop(0)
         acc = step_concave_class_vector(classes[first], first, horizon)
     else:
-        acc = list(acc) + [acc[-1]] * (horizon + 1 - len(acc))
+        (acc,) = _operands(acc)
+        acc = acc[np.minimum(np.arange(horizon + 1), len(acc) - 1)]
     for p in order:
         acc = convolve_sstep_concave(acc, step_concave_class_vector(classes[p], p, horizon), p)
     return acc
@@ -99,10 +101,8 @@ def step_convex_class_vector(processing_times: list[int], w: int) -> Vector:
     right after each multiple of w and its stride-w subsample is convex.
     Horizon is the class's total weight.
     """
-    out: Vector = [0]
-    for acc in accumulate(sorted(processing_times)):
-        out += [acc] * w
-    return out
+    sums = _prefix_sums(sorted(processing_times))
+    return sums[(np.arange(len(processing_times) * w + 1) + w - 1) // w]
 
 
 def build_inverse_solution_vector(jobs: list[Job], acc: Vector = (0,)) -> Vector:
@@ -119,7 +119,7 @@ def build_inverse_solution_vector(jobs: list[Job], acc: Vector = (0,)) -> Vector
     classes: dict[int, list[int]] = {}
     for job in jobs:
         classes.setdefault(job.w, []).append(job.p)
-    acc = list(acc)
+    (acc,) = _operands(acc)
     for w in sorted(classes):
         acc = minplus_convolve(acc, step_convex_class_vector(classes[w], w), w)
     return acc

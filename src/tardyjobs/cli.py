@@ -1,8 +1,9 @@
 """Command-line interface: solve, generate, and benchmark.
 
 Exit codes: 0 on success, 1 on input/validation errors, 2 on internal
-inconsistencies (a solver's optimum disagrees with ``--verify``'s check or
-with the witness DP of ``--reconstruct``).
+inconsistencies (a solver raises on a parsed instance, its optimum disagrees
+with ``--verify``'s check, or the witness of ``--reconstruct`` disagrees
+with it or fails its check).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .bench import BenchDisagreement, rows_to_csv, run_bench
 from .generate import DISTRIBUTIONS, generate_instance
 from .instance_io import parse_instance, serialize_instance
 from .oracle import DEFAULT_CAP, brute_force
-from .solvers import SolverPolicy, reconstruct_schedule, solve
+from .solvers import SolverPolicy, solve
 
 __all__ = ["main"]
 
@@ -65,7 +66,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         instance = parse_instance(sys.stdin)
     else:
         instance = parse_instance(args.input)
-    result = solve(instance, SolverPolicy(args.algo))
+    try:
+        result = solve(instance, SolverPolicy(args.algo), reconstruct=args.reconstruct)
+    except (ValueError, RuntimeError) as exc:  # the instance parsed: a solver is wrong
+        print(f"INTERNAL INCONSISTENCY: {args.algo}: {exc}", file=sys.stderr)
+        return 2
 
     if args.verify:
         if instance.n <= DEFAULT_CAP:
@@ -93,11 +98,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "max_early_weight": result.max_early_weight,
     }
     if args.reconstruct:
-        try:
-            out["early_set"] = reconstruct_schedule(instance, result.max_early_weight)
-        except (ValueError, RuntimeError) as exc:  # the instance parsed: a solver is wrong
-            print(f"INTERNAL INCONSISTENCY: {result.policy.value}: {exc}", file=sys.stderr)
-            return 2
+        out["early_set"] = list(result.early_set)
     print(json.dumps(out))
     return 0
 

@@ -9,12 +9,13 @@ jobs, or equivalently to maximize the total weight of early jobs.
 The solvers in this package all operate on *solution vectors*: integer
 arrays indexed by a processing-time budget ``k`` whose entry ``k`` is the
 maximum total weight of a feasible early set with total processing time at
-most ``k``.  Solution vectors are represented as plain Python lists; the
-helpers here validate their structural invariants (zero origin,
-monotonicity).  *Inverse* solution vectors swap the roles of weight and
+most ``k``.  *Inverse* solution vectors swap the roles of weight and
 processing time: entry ``k`` is the minimum total processing time of an
 early set with total weight at least ``k``, with ``POS_INF`` marking
-unreachable weight targets.
+unreachable weight targets.  Both are numpy arrays, :data:`Vector`: float64
+while entries stay below ``maxplus.EXACT_FLOAT_BOUND`` (2**52), else
+``dtype=object`` arrays of Python ints, either with the sentinels.  The
+helpers here validate the structural invariants (zero origin, monotonicity).
 """
 
 from __future__ import annotations
@@ -22,17 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .solvers import SolverPolicy
 
 # Saturating sentinels for infeasible entries: NEG_INF in (max,+) vectors,
-# POS_INF in (min,+) vectors.  Python float infinities compare exactly
-# against ints, so mixing them into otherwise-integer vectors is safe.
+# POS_INF in (min,+) vectors.  Float infinities compare exactly against ints,
+# so they sit in float64 vectors and in object vectors of Python ints alike.
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-#: A (max,+) solution vector or (min,+) inverse vector: ints plus sentinels.
-Vector = list
+#: A (max,+) solution vector or (min,+) inverse vector: a float64 array of
+#: integers below 2**52 or an object array of Python ints, plus sentinels.
+Vector = np.ndarray
 
 
 @dataclass(frozen=True, order=True)

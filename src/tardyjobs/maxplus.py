@@ -24,10 +24,12 @@ the same kernel by negation.
 
 Each operation has one numpy body, which runs on one of two element types.
 It computes in float64 while every sum of a finite entry of A and one of B
-is exact there (magnitudes below 2**52), and otherwise on ``dtype=object``
-arrays of the exact Python ints and the infinite sentinels.  Either way the
-answer is exact.  ``SMALL_PRODUCT_CUTOFF`` only chooses between a step
-engine and the naive evaluation on small operands; magnitude never does.
+is exact there (magnitudes summing below ``EXACT_FLOAT_BOUND``, 2**52), and
+otherwise on ``dtype=object`` arrays of the exact Python ints and the
+infinite sentinels.  Operands may be lists; results are ``core.Vector``
+arrays of the type computed in, so merge chains stay in arrays.
+``SMALL_PRODUCT_CUTOFF`` only chooses between a step engine and the naive
+evaluation on small operands; magnitude never does.
 
 Outputs are truncated at the longer operand's length: the scheduling solvers
 never need entries past the current horizon, and monotone non-negative
@@ -62,8 +64,8 @@ __all__ = [
 SMALL_PRODUCT_CUTOFF = 4096
 
 # Sums of finite entries must stay exactly representable in float64; past
-# this bound the kernels run on exact Python-int object arrays.
-_EXACT_FLOAT_BOUND = 2**52
+# this bound vectors are exact Python-int object arrays.
+EXACT_FLOAT_BOUND = 2**52
 
 
 def _max_abs_finite(v: np.ndarray) -> float:
@@ -71,30 +73,28 @@ def _max_abs_finite(v: np.ndarray) -> float:
     return float(np.abs(finite).max()) if finite.size else 0.0
 
 
-def _operands(A: Sequence, B: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """A and B as float64 arrays when every sum of one finite entry of each
-    is exact in float64 (magnitudes below 2**52), else as object arrays of
-    the exact ints and sentinels."""
+def _exact(v: Sequence) -> np.ndarray:
+    """v as an object array of Python ints and the sentinels; float entries
+    become ints, since a float added to an int past 2**53 silently rounds."""
+    if isinstance(v, np.ndarray) and v.dtype.kind == "f":
+        out = v.astype(object)
+        finite = np.isfinite(v)
+        out[finite] = v[finite].astype(np.int64).astype(object)
+        return out
+    return np.asarray(v, dtype=object)
+
+
+def _operands(*vectors: Sequence) -> list[np.ndarray]:
+    """The vectors as float64 arrays when every sum of one finite entry of
+    each is exact in float64 (their magnitudes sum below
+    ``EXACT_FLOAT_BOUND``), else as exact object arrays (see :func:`_exact`)."""
     try:
-        a = np.asarray(A, dtype=np.float64)
-        b = np.asarray(B, dtype=np.float64)
-        if _max_abs_finite(a) + _max_abs_finite(b) < _EXACT_FLOAT_BOUND:
-            return a, b
+        arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
+        if sum(map(_max_abs_finite, arrays)) < EXACT_FLOAT_BOUND:
+            return arrays
     except OverflowError:  # an int beyond the float range
         pass
-    return np.array(A, dtype=object), np.array(B, dtype=object)
-
-
-def _to_vector(out: np.ndarray) -> Vector:
-    """A kernel's result back to a list of ints, infinite entries as sentinels."""
-    if out.dtype == object:
-        return out.tolist()
-    finite = np.isfinite(out)
-    if finite.all():
-        return out.astype(np.int64).tolist()
-    vec = np.where(finite, out, 0).astype(np.int64).astype(object)
-    vec[~finite] = out[~finite]
-    return vec.tolist()
+    return [_exact(v) for v in vectors]
 
 
 def convolve_naive(A: Vector, B: Vector) -> Vector:
@@ -107,13 +107,13 @@ def convolve_naive(A: Vector, B: Vector) -> Vector:
         raise ValueError("empty input vector")
     if len(A) > len(B):  # loop over the shorter operand
         A, B = B, A
-    _, b = _operands(A, B)
-    L = len(B)
+    a, b = _operands(A, B)
+    L = len(b)
     out = np.full(L, NEG_INF, dtype=b.dtype)
-    for k, a in enumerate(A):
-        if a != NEG_INF:
-            np.maximum(out[k:], a + b[: L - k], out=out[k:])
-    return _to_vector(out)
+    for k, x in enumerate(a.tolist()):
+        if x != NEG_INF:
+            np.maximum(out[k:], x + b[: L - k], out=out[k:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +263,8 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
     bad = _first_sstep_concave_violation(b, s)
     if bad is not None:
         raise ValueError(f"right operand is not {s}-step concave: first violation at index {bad}")
-    if len(A) * len(B) <= SMALL_PRODUCT_CUTOFF or (a == NEG_INF).any():
-        return convolve_naive(A, B)
+    if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF or (a == NEG_INF).any():
+        return convolve_naive(a, b)
     L = max(len(a), len(b))
     Bc = b[::s]  # concave stride subsample
     start = (len(Bc) - 1) * s  # the final step of B covers b[start:]
@@ -272,7 +272,7 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
     out[start:] = Bc[-1] + _sliding_max(a, len(b) - start, L - start)
     if len(Bc) > 1:
         np.maximum(out, _stride_maxplus(_sliding_max(a, s, L), Bc[:-1], s), out=out)
-    return _to_vector(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +311,16 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
     intervals = list(R.intervals)
     _check_interval_structure(intervals, len(A), len(B))
     L = max(len(A), len(B))
-    _, b = _operands(A, B)
+    a, b = _operands(A, B)
     out = np.full(L, NEG_INF, dtype=b.dtype)
-    for k, a in enumerate(A):
-        if a == NEG_INF or intervals[k] is None:
+    for k, (v, iv) in enumerate(zip(a.tolist(), intervals)):
+        if v == NEG_INF or iv is None:
             continue
-        x, y = intervals[k]
+        x, y = iv
         hi = min(y, L - 1 - k)
         if hi >= x:
-            np.maximum(out[k + x : k + hi + 1], a + b[x : hi + 1], out=out[k + x : k + hi + 1])
-    return _to_vector(out)
+            np.maximum(out[k + x : k + hi + 1], v + b[x : hi + 1], out=out[k + x : k + hi + 1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +332,12 @@ def _minplus_naive(A: Vector, B: Vector) -> Vector:
     """Full-length (min,+)-convolution; POS_INF entries saturate."""
     if len(A) > len(B):
         A, B = B, A
-    _, b = _operands(A, B)
-    out = np.full(len(A) + len(B) - 1, POS_INF, dtype=b.dtype)
-    for k, a in enumerate(A):
-        if a != POS_INF:
-            np.minimum(out[k : k + len(B)], a + b, out=out[k : k + len(B)])
-    return _to_vector(out)
+    a, b = _operands(A, B)
+    out = np.full(len(a) + len(b) - 1, POS_INF, dtype=b.dtype)
+    for k, x in enumerate(a.tolist()):
+        if x != POS_INF:
+            np.minimum(out[k : k + len(b)], x + b, out=out[k : k + len(b)])
+    return out
 
 
 def _minplus_sstep_convex(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
@@ -386,6 +386,6 @@ def minplus_convolve(A: Vector, B: Vector, s: int | None = None) -> Vector:
     finite = (a != POS_INF) & (a != NEG_INF)
     n_finite = np.count_nonzero(finite)
     capped = finite[:n_finite].all() and (a[n_finite:] == POS_INF).all()
-    if len(A) * len(B) <= SMALL_PRODUCT_CUTOFF or not capped:
-        return _minplus_naive(A, B)
-    return _to_vector(_minplus_sstep_convex(a, b, s))
+    if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF or not capped:
+        return _minplus_naive(a, b)
+    return _minplus_sstep_convex(a, b, s)

@@ -75,7 +75,7 @@ from .core import (
     group_by_due_date,
 )
 from .fractional import fractional_solution_vector
-from .maxplus import convolve_naive, convolve_with_ranges
+from .maxplus import EXACT_FLOAT_BOUND, convolve_naive, convolve_with_ranges
 from .oracle import edd_feasible
 from .prediction import compute_range_intervals
 
@@ -113,8 +113,8 @@ def _lawler_moore_dp(instance: Instance, taken: np.ndarray | None = None) -> np.
     d_j never gain job j.  With ``taken`` (bool, n x (d_max+1)) given, row i
     records the states where the i-th job strictly improved the table.
     """
-    # float64 sums stay exact only while the total weight is below 2**52
-    f = np.full(instance.d_max + 1, NEG_INF, dtype=np.float64 if instance.w_total < 2**52 else object)
+    dtype = np.float64 if instance.w_total < EXACT_FLOAT_BOUND else object
+    f = np.full(instance.d_max + 1, NEG_INF, dtype=dtype)
     f[0] = 0
     for i, job in enumerate(_edd_order(instance)):
         p, d = job.p, job.d
@@ -138,8 +138,8 @@ _MERGE_POLICIES = (SolverPolicy.MAXPLUS_NAIVE, SolverPolicy.PREDICTION, SolverPo
 def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[int, Vector]]:
     """Yield (i, accumulator) after merging each due-date group.
 
-    The accumulator after iteration i spans budgets 0..d^(i) and holds the
-    best early weight of the first i groups per budget.  Introspection
+    The accumulator after iteration i is a ``Vector`` spanning budgets
+    0..d^(i), the best early weight of the first i groups per budget.  Introspection
     surface for tests and demos; :func:`solve` consumes it.  Raises
     ``ValueError`` for a policy that does not run the forward merge.
     """
@@ -170,12 +170,12 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
 
 def _solve_inverse(grouping: DueDateGrouping) -> int:
     """Weight-indexed (min,+) mirror of the merge chain; the best early weight."""
-    acc: Vector = [0]
+    acc: Vector = np.zeros(1)
     for d_i, grp in zip(grouping.due_dates, grouping.groups):
         acc = build_inverse_solution_vector(list(grp), acc)
         # entries needing more time than this due date are infeasible from here on
-        acc = [v if v <= d_i else POS_INF for v in acc]
-    return max(k for k, v in enumerate(acc) if v != POS_INF)
+        acc = np.where(acc <= d_i, acc, POS_INF)
+    return int(np.flatnonzero(acc != POS_INF)[-1])
 
 
 # Fitted by scripts/fit_auto.py to the policy medians in BENCH_auto_grid.json
@@ -230,29 +230,23 @@ def _auto_counts(instance: Instance) -> dict[SolverPolicy, tuple[int, float]]:
     return counts
 
 
-def auto_estimates(
-    instance: Instance, calibration: dict[SolverPolicy, tuple[float, float]] | None = None
-) -> dict[SolverPolicy, float]:
+def auto_estimates(instance: Instance) -> dict[SolverPolicy, float]:
     """Estimated ms of each AUTO candidate on the instance.
 
     Each is ``a * calls + b * units`` in the counts of the module docstring,
-    with ``(a, b)`` from ``calibration`` where given, else from
-    ``DEFAULT_CALIBRATION``.  Where inverse-w would fall back, its estimate
-    is Lawler-Moore's.  Lawler-Moore comes first, so ``min`` breaks a tie in
-    its favour.
+    with ``(a, b)`` from ``DEFAULT_CALIBRATION``.  Where inverse-w would fall
+    back, its estimate is Lawler-Moore's.  Lawler-Moore comes first, so
+    ``min`` breaks a tie in its favour.
     """
-    cal = DEFAULT_CALIBRATION if calibration is None else {**DEFAULT_CALIBRATION, **calibration}
     estimates = {}
     for policy, (calls, units) in _auto_counts(instance).items():
-        per_call, per_unit = cal[policy]
+        per_call, per_unit = DEFAULT_CALIBRATION[policy]
         estimates[policy] = per_call * calls + per_unit * units
     estimates.setdefault(SolverPolicy.INVERSE_BY_W, estimates[SolverPolicy.LAWLER_MOORE])
     return estimates
 
 
-def auto_select(
-    instance: Instance, calibration: dict[SolverPolicy, tuple[float, float]] | None = None
-) -> SolverPolicy:
+def auto_select(instance: Instance) -> SolverPolicy:
     """The AUTO candidate with the smallest estimate in :func:`auto_estimates`.
 
     The candidates are Lawler-Moore, concave-p and inverse-w, the policies
@@ -260,10 +254,9 @@ def auto_select(
     the earlier one in that order.  Each estimate is ``a * calls + b *
     units`` ms in the counts of the module docstring, after inverse-w's
     fallback; ``(a, b)`` comes from ``DEFAULT_CALIBRATION``, fitted by
-    ``scripts/fit_auto.py`` to ``BENCH_auto_grid.json``, with entries of
-    ``calibration`` taking precedence.
+    ``scripts/fit_auto.py`` to ``BENCH_auto_grid.json``.
     """
-    estimates = auto_estimates(instance, calibration)
+    estimates = auto_estimates(instance)
     return min(estimates, key=estimates.get)
 
 

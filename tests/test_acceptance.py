@@ -6,6 +6,7 @@ the lines as they complete).
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 import tardyjobs.maxplus as mp
@@ -118,7 +119,7 @@ def test_criterion_2_engine_equivalence(monkeypatch):
         s = rng.randint(1, 8)
         a = [rng.randint(0, 60) for _ in range(rng.randint(1, 256))]
         b = _random_sstep_concave(rng, rng.randint(1, 256), s)
-        if convolve_sstep_concave(a, b, s) != convolve_naive(a, b):
+        if not np.array_equal(convolve_sstep_concave(a, b, s), convolve_naive(a, b)):
             mismatches.append(("sstep", s, len(a), len(b)))
 
     full_width_pairs = 7_000
@@ -126,7 +127,7 @@ def test_criterion_2_engine_equivalence(monkeypatch):
         a = [rng.randint(0, 60) for _ in range(rng.randint(1, 256))]
         b = [rng.randint(0, 60) for _ in range(rng.randint(1, 256))]
         r = RangeIntervals(tuple((0, len(b) - 1) for _ in a), error=10**9)
-        if convolve_with_ranges(a, b, r) != convolve_naive(a, b):
+        if not np.array_equal(convolve_with_ranges(a, b, r), convolve_naive(a, b)):
             mismatches.append(("ranges-full", len(a), len(b)))
 
     derived_pairs = 0
@@ -152,7 +153,7 @@ def test_criterion_2_engine_equivalence(monkeypatch):
             c_frac = fractional_solution_vector(Instance(tuple(prefix)))
             ranges = compute_range_intervals(a_frac, b_frac, c_frac, i, inst.w_max)
             want = convolve_naive(acc, b_vec)
-            if convolve_with_ranges(acc, b_vec, ranges) != want:
+            if not np.array_equal(convolve_with_ranges(acc, b_vec, ranges), want):
                 mismatches.append(("ranges-derived", trial, i))
             acc = want
             derived_pairs += 1
@@ -329,7 +330,7 @@ def test_criterion_7_builder_equivalence():
         dp = build_solution_vector_dp(jobs, d)
         concave = build_solution_vector_concave(jobs, d)
         inverse = inverse_to_direct(build_inverse_solution_vector(jobs), d)
-        if not (dp == concave == inverse):
+        if not (dp.tolist() == concave.tolist() == inverse):
             failures.append(trial)
     ok = not failures
     _report(

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from tardyjobs import (
@@ -30,13 +31,13 @@ def random_group(rng, n_max=20, d_max=40, p_max=10, w_max=8):
 
 class TestDpBuilder:
     def test_single_item(self):
-        assert build_solution_vector_dp(group([(2, 3)], 3), 3) == [0, 0, 3, 3]
+        assert build_solution_vector_dp(group([(2, 3)], 3), 3).tolist() == [0, 0, 3, 3]
 
     def test_two_items(self):
-        assert build_solution_vector_dp(group([(1, 1), (1, 2)], 2), 2) == [0, 2, 3]
+        assert build_solution_vector_dp(group([(1, 1), (1, 2)], 2), 2).tolist() == [0, 2, 3]
 
     def test_empty(self):
-        assert build_solution_vector_dp([], 2) == [0, 0, 0]
+        assert build_solution_vector_dp([], 2).tolist() == [0, 0, 0]
 
     def test_negative_horizon_errors(self):
         with pytest.raises(ValueError):
@@ -50,23 +51,23 @@ class TestDpBuilder:
         for job in jobs:  # reference 0/1 knapsack
             for k in range(200, job.p - 1, -1):
                 small[k] = max(small[k], small[k - job.p] + job.w)
-        assert big == small
+        assert big.tolist() == small
 
 
     def test_huge_weights_stay_exact(self):
         jobs = group([(1, 2**62)] * 3, 2000)
         want = [0, 2**62, 2**63, 3 * 2**62] + [3 * 2**62] * 1997
-        assert build_solution_vector_dp(jobs, 2000) == want
+        assert build_solution_vector_dp(jobs, 2000).tolist() == want
 
 
 class TestConcaveBuilder:
     def test_single_class(self):
         jobs = group([(2, 5), (2, 1)], 4)
-        assert step_concave_class_vector([5, 1], 2, 4) == [0, 0, 5, 5, 6]
-        assert build_solution_vector_concave(jobs, 4) == [0, 0, 5, 5, 6]
+        assert step_concave_class_vector([5, 1], 2, 4).tolist() == [0, 0, 5, 5, 6]
+        assert build_solution_vector_concave(jobs, 4).tolist() == [0, 0, 5, 5, 6]
 
     def test_empty(self):
-        assert build_solution_vector_concave([], 3) == [0, 0, 0, 0]
+        assert build_solution_vector_concave([], 3).tolist() == [0, 0, 0, 0]
 
     def test_class_vectors_are_step_concave(self):
         rng = random.Random(43)
@@ -87,7 +88,7 @@ class TestConcaveBuilder:
                 if k % p == 0 and k // p <= len(taken):
                     acc += taken[k // p - 1]
                 ref.append(acc)
-            assert step_concave_class_vector(ws, p, horizon) == ref
+            assert step_concave_class_vector(ws, p, horizon).tolist() == ref
 
     def test_folds_from_the_first_class(self, monkeypatch):
         import tardyjobs.builders as builders
@@ -96,9 +97,9 @@ class TestConcaveBuilder:
         real = builders.convolve_sstep_concave
         monkeypatch.setattr(builders, "convolve_sstep_concave", lambda *a: calls.append(a) or real(*a))
         jobs = group([(1, 4), (2, 5), (2, 1), (3, 2)], 6)
-        assert build_solution_vector_concave(jobs, 6) == build_solution_vector_dp(jobs, 6)
+        assert np.array_equal(build_solution_vector_concave(jobs, 6), build_solution_vector_dp(jobs, 6))
         assert len(calls) == 2  # three processing-time classes
-        assert build_solution_vector_concave(group([(2, 5), (2, 1)], 4), 4) == [0, 0, 5, 5, 6]
+        assert build_solution_vector_concave(group([(2, 5), (2, 1)], 4), 4).tolist() == [0, 0, 5, 5, 6]
         assert len(calls) == 2
 
     def test_acc_matches_naive_merge(self):
@@ -108,25 +109,25 @@ class TestConcaveBuilder:
             prefix, d0 = random_group(rng, d_max=d)
             acc = build_solution_vector_dp(prefix, d0)
             want = convolve_naive(acc, build_solution_vector_dp(jobs, d))
-            assert build_solution_vector_concave(jobs, d, acc) == want
-        assert build_solution_vector_concave([], 3, [0, 2]) == [0, 2, 2, 2]
+            assert np.array_equal(build_solution_vector_concave(jobs, d, acc), want)
+        assert build_solution_vector_concave([], 3, [0, 2]).tolist() == [0, 2, 2, 2]
 
     def test_matches_dp(self):
         rng = random.Random(47)
         for _ in range(200):
             jobs, d = random_group(rng)
-            assert build_solution_vector_concave(jobs, d) == build_solution_vector_dp(jobs, d)
+            assert np.array_equal(build_solution_vector_concave(jobs, d), build_solution_vector_dp(jobs, d))
 
 
 class TestInverseBuilder:
     def test_single_job(self):
-        assert build_inverse_solution_vector(group([(2, 3)], 5)) == [0, 2, 2, 2]
+        assert build_inverse_solution_vector(group([(2, 3)], 5)).tolist() == [0, 2, 2, 2]
 
     def test_two_unit_weights(self):
-        assert build_inverse_solution_vector(group([(1, 1), (4, 1)], 5)) == [0, 1, 5]
+        assert build_inverse_solution_vector(group([(1, 1), (4, 1)], 5)).tolist() == [0, 1, 5]
 
     def test_empty(self):
-        assert build_inverse_solution_vector([]) == [0]
+        assert build_inverse_solution_vector([]).tolist() == [0]
 
     def test_class_vectors_are_step_convex(self):
         rng = random.Random(53)
@@ -143,7 +144,7 @@ class TestInverseBuilder:
             ref = [0]
             for t in range(len(ps)):
                 ref += [sum(ps[: t + 1])] * w
-            assert step_convex_class_vector(ps[::-1], w) == ref
+            assert step_convex_class_vector(ps[::-1], w).tolist() == ref
 
     def test_acc_matches_minplus_merge(self):
         rng = random.Random(55)
@@ -153,8 +154,8 @@ class TestInverseBuilder:
             # a capped prefix, as the solvers pass it: POS_INF past its due date
             acc = [v if v <= d0 else POS_INF for v in build_inverse_solution_vector(prefix)]
             want = minplus_convolve(acc, build_inverse_solution_vector(jobs))
-            assert build_inverse_solution_vector(jobs, acc) == want
-        assert build_inverse_solution_vector([], [0, 4]) == [0, 4]
+            assert np.array_equal(build_inverse_solution_vector(jobs, acc), want)
+        assert build_inverse_solution_vector([], [0, 4]).tolist() == [0, 4]
 
     def test_horizon_is_group_weight(self):
         jobs = group([(1, 3), (2, 4)], 9)
@@ -173,7 +174,7 @@ class TestInverseToDirect:
         for _ in range(200):
             jobs, d = random_group(rng)
             inv = build_inverse_solution_vector(jobs)
-            assert inverse_to_direct(inv, d) == build_solution_vector_dp(jobs, d)
+            assert inverse_to_direct(inv, d) == build_solution_vector_dp(jobs, d).tolist()
 
 
 def test_three_builders_agree():
@@ -181,5 +182,5 @@ def test_three_builders_agree():
     for _ in range(300):
         jobs, d = random_group(rng, n_max=32, d_max=64)
         dp = build_solution_vector_dp(jobs, d)
-        assert build_solution_vector_concave(jobs, d) == dp
-        assert inverse_to_direct(build_inverse_solution_vector(jobs), d) == dp
+        assert np.array_equal(build_solution_vector_concave(jobs, d), dp)
+        assert inverse_to_direct(build_inverse_solution_vector(jobs), d) == dp.tolist()

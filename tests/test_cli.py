@@ -175,18 +175,44 @@ class TestCli:
     def test_wrong_optimum_exits_2(self, tmp_path, capsys, monkeypatch, extra):
         import tardyjobs.solvers as solvers
 
-        real = solvers.lawler_moore
+        real_lawler_moore, real_merge = solvers.lawler_moore, solvers.convolve_naive
 
         def off_by_one(instance):
-            res = real(instance)
+            res = real_lawler_moore(instance)
             return type(res)(res.min_tardy_weight + 1, res.max_early_weight - 1, policy=res.policy)
 
-        monkeypatch.setattr(solvers, "lawler_moore", off_by_one)
+        def off_by_one_merge(A, B):
+            return real_merge(A, B) + 1
+
+        if "--reconstruct" in extra:
+            # a Lawler-Moore witness solve reads its optimum off the witness,
+            # so the fault goes into a policy that computes its own optimum
+            monkeypatch.setattr(solvers, "convolve_naive", off_by_one_merge)
+            algo = "naive"
+        else:
+            monkeypatch.setattr(solvers, "lawler_moore", off_by_one)
+            algo = "lawler-moore"
         path, _ = self._instance_file(tmp_path)
-        assert main(["solve", str(path), "--algo", "lawler-moore", *extra]) == 2
+        assert main(["solve", str(path), "--algo", algo, *extra]) == 2
         captured = capsys.readouterr()
         assert "INTERNAL INCONSISTENCY" in captured.err
         assert captured.out == ""
+
+    def test_lawler_moore_witness_runs_the_dp_once(self, tmp_path, capsys, monkeypatch):
+        import tardyjobs.solvers as solvers
+
+        calls = []
+        real = solvers._lawler_moore_dp
+        monkeypatch.setattr(solvers, "_lawler_moore_dp", lambda *args: calls.append(args) or real(*args))
+        inst = generate_instance(seed=1, n=200, d_hash=16, d_max=2000)  # AUTO picks Lawler-Moore
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(inst, "json"))
+        assert main(["solve", str(path), "--reconstruct"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["policy"] == "lawler-moore"
+        assert len(calls) == 1
+        by_id = {j.id: j for j in inst.jobs}
+        assert sum(by_id[i].w for i in out["early_set"]) == out["max_early_weight"]
 
     def test_solve_invalid_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,13 +52,13 @@ def sstep_concave(draw_len, s, rng):
 
 class TestConvolveNaive:
     def test_def_example(self):
-        assert convolve_naive([0, 2], [0, 1, 3]) == [0, 2, 3]
+        assert convolve_naive([0, 2], [0, 1, 3]).tolist() == [0, 2, 3]
 
     def test_identity_element(self):
-        assert convolve_naive([0], [0, 5, 7]) == [0, 5, 7]
+        assert convolve_naive([0], [0, 5, 7]).tolist() == [0, 5, 7]
 
     def test_all_splits(self):
-        assert convolve_naive([0, 1, 1], [0, 1, 1]) == [0, 1, 2]
+        assert convolve_naive([0, 1, 1], [0, 1, 1]).tolist() == [0, 1, 2]
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
@@ -66,23 +67,23 @@ class TestConvolveNaive:
             convolve_naive([0], [])
 
     def test_neg_inf_saturates(self):
-        assert convolve_naive([NEG_INF, 0], [0, 4]) == [NEG_INF, 0]
-        assert convolve_naive([0, 4], [NEG_INF, 0, NEG_INF]) == reference([0, 4], [NEG_INF, 0, NEG_INF], 3)
+        assert convolve_naive([NEG_INF, 0], [0, 4]).tolist() == [NEG_INF, 0]
+        assert convolve_naive([0, 4], [NEG_INF, 0, NEG_INF]).tolist() == reference([0, 4], [NEG_INF, 0, NEG_INF], 3)
 
     def test_numpy_path_matches_python(self):
         rng = random.Random(7)
         A = [rng.randint(-5, 30) for _ in range(90)]
         B = [rng.randint(-5, 30) for _ in range(80)]
-        assert convolve_naive(A, B) == reference(A, B, 90)
+        assert convolve_naive(A, B).tolist() == reference(A, B, 90)
 
     def test_big_ints_fall_back_exactly(self):
         big = 2**60
-        assert convolve_naive([0, big], [0, big, big + 1]) == [0, big, 2 * big]
+        assert convolve_naive([0, big], [0, big, big + 1]).tolist() == [0, big, 2 * big]
 
     @given(vec, vec)
     @settings(max_examples=100, deadline=None)
     def test_commutative(self, a, b):
-        assert convolve_naive(a, b) == convolve_naive(b, a)
+        assert np.array_equal(convolve_naive(a, b), convolve_naive(b, a))
 
     @given(vec, vec, vec)
     @settings(max_examples=100, deadline=None)
@@ -90,7 +91,7 @@ class TestConvolveNaive:
         left = convolve_naive(convolve_naive(a, b), c)
         right = convolve_naive(a, convolve_naive(b, c))
         h = min(len(a), len(b), len(c))
-        assert left[:h] == right[:h]
+        assert np.array_equal(left[:h], right[:h])
 
     @given(vec, vec)
     @settings(max_examples=100, deadline=None)
@@ -112,14 +113,14 @@ class TestSStepConcave:
         assert is_sstep_concave([0, 0, 4, 4], 2)
 
     def test_convolve_s1(self):
-        assert convolve_sstep_concave([0, 1], [0, 5, 8, 9], 1) == [0, 5, 8, 9]
+        assert convolve_sstep_concave([0, 1], [0, 5, 8, 9], 1).tolist() == [0, 5, 8, 9]
 
     def test_zeros(self):
-        assert convolve_sstep_concave([0, 0, 0], [0] * 6, 2) == [0] * 6
+        assert convolve_sstep_concave([0, 0, 0], [0] * 6, 2).tolist() == [0] * 6
 
     def test_matches_naive_example(self):
         a, b = [0, 3], [0, 0, 4, 4, 6, 6]
-        assert convolve_sstep_concave(a, b, 2) == convolve_naive(a, b) == [0, 3, 4, 7, 7, 9]
+        assert convolve_sstep_concave(a, b, 2).tolist() == convolve_naive(a, b).tolist() == [0, 3, 4, 7, 7, 9]
 
     def test_precondition_names_index(self):
         with pytest.raises(ValueError, match="index 3"):
@@ -131,13 +132,13 @@ class TestSStepConcave:
             s = rng.randint(1, 6)
             a = [rng.randint(-9, 30) for _ in range(rng.randint(1, 40))]
             b = sstep_concave(rng.randint(1, 40), s, rng)
-            assert convolve_sstep_concave(a, b, s) == convolve_naive(a, b)
+            assert np.array_equal(convolve_sstep_concave(a, b, s), convolve_naive(a, b))
 
     def test_large_inputs_use_structured_path(self):
         rng = random.Random(13)
         a = [rng.randint(0, 99) for _ in range(300)]
         b = sstep_concave(280, 3, rng)
-        assert convolve_sstep_concave(a, b, 3) == convolve_naive(a, b)
+        assert np.array_equal(convolve_sstep_concave(a, b, 3), convolve_naive(a, b))
 
 
 def sstep_convex(n_steps, s, rng):
@@ -163,7 +164,7 @@ class TestStepEnginesAtScale:
                 a = [7] * n_a  # all ties
             a = sorted(a) if case % 2 else a
             b = sstep_concave(n_b, s, rng)
-            assert convolve_sstep_concave(a, b, s) == convolve_naive(a, b)
+            assert np.array_equal(convolve_sstep_concave(a, b, s), convolve_naive(a, b))
 
     def test_convex_fuzz_against_naive(self):
         rng = random.Random(71)
@@ -179,7 +180,7 @@ class TestStepEnginesAtScale:
             n_steps = rng.randint(300, 3000) // s if case % 3 else (n_a + rng.randint(1, 400)) // s
             b = sstep_convex(max(n_steps, 1), s, rng)
             got = minplus_convolve(a, b, s)
-            assert got == minplus_convolve(a, b)
+            assert np.array_equal(got, minplus_convolve(a, b))
 
     def test_entries_beyond_float_exactness(self, monkeypatch):
         # shifting both operands by `big` shifts every output entry by 2*big,
@@ -193,7 +194,9 @@ class TestStepEnginesAtScale:
             b = sstep_concave(350, s, rng)
             inv = sorted(rng.randint(0, 99) for _ in range(400))
             c = sstep_convex(350 // s, s, rng)
-            cases.append((s, a, b, convolve_naive(a, b), inv, c, minplus_convolve(inv, c)))
+            # int references: a float shifted by 2 * big would round
+            want, want_inv = convolve_naive(a, b), minplus_convolve(inv, c)
+            cases.append((s, a, b, want.astype(np.int64).tolist(), inv, c, want_inv.astype(np.int64).tolist()))
 
         def refuse(*args):
             raise AssertionError("a step engine fell back to the naive evaluation")
@@ -201,9 +204,9 @@ class TestStepEnginesAtScale:
         monkeypatch.setattr(mp, "convolve_naive", refuse)
         monkeypatch.setattr(mp, "_minplus_naive", refuse)
         for s, a, b, want, inv, c, want_inv in cases:
-            assert convolve_sstep_concave(shifted(a, big), shifted(b, big), s) == shifted(want, 2 * big)
+            assert convolve_sstep_concave(shifted(a, big), shifted(b, big), s).tolist() == shifted(want, 2 * big)
             got = minplus_convolve(shifted(inv, big), shifted(c, big), s)
-            assert got == shifted(want_inv, 2 * big)
+            assert got.tolist() == shifted(want_inv, 2 * big)
 
     def test_concave_precondition_names_first_index(self):
         rng = random.Random(79)
@@ -245,29 +248,68 @@ class TestOneKernel:
     def test_maxplus_operations_match_reference(self, a, b, shift):
         a, b = shifted(a, shift), shifted(b, shift)
         want = reference(a, b, max(len(a), len(b)))
-        assert convolve_naive(a, b) == want
+        assert convolve_naive(a, b).tolist() == want
         full = RangeIntervals(tuple((0, len(b) - 1) for _ in a), error=0)
-        assert convolve_with_ranges(a, b, full) == want
+        assert convolve_with_ranges(a, b, full).tolist() == want
 
     @given(with_sentinel(POS_INF), with_sentinel(POS_INF), st.sampled_from([0, 2**60]))
     @settings(max_examples=150, deadline=None)
     def test_minplus_matches_reference(self, a, b, shift):
         a, b = shifted(a, shift), shifted(b, shift)
-        assert minplus_convolve(a, b) == reference(a, b, len(a) + len(b) - 1, best=min)
+        assert minplus_convolve(a, b).tolist() == reference(a, b, len(a) + len(b) - 1, best=min)
+
+
+class TestMixedMagnitudes:
+    """A float64 kernel output meets an operand with entries past 2**52: the
+    float64 entries must enter the exact object arithmetic as Python ints."""
+
+    BIG = 2**60 + 1
+
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_maxplus(self, s):
+        rng = random.Random(89 + s)
+        a = [rng.randint(0, 10**6) for _ in range(300)]
+        b = sstep_concave(280, s, rng)
+        small_a, small_b = convolve_naive(a, [0]), convolve_naive(b, [0])  # float64 copies of a and b
+        assert small_a.dtype == small_b.dtype == np.float64
+        big_a, big_b = shifted(a, self.BIG), shifted(b, self.BIG)
+        for left, right, want in (
+            (small_a, big_b, reference(a, big_b, 300)),
+            (big_a, small_b, reference(big_a, b, 300)),
+        ):
+            assert convolve_naive(left, right).tolist() == want
+            assert convolve_naive(right, left).tolist() == want
+            assert convolve_sstep_concave(left, right, s).tolist() == want
+
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_minplus(self, s):
+        rng = random.Random(97 + s)
+        a = sorted(rng.randint(0, 10**6) for _ in range(300))
+        a[250:] = [POS_INF] * 50  # a capped accumulator
+        b = sstep_convex(250 // s, s, rng)
+        small_a, small_b = minplus_convolve(a, [0]), minplus_convolve(b, [0])  # float64 copies of a and b
+        assert small_a.dtype == small_b.dtype == np.float64
+        big_a, big_b = shifted(a, self.BIG), shifted(b, self.BIG)
+        for left, right, want in (
+            (small_a, big_b, reference(a, big_b, len(a) + len(b) - 1, best=min)),
+            (big_a, small_b, reference(big_a, b, len(a) + len(b) - 1, best=min)),
+        ):
+            assert minplus_convolve(left, right, s).tolist() == want
+            assert minplus_convolve(left, right).tolist() == want
 
 
 class TestConvolveWithRanges:
     def test_left_identity_full_interval(self):
         b = [0, 4, 4, 9]
         r = RangeIntervals(intervals=((0, 3),), error=0)
-        assert convolve_with_ranges([0], b, r) == b
+        assert convolve_with_ranges([0], b, r).tolist() == b
 
     def test_full_width_degenerates_to_naive(self):
         rng = random.Random(3)
         a = [rng.randint(0, 20) for _ in range(9)]
         b = [rng.randint(0, 20) for _ in range(12)]
         r = RangeIntervals(intervals=tuple((0, len(b) - 1) for _ in a), error=10**6)
-        assert convolve_with_ranges(a, b, r) == convolve_naive(a, b)
+        assert np.array_equal(convolve_with_ranges(a, b, r), convolve_naive(a, b))
 
     def test_rejects_bad_intervals(self):
         with pytest.raises(ValueError, match="out of bounds"):
@@ -280,14 +322,14 @@ class TestConvolveWithRanges:
 
 class TestMinPlus:
     def test_sentinel_propagation(self):
-        assert minplus_convolve([0, POS_INF], [0, 3]) == [0, 3, POS_INF]
+        assert minplus_convolve([0, POS_INF], [0, 3]).tolist() == [0, 3, POS_INF]
 
     def test_identity(self):
-        assert minplus_convolve([0], [0, 2, 7]) == [0, 2, 7]
+        assert minplus_convolve([0], [0, 2, 7]).tolist() == [0, 2, 7]
 
     def test_negation_oracle_example(self):
         # -(-A (max,+) -B) computed by hand: [0,1,3] x [0,2] -> [0,1,3,5]
-        assert minplus_convolve([0, 1, 3], [0, 2]) == [0, 1, 3, 5]
+        assert minplus_convolve([0, 1, 3], [0, 2]).tolist() == [0, 1, 3, 5]
 
     @given(
         st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=14),
@@ -300,7 +342,7 @@ class TestMinPlus:
 
         got = minplus_convolve(a, b)
         ref = [-x for x in reference(neg(a), neg(b), len(a) + len(b) - 1)]
-        assert got == ref
+        assert got.tolist() == ref
 
     def test_is_sstep_convex(self):
         assert is_sstep_convex([0, 3, 3, 8, 8], 2)
@@ -328,7 +370,7 @@ class TestMinPlus:
                 cut = rng.randint(1, len(a) - 1)
                 a[cut:] = [POS_INF] * (len(a) - cut)
             got = minplus_convolve(a, b, s)
-            assert got == minplus_convolve(a, b)
+            assert np.array_equal(got, minplus_convolve(a, b))
 
 
 class TestEngineEquivalence:
@@ -341,6 +383,6 @@ class TestEngineEquivalence:
             s = rng.randint(1, 5)
             b = sstep_concave(rng.randint(1, 32), s, rng)
             want = convolve_naive(a, b)
-            assert convolve_sstep_concave(a, b, s) == want
+            assert np.array_equal(convolve_sstep_concave(a, b, s), want)
             full = RangeIntervals(tuple((0, len(b) - 1) for _ in a), error=10**9)
-            assert convolve_with_ranges(a, b, full) == want
+            assert np.array_equal(convolve_with_ranges(a, b, full), want)

@@ -82,7 +82,7 @@ class TestBruteForceVector:
         for _ in range(100):
             d = rng.randint(1, 25)
             jobs = [J(i, rng.randint(1, 8), rng.randint(1, 8), d) for i in range(rng.randint(0, 10))]
-            assert brute_force_vector(jobs, d) == build_solution_vector_dp(jobs, d)
+            assert brute_force_vector(jobs, d) == build_solution_vector_dp(jobs, d).tolist()
 
     def test_monotone_zero_origin(self):
         rng = random.Random(73)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tardyjobs import (
@@ -120,7 +121,7 @@ class TestComputeRangeIntervals:
         a_vec = build_solution_vector_dp(left, 60)
         b_vec = build_solution_vector_dp(right, 200)
         assert validate_range_intervals(a_vec, b_vec, r) == []
-        assert convolve_with_ranges(a_vec, b_vec, r) == convolve_naive(a_vec, b_vec)
+        assert np.array_equal(convolve_with_ranges(a_vec, b_vec, r), convolve_naive(a_vec, b_vec))
 
 
 class TestValidateRangeIntervals:

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from tardyjobs import (
@@ -149,6 +150,32 @@ class TestSolveMaxplus:
         for policy in [*ALL_POLICIES, SolverPolicy.AUTO]:
             assert solve(inst, policy).min_tardy_weight == want, policy
 
+    @pytest.mark.parametrize("reconstruct", [False, True], ids=["optimum", "witness"])
+    @pytest.mark.parametrize("heavy_last", [True, False], ids=["heavy-last", "heavy-first"])
+    def test_mixed_magnitudes_under_every_policy(self, heavy_last, reconstruct):
+        # weights <= 10 in every group but one, weights past 2**60 in that one:
+        # the float64 vectors of the light groups meet the exact object
+        # vectors of the heavy group mid-chain, on either side of a merge
+        rng = random.Random(97)
+        dates = (300, 600, 900)
+        heavy = dates[-1] if heavy_last else dates[0]
+        for _ in range(3):
+            jobs = []
+            for d in dates:
+                for _ in range(10):
+                    w = 2**60 + rng.randint(1, 999) if d == heavy else rng.randint(1, 10)
+                    jobs.append(J(len(jobs), rng.randint(1, 60), w, d))
+            inst = Instance(tuple(jobs))
+            assert inst.w_total >= 2**52
+            want = lawler_moore(inst).max_early_weight
+            by_id = {j.id: j for j in jobs}
+            for policy in [*ALL_POLICIES, SolverPolicy.AUTO]:
+                got = solve(inst, policy, reconstruct=reconstruct)
+                assert got.max_early_weight == want, policy
+                if reconstruct:
+                    chosen = [by_id[i] for i in got.early_set]
+                    assert sum(j.w for j in chosen) == want and edd_feasible(chosen)
+
     def test_reports_the_policy_that_ran(self):
         inst = TWO_JOBS  # n >= d_max: inverse-w falls back to Lawler-Moore
         assert solve(inst, SolverPolicy.AUTO).policy is auto_select(inst)
@@ -162,7 +189,7 @@ class TestPrefixSemantics:
         inst = Instance((J(0, 2, 3, 4), J(1, 1, 1, 4), J(2, 2, 2, 9)))
         states = dict(forward_states(inst, SolverPolicy.MAXPLUS_NAIVE))
         grouping = group_by_due_date(inst)
-        assert states[1] == build_solution_vector_dp(list(grouping.groups[0]), 4)
+        assert np.array_equal(states[1], build_solution_vector_dp(list(grouping.groups[0]), 4))
         assert prefix_vector_semantics_check(inst, 1, states[1])
 
     def test_mid_iterations(self):
@@ -282,13 +309,15 @@ class TestAutoSelect:
         inst = TWO_JOBS
         assert auto_select(inst) in ALL_POLICIES
 
-    def test_calibration_is_configuration(self):
+    def test_calibration_is_configuration(self, monkeypatch):
+        import tardyjobs.solvers as solvers
+
         inst = generate_instance(seed=1, n=50, d_hash=4, d_max=1000)  # inverse-w runs as itself here
         # an absurd cost on every candidate except one forces that one
         for policy in AUTO_CANDIDATES:
-            cal = {p: (1e18, 1e18) for p in DEFAULT_CALIBRATION}
-            cal[policy] = (1.0, 1.0)
-            assert auto_select(inst, cal) is policy
+            for p in DEFAULT_CALIBRATION:
+                monkeypatch.setitem(solvers.DEFAULT_CALIBRATION, p, (1.0, 1.0) if p is policy else (1e18, 1e18))
+            assert auto_select(inst) is policy
 
     def test_picks_only_candidates(self):
         rng = SplitMix64(4711)
