@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Job, Vector
+from .core import POS_INF, Job, Vector
 from .maxplus import EXACT_FLOAT_BOUND, _operands, convolve_sstep_concave, minplus_convolve
 
 __all__ = [
@@ -119,7 +119,7 @@ def build_inverse_solution_vector(jobs: list[Job], acc: Vector = (0,)) -> Vector
     classes: dict[int, list[int]] = {}
     for job in jobs:
         classes.setdefault(job.w, []).append(job.p)
-    (acc,) = _operands(acc)
+    (acc,) = _operands(acc, sentinel=POS_INF)
     for w in sorted(classes):
         acc = minplus_convolve(acc, step_convex_class_vector(classes[w], w), w)
     return acc

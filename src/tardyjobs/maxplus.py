@@ -68,9 +68,17 @@ SMALL_PRODUCT_CUTOFF = 4096
 EXACT_FLOAT_BOUND = 2**52
 
 
-def _max_abs_finite(v: np.ndarray) -> float:
-    finite = v[np.isfinite(v)]
-    return float(np.abs(finite).max()) if finite.size else 0.0
+def _max_abs_finite(v: np.ndarray, sentinel: float) -> float:
+    """Largest magnitude of a finite entry of v; raises on any non-finite
+    entry but ``sentinel`` (NaN, or the other operation's sentinel)."""
+    finite = np.isfinite(v)
+    if not finite.all():
+        rest = v[~finite]
+        bad = rest[rest != sentinel]
+        if bad.size:
+            raise ValueError(f"operand entry {bad[0]} is neither finite nor the sentinel {sentinel}")
+        v = v[finite]
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def _exact(v: Sequence) -> np.ndarray:
@@ -84,16 +92,20 @@ def _exact(v: Sequence) -> np.ndarray:
     return np.asarray(v, dtype=object)
 
 
-def _operands(*vectors: Sequence) -> list[np.ndarray]:
+def _operands(*vectors: Sequence, sentinel: float = NEG_INF) -> list[np.ndarray]:
     """The vectors as float64 arrays when every sum of one finite entry of
     each is exact in float64 (their magnitudes sum below
-    ``EXACT_FLOAT_BOUND``), else as exact object arrays (see :func:`_exact`)."""
+    ``EXACT_FLOAT_BOUND``), else as exact object arrays (see :func:`_exact`).
+    ``sentinel`` is the operation's own (``NEG_INF`` for (max,+), ``POS_INF``
+    for (min,+)); NaN or the other sentinel raises ``ValueError``."""
     try:
         arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
-        if sum(map(_max_abs_finite, arrays)) < EXACT_FLOAT_BOUND:
+    except OverflowError:  # an int beyond the float range: check the other entries as floats
+        for v in vectors:
+            _max_abs_finite(np.array([x for x in v if not isinstance(x, int)], dtype=np.float64), sentinel)
+    else:
+        if sum(_max_abs_finite(v, sentinel) for v in arrays) < EXACT_FLOAT_BOUND:
             return arrays
-    except OverflowError:  # an int beyond the float range
-        pass
     return [_exact(v) for v in vectors]
 
 
@@ -280,23 +292,6 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
 # ---------------------------------------------------------------------------
 
 
-def _check_interval_structure(
-    intervals: Sequence[tuple[int, int] | None], n_a: int, n_b: int
-) -> None:
-    if len(intervals) != n_a:
-        raise ValueError(f"expected {n_a} intervals (one per left-operand index), got {len(intervals)}")
-    prev_x = prev_y = 0
-    for k, iv in enumerate(intervals):
-        if iv is None:  # flagged empty: the index never holds a witness
-            continue
-        x, y = iv
-        if not (0 <= x <= y <= n_b - 1):
-            raise ValueError(f"interval {k} out of bounds: [{x}, {y}] not within [0, {n_b - 1}]")
-        if x < prev_x or y < prev_y:
-            raise ValueError(f"interval endpoints not monotone at index {k}")
-        prev_x, prev_y = x, y
-
-
 def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
     """(max,+)-convolve restricted to per-index candidate ranges.
 
@@ -308,18 +303,25 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
-    intervals = list(R.intervals)
-    _check_interval_structure(intervals, len(A), len(B))
+    if len(R.intervals) != len(A):
+        raise ValueError(f"expected {len(A)} intervals (one per left-operand index), got {len(R.intervals)}")
     L = max(len(A), len(B))
     a, b = _operands(A, B)
     out = np.full(L, NEG_INF, dtype=b.dtype)
-    for k, (v, iv) in enumerate(zip(a.tolist(), intervals)):
-        if v == NEG_INF or iv is None:
+    prev_x = prev_y = 0
+    for k, (v, iv) in enumerate(zip(a.tolist(), R.intervals)):
+        if iv is None:  # flagged empty: the index never holds a witness
             continue
         x, y = iv
+        if not (0 <= x <= y < len(b)):
+            raise ValueError(f"interval {k} out of bounds: [{x}, {y}] not within [0, {len(b) - 1}]")
+        if x < prev_x or y < prev_y:
+            raise ValueError(f"interval endpoints not monotone at index {k}")
+        prev_x, prev_y = x, y
         hi = min(y, L - 1 - k)
-        if hi >= x:
-            np.maximum(out[k + x : k + hi + 1], v + b[x : hi + 1], out=out[k + x : k + hi + 1])
+        if v != NEG_INF and hi >= x:
+            seg = out[k + x : k + hi + 1]
+            np.maximum(seg, v + b[x : hi + 1], out=seg)
     return out
 
 
@@ -332,7 +334,7 @@ def _minplus_naive(A: Vector, B: Vector) -> Vector:
     """Full-length (min,+)-convolution; POS_INF entries saturate."""
     if len(A) > len(B):
         A, B = B, A
-    a, b = _operands(A, B)
+    a, b = _operands(A, B, sentinel=POS_INF)
     out = np.full(len(a) + len(b) - 1, POS_INF, dtype=b.dtype)
     for k, x in enumerate(a.tolist()):
         if x != POS_INF:
@@ -379,13 +381,12 @@ def minplus_convolve(A: Vector, B: Vector, s: int | None = None) -> Vector:
         return _minplus_naive(A, B)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    a, b = _operands(A, B)
+    a, b = _operands(A, B, sentinel=POS_INF)
     bad = _first_sstep_convex_violation(b, s)
     if bad is not None:
         raise ValueError(f"right operand is not {s}-step convex: first violation at index {bad}")
-    finite = (a != POS_INF) & (a != NEG_INF)
-    n_finite = np.count_nonzero(finite)
-    capped = finite[:n_finite].all() and (a[n_finite:] == POS_INF).all()
+    finite = a != POS_INF  # the only non-finite entry _operands lets through
+    capped = finite[: np.count_nonzero(finite)].all()
     if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF or not capped:
         return _minplus_naive(a, b)
     return _minplus_sstep_convex(a, b, s)

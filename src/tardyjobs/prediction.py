@@ -6,7 +6,9 @@ how far the split ``(k, l)`` is from fractionally optimal.  For each left
 index ``k`` the set of ``l`` with a small gap is a contiguous interval
 ``[x_k, y_k]`` (the gap is unimodal in ``l``), and both endpoints are
 non-decreasing in ``k``, so a single two-pointer sweep recovers all
-intervals in linear time.
+intervals.  It costs O(|A'| + |B'|) pointer moves, plus a scan of each
+flagged-empty row (see :class:`RangeIntervals`) up to the horizon of ``C'``,
+plus O(1) for each row past the point where the left side saturates.
 
 With the threshold ``2*i*w_max`` (``i`` the merge iteration, ``w_max`` the
 maximum job weight), these intervals are *range intervals* for the integral
@@ -79,8 +81,9 @@ def compute_range_intervals(
     ``c_frac`` must belong to the union of the two job sets, so that the
     common rescaling is exact.  ``i`` is the merge iteration; the admission
     threshold is ``2*i*w_max`` and the certified error is ``4*i*w_max``.
-    Both pointers only ever move forward.  Budget indices past ``C'``'s
-    horizon count as out of range (gap treated as infinite).
+    Both pointers only ever move forward, and in row ``k`` both stop at
+    ``min(|B'|, |C'| - k)``: a budget ``l`` with ``k + l`` past the horizon
+    of ``C'`` is never in range.
 
     A left index whose gap exceeds the threshold at every budget (which
     happens when the left side's jobs saturate far below its horizon while
@@ -91,41 +94,34 @@ def compute_range_intervals(
         raise ValueError("empty fractional vector")
     if i < 1:
         raise ValueError(f"iteration index must be >= 1, got {i}")
+    if w_max < 1:
+        raise ValueError(f"maximum job weight must be >= 1, got {w_max}")
     av, bv, cv, scale = _rescaled(a_frac, b_frac, c_frac)
     threshold = 2 * i * w_max * scale
-
-    n_b = len(bv)
-    n_c = len(cv)
-
-    def gap_ok(k: int, l: int) -> bool:
-        kl = k + l
-        if kl >= n_c:
-            return False
-        return cv[kl] - av[k] - bv[l] <= threshold
+    n_b, n_c = len(bv), len(cv)
 
     intervals: list[tuple[int, int] | None] = []
     x = y = 0
     prev_empty = False
-    for k in range(len(av)):
-        if prev_empty and k > 0 and av[k] == av[k - 1]:
+    for k, a_k in enumerate(av):
+        if prev_empty and a_k == av[k - 1]:
             # the gap only grows once the left side saturates; still empty
             intervals.append(None)
             continue
+        end = n_c - k if n_c - k < n_b else n_b  # min(|B'|, |C'| - k), with no call per row
+        bar = a_k + threshold  # (k, l) is within threshold iff C'[k+l] - B'[l] <= bar
         scan = x
-        while scan < n_b and not gap_ok(k, scan):
+        while scan < end and cv[k + scan] - bv[scan] > bar:
             scan += 1
-        if scan >= n_b:  # no budget within threshold: flagged-empty range
+        prev_empty = scan >= end
+        if prev_empty:  # no budget within threshold: flagged-empty range
             intervals.append(None)
-            prev_empty = True
             continue
-        prev_empty = False
         x = scan
-        if y < x:  # y stays one past the last qualifying index
-            y = x
-        while y < n_b and gap_ok(k, y):
+        if y <= x:  # y stays one past the last qualifying index
+            y = x + 1
+        while y < end and cv[k + y] - bv[y] <= bar:
             y += 1
-        if y - 1 < x:
-            raise ValueError(f"inconsistent range interval at k={k}: x={x}, y={y - 1}")
         intervals.append((x, y - 1))
     return RangeIntervals(intervals=tuple(intervals), error=4 * i * w_max)
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,34 @@ class TestOneKernel:
         assert minplus_convolve(a, b).tolist() == reference(a, b, len(a) + len(b) - 1, best=min)
 
 
+def full_ranges(a, b):
+    return RangeIntervals(tuple((0, len(b) - 1) for _ in a), error=0)
+
+
+@pytest.mark.parametrize("shift", [0, 2**60])
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize(
+    "kernel, bad",
+    [
+        (kernel, bad)
+        for kernel, sentinel in (
+            (convolve_naive, POS_INF),
+            (lambda a, b: convolve_sstep_concave(a, b, 1), POS_INF),
+            (lambda a, b: convolve_with_ranges(a, b, full_ranges(a, b)), POS_INF),
+            (minplus_convolve, NEG_INF),
+            (lambda a, b: minplus_convolve(a, b, 1), NEG_INF),
+        )
+        for bad in (float("nan"), sentinel)
+    ],
+)
+def test_kernels_reject_nan_and_the_other_sentinel(kernel, bad, side, shift):
+    # the other operation's sentinel would give inf or inf - inf = NaN entries
+    operands = [shifted([0, 1, 2], shift), shifted([0, 1, 2], shift)]
+    operands[side][1] = bad
+    with pytest.raises(ValueError, match="neither finite nor the sentinel"):
+        kernel(*operands)
+
+
 class TestMixedMagnitudes:
     """A float64 kernel output meets an operand with entries past 2**52: the
     float64 entries must enter the exact object arithmetic as Python ints."""
@@ -318,6 +347,13 @@ class TestConvolveWithRanges:
             convolve_with_ranges([0, 1], [0, 1, 2], RangeIntervals(((1, 2), (0, 2)), 0))
         with pytest.raises(ValueError, match="expected 2 intervals"):
             convolve_with_ranges([0, 1], [0, 1], RangeIntervals(((0, 1),), 0))
+
+    def test_rejects_bad_intervals_on_rows_that_merge_nothing(self):
+        # a NEG_INF entry of A adds nothing, but its interval is checked all the same
+        with pytest.raises(ValueError, match=re.escape("interval 1 out of bounds: [0, 5] not within [0, 1]")):
+            convolve_with_ranges([0, NEG_INF], [0, 1], RangeIntervals(((0, 1), (0, 5)), 0))
+        with pytest.raises(ValueError, match="^interval endpoints not monotone at index 1$"):
+            convolve_with_ranges([0, NEG_INF], [0, 1, 2], RangeIntervals(((1, 2), (0, 2)), 0))
 
 
 class TestMinPlus:

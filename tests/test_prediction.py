@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,6 +23,30 @@ from conftest import delta
 
 def fsv(values, scale=1):
     return FractionalSolutionVector(scaled=tuple(values), scale=scale)
+
+
+def defining_intervals(af, bf, cf, i, w_max):
+    """The range intervals by their definition: x_k is the first in-horizon
+    budget within threshold, y_k the running max of in-horizon maxima (the y
+    pointer never moves backward), and a k whose threshold admits nothing is
+    flagged empty."""
+    thr = Fraction(2 * i * w_max)
+    expected = []
+    prev_y = -1
+    for k in range(len(af)):
+        ls = [
+            l
+            for l in range(len(bf))
+            if k + l < len(cf)
+            and cf.value(k + l) - af.value(k) - bf.value(l) <= thr
+        ]
+        if not ls:
+            expected.append(None)
+            continue
+        y = max(prev_y, max(ls))
+        expected.append((min(ls), y))
+        prev_y = y
+    return expected
 
 
 def iteration_fixtures(seed_base, trials, rng_seed, *, n_max=10, d_max_max=25):
@@ -71,29 +96,33 @@ class TestComputeRangeIntervals:
         with pytest.raises(ValueError):
             compute_range_intervals(fsv([0]), fsv([0]), fsv([0]), i=0, w_max=1)
 
+    def test_rejects_bad_weight_bound(self):
+        b = fsv([0, 1, 2, 2])
+        for w_max in (0, -3):
+            with pytest.raises(ValueError, match="weight must be >= 1"):
+                compute_range_intervals(fsv([0, 2, 3]), b, fsv([0, 2, 3, 4]), i=1, w_max=w_max)
+
     def test_sweep_matches_defining_formulas(self):
-        # x_k: first in-horizon budget within threshold; y_k: running max of
-        # in-horizon maxima (the y pointer never moves backward); a k whose
-        # threshold admits nothing is flagged empty
         for i, _, _, af, bf, cf, w_max in iteration_fixtures(2000, 60, rng_seed=17):
-            thr = Fraction(2 * i * w_max)
-            expected = []
-            prev_y = -1
-            for k in range(len(af)):
-                ls = [
-                    l
-                    for l in range(len(bf))
-                    if k + l < len(cf)
-                    and cf.value(k + l) - af.value(k) - bf.value(l) <= thr
-                ]
-                if not ls:
-                    expected.append(None)
-                    continue
-                y = max(prev_y, max(ls))
-                expected.append((min(ls), y))
-                prev_y = y
+            expected = defining_intervals(af, bf, cf, i, w_max)
             got = compute_range_intervals(af, bf, cf, i, w_max)
             assert list(got.intervals) == expected
+
+    def test_budgets_past_the_union_horizon(self):
+        # C' (the concave merge of the slopes of A' and B') cut short, so that
+        # |A'| > |C'| and |A'| + |B'| - 1 > |C'|: rows k >= |C'| have no
+        # budget inside the horizon, and the rows before them only a few
+        sa, sb = [9, 8, 6, 4, 3, 3, 1], [10, 7, 5, 2]
+        c_full = [0, *accumulate(sorted(sa + sb, reverse=True))]
+        for scale in (1, 3):
+            af = fsv([scale * v for v in accumulate(sa, initial=0)], scale)
+            bf = fsv(accumulate(sb, initial=0))
+            for cut in (4, 6):
+                cf = fsv(c_full[:cut])
+                for w_max in (1, 2, 3):
+                    got = compute_range_intervals(af, bf, cf, 1, w_max)
+                    assert list(got.intervals) == defining_intervals(af, bf, cf, 1, w_max)
+                    assert set(got.intervals[cut:]) == {None} and got.intervals[0] is not None
 
     def test_monotone_endpoints(self):
         for i, _, _, af, bf, cf, w_max in iteration_fixtures(3000, 40, rng_seed=19):
