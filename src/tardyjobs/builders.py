@@ -10,8 +10,9 @@ built three ways:
   and folding classes with the step-concave engine is near-linear, or
 * the weight-indexed mirror: group by equal weight ``w`` and fold per-class
   *inverse* vectors (minimum processing time per weight target) with the
-  (min,+) step engine.  Solvers read the optimum off the capped inverse
-  vector as its largest finite index, so it is never mapped back.
+  (min,+) step engine.  Solvers keep only the weight targets a due date
+  lets them reach and read the optimum off the trimmed inverse vector as
+  its last index, so it is never mapped back.
 
 The two direct builders agree entry for entry, and the inverse vector
 encodes the same optima; the cross-checks live in the test suite.  Every
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import POS_INF, Job, Vector
+from .core import Job, Vector
 from .maxplus import EXACT_FLOAT_BOUND, _operands, convolve_sstep_concave, minplus_convolve
 
 __all__ = [
@@ -111,15 +112,14 @@ def build_inverse_solution_vector(jobs: list[Job], acc: Vector = (0,)) -> Vector
     Built by folding the per-weight class vectors with the (min,+) step
     engine into ``acc``.  By default ``acc`` is ``[0]`` and the horizon is
     the group's total weight; given the inverse vector of other jobs (a
-    merged prefix, possibly capped with ``POS_INF``), the result is its
-    (min,+)-convolution with this group's vector and spans their summed
-    weights.  The due-date cap is not applied here; solvers cap afterwards
-    (entries above the cap become POS_INF).
+    merged prefix), the result is its (min,+)-convolution with this group's
+    vector and spans their summed weights.  No due date applies here;
+    solvers trim the weight targets it puts out of reach afterwards.
     """
     classes: dict[int, list[int]] = {}
     for job in jobs:
         classes.setdefault(job.w, []).append(job.p)
-    (acc,) = _operands(acc, sentinel=POS_INF)
+    (acc,) = _operands(acc)
     for w in sorted(classes):
         acc = minplus_convolve(acc, step_convex_class_vector(classes[w], w), w)
     return acc

@@ -11,11 +11,12 @@ arrays indexed by a processing-time budget ``k`` whose entry ``k`` is the
 maximum total weight of a feasible early set with total processing time at
 most ``k``.  *Inverse* solution vectors swap the roles of weight and
 processing time: entry ``k`` is the minimum total processing time of an
-early set with total weight at least ``k``, with ``POS_INF`` marking
-unreachable weight targets.  Both are numpy arrays, :data:`Vector`: float64
-while entries stay below ``maxplus.EXACT_FLOAT_BOUND`` (2**52), else
-``dtype=object`` arrays of Python ints, either with the sentinels.  The
-helpers here validate the structural invariants (zero origin, monotonicity).
+early set with total weight at least ``k``; a solver keeps only the
+weight targets it can still reach.  Both are numpy arrays of finite
+integers, :data:`Vector`: float64 while entries stay below
+``maxplus.EXACT_FLOAT_BOUND`` (2**52), else ``dtype=object`` arrays of
+Python ints.  The helpers here validate the structural invariants (zero
+origin, monotonicity).
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .solvers import SolverPolicy
 
-# Saturating sentinels for infeasible entries: NEG_INF in (max,+) vectors,
-# POS_INF in (min,+) vectors.  Float infinities compare exactly against ints,
-# so they sit in float64 vectors and in object vectors of Python ints alike.
+# Fills, never Vector entries: the Lawler-Moore table's unreached states,
+# window padding and the kernels' initial outputs; NEG_INF also marks an
+# output index that no range of convolve_with_ranges reaches.  They compare
+# exactly against ints in float64 and object arrays alike.
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 #: A (max,+) solution vector or (min,+) inverse vector: a float64 array of
-#: integers below 2**52 or an object array of Python ints, plus sentinels.
+#: finite integers below 2**52 or an object array of Python ints.
 Vector = np.ndarray
 
 

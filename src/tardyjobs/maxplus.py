@@ -23,10 +23,11 @@ The (min,+) mirror ``minplus_convolve`` runs its step-convex engine through
 the same kernel by negation.
 
 Each operation has one numpy body, which runs on one of two element types.
-It computes in float64 while every sum of a finite entry of A and one of B
-is exact there (magnitudes summing below ``EXACT_FLOAT_BOUND``, 2**52), and
-otherwise on ``dtype=object`` arrays of the exact Python ints and the
-infinite sentinels.  Operands may be lists; results are ``core.Vector``
+Operand entries must be finite integers; NaN or an infinity raises
+``ValueError``.  The body computes in float64 while every sum of an entry of
+A and one of B is exact there (magnitudes summing below
+``EXACT_FLOAT_BOUND``, 2**52), and otherwise on ``dtype=object`` arrays of
+exact Python ints.  Operands may be lists; results are ``core.Vector``
 arrays of the type computed in, so merge chains stay in arrays.
 ``SMALL_PRODUCT_CUTOFF`` only chooses between a step engine and the naive
 evaluation on small operands; magnitude never does.
@@ -68,43 +69,41 @@ SMALL_PRODUCT_CUTOFF = 4096
 EXACT_FLOAT_BOUND = 2**52
 
 
-def _max_abs_finite(v: np.ndarray, sentinel: float) -> float:
-    """Largest magnitude of a finite entry of v; raises on any non-finite
-    entry but ``sentinel`` (NaN, or the other operation's sentinel)."""
+def _max_abs_finite(v: np.ndarray) -> float:
+    """Largest magnitude of an entry of v; raises on a NaN or infinite entry."""
     finite = np.isfinite(v)
     if not finite.all():
-        rest = v[~finite]
-        bad = rest[rest != sentinel]
-        if bad.size:
-            raise ValueError(f"operand entry {bad[0]} is neither finite nor the sentinel {sentinel}")
-        v = v[finite]
+        k = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"operand entry {v[k]} is not finite at index {k}")
     return float(np.abs(v).max()) if v.size else 0.0
 
 
 def _exact(v: Sequence) -> np.ndarray:
-    """v as an object array of Python ints and the sentinels; float entries
-    become ints, since a float added to an int past 2**53 silently rounds."""
-    if isinstance(v, np.ndarray) and v.dtype.kind == "f":
-        out = v.astype(object)
-        finite = np.isfinite(v)
-        out[finite] = v[finite].astype(np.int64).astype(object)
-        return out
-    return np.asarray(v, dtype=object)
+    """v as an object array of Python ints.  An object array passes as is;
+    any other goes through ``int()`` entry by entry, since a float added to
+    an int past 2**53 silently rounds.  A non-integral entry raises."""
+    if isinstance(v, np.ndarray) and v.dtype == object:
+        return v
+    out = []
+    for k, x in enumerate(v.tolist() if isinstance(v, np.ndarray) else v):
+        out.append(int(x))
+        if out[-1] != x:
+            raise ValueError(f"operand entry {x} is not an integer at index {k}")
+    return np.array(out, dtype=object)
 
 
-def _operands(*vectors: Sequence, sentinel: float = NEG_INF) -> list[np.ndarray]:
-    """The vectors as float64 arrays when every sum of one finite entry of
-    each is exact in float64 (their magnitudes sum below
-    ``EXACT_FLOAT_BOUND``), else as exact object arrays (see :func:`_exact`).
-    ``sentinel`` is the operation's own (``NEG_INF`` for (max,+), ``POS_INF``
-    for (min,+)); NaN or the other sentinel raises ``ValueError``."""
+def _operands(*vectors: Sequence) -> list[np.ndarray]:
+    """The vectors as float64 arrays when every sum of one entry of each is
+    exact in float64 (their magnitudes sum below ``EXACT_FLOAT_BOUND``),
+    else as exact object arrays (see :func:`_exact`).  NaN or an infinity
+    raises ``ValueError`` naming the entry's index."""
     try:
         arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
     except OverflowError:  # an int beyond the float range: check the other entries as floats
         for v in vectors:
-            _max_abs_finite(np.array([x for x in v if not isinstance(x, int)], dtype=np.float64), sentinel)
+            _max_abs_finite(np.array([0.0 if isinstance(x, int) else x for x in v], dtype=np.float64))
     else:
-        if sum(_max_abs_finite(v, sentinel) for v in arrays) < EXACT_FLOAT_BOUND:
+        if sum(_max_abs_finite(v) for v in arrays) < EXACT_FLOAT_BOUND:
             return arrays
     return [_exact(v) for v in vectors]
 
@@ -113,7 +112,7 @@ def convolve_naive(A: Vector, B: Vector) -> Vector:
     """(max,+)-convolve two vectors by direct evaluation of the definition.
 
     The output has ``max(|A|, |B|)`` entries; operand indices out of range
-    contribute nothing.  Entries equal to ``NEG_INF`` saturate.
+    contribute nothing.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
@@ -123,8 +122,7 @@ def convolve_naive(A: Vector, B: Vector) -> Vector:
     L = len(b)
     out = np.full(L, NEG_INF, dtype=b.dtype)
     for k, x in enumerate(a.tolist()):
-        if x != NEG_INF:
-            np.maximum(out[k:], x + b[: L - k], out=out[k:])
+        np.maximum(out[k:], x + b[: L - k], out=out[k:])
     return out
 
 
@@ -134,12 +132,9 @@ def convolve_naive(A: Vector, B: Vector) -> Vector:
 
 
 def _first_violation(b: np.ndarray, off_stride_bad: np.ndarray, bends: np.ndarray, s: int) -> int | None:
-    """First index holding a sentinel, else the first breaking the step
-    structure: an off-stride entry flagged in ``off_stride_bad``, or a stride
-    entry ``l >= 2s`` whose second difference is flagged in ``bends``."""
-    sentinel = np.flatnonzero((b == NEG_INF) | (b == POS_INF))
-    if sentinel.size:
-        return int(sentinel[0])
+    """First index breaking the step structure: an off-stride entry flagged
+    in ``off_stride_bad``, or a stride entry ``l >= 2s`` whose second
+    difference is flagged in ``bends``."""
     bad = off_stride_bad & (np.arange(len(b)) % s != 0)
     bad[2 * s :] |= bends & (np.arange(2 * s, len(b)) % s == 0)
     first = np.flatnonzero(bad)
@@ -151,13 +146,12 @@ def _first_sstep_concave_violation(b: np.ndarray, s: int) -> int | None:
 
     Structure: the stride-s subsample B[0], B[s], B[2s], ... has
     non-increasing consecutive differences, and every off-stride entry
-    copies its predecessor.  Sentinel entries are not step-structured.
+    copies its predecessor.
     """
     copies = np.zeros(len(b), dtype=bool)
     copies[1:] = b[1:] != b[:-1]
-    with np.errstate(invalid="ignore"):  # sentinels are reported first anyway
-        rise = b[s:] - b[:-s]  # rise[i] = B[i+s] - B[i]
-        return _first_violation(b, copies, rise[s:] > rise[:-s], s)
+    rise = b[s:] - b[:-s]  # rise[i] = B[i+s] - B[i]
+    return _first_violation(b, copies, rise[s:] > rise[:-s], s)
 
 
 def is_sstep_concave(B: Vector, s: int) -> bool:
@@ -165,7 +159,8 @@ def is_sstep_concave(B: Vector, s: int) -> bool:
     entries copy their predecessor."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    return _first_sstep_concave_violation(np.asarray(B, dtype=object), s) is None
+    (b,) = _operands(B)
+    return _first_sstep_concave_violation(b, s) is None
 
 
 def _first_sstep_convex_violation(b: np.ndarray, s: int) -> int | None:
@@ -178,9 +173,8 @@ def _first_sstep_convex_violation(b: np.ndarray, s: int) -> int | None:
     """
     copies = np.ones(len(b), dtype=bool)  # the last entry has no successor
     copies[:-1] = b[:-1] != b[1:]
-    with np.errstate(invalid="ignore"):
-        rise = b[s:] - b[:-s]
-        return _first_violation(b, copies, rise[s:] < rise[:-s], s)
+    rise = b[s:] - b[:-s]
+    return _first_violation(b, copies, rise[s:] < rise[:-s], s)
 
 
 def is_sstep_convex(B: Vector, s: int) -> bool:
@@ -188,7 +182,8 @@ def is_sstep_convex(B: Vector, s: int) -> bool:
     off-stride entries copy their successor."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    return _first_sstep_convex_violation(np.asarray(B, dtype=object), s) is None
+    (b,) = _operands(B)
+    return _first_sstep_convex_violation(b, s) is None
 
 
 def _sliding_max(a: np.ndarray, width: int, length: int) -> np.ndarray:
@@ -264,8 +259,8 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
     divide-and-conquer kernel finds for all classes together, in
     O(log L) numpy passes over O(L) entries (L the output length).
 
-    The kernel runs past ``SMALL_PRODUCT_CUTOFF`` on A without ``NEG_INF``
-    entries; otherwise the call is answered by :func:`convolve_naive`.
+    At or below ``SMALL_PRODUCT_CUTOFF`` on ``|A|*|B|`` the call is
+    answered by :func:`convolve_naive` instead.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
@@ -275,7 +270,7 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
     bad = _first_sstep_concave_violation(b, s)
     if bad is not None:
         raise ValueError(f"right operand is not {s}-step concave: first violation at index {bad}")
-    if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF or (a == NEG_INF).any():
+    if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF:
         return convolve_naive(a, b)
     L = max(len(a), len(b))
     Bc = b[::s]  # concave stride subsample
@@ -298,8 +293,9 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
     ``C[l]`` is the maximum of ``A[k] + B[l-k]`` over splits with
     ``l-k`` inside ``R.intervals[k]``.  When the ranges certify a split
     witness for every output index (the contract under which solvers call
-    this), the result equals ``convolve_naive(A, B)`` exactly.  Cost is
-    proportional to the total width of the ranges.
+    this), the result equals ``convolve_naive(A, B)`` exactly; an output
+    index that no range reaches holds ``NEG_INF``.  Cost is proportional to
+    the total width of the ranges.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
@@ -319,7 +315,7 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
             raise ValueError(f"interval endpoints not monotone at index {k}")
         prev_x, prev_y = x, y
         hi = min(y, L - 1 - k)
-        if v != NEG_INF and hi >= x:
+        if hi >= x:
             seg = out[k + x : k + hi + 1]
             np.maximum(seg, v + b[x : hi + 1], out=seg)
     return out
@@ -331,14 +327,13 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
 
 
 def _minplus_naive(A: Vector, B: Vector) -> Vector:
-    """Full-length (min,+)-convolution; POS_INF entries saturate."""
+    """Full-length (min,+)-convolution by direct evaluation."""
     if len(A) > len(B):
         A, B = B, A
-    a, b = _operands(A, B, sentinel=POS_INF)
+    a, b = _operands(A, B)
     out = np.full(len(a) + len(b) - 1, POS_INF, dtype=b.dtype)
     for k, x in enumerate(a.tolist()):
-        if x != POS_INF:
-            np.minimum(out[k : k + len(b)], x + b, out=out[k : k + len(b)])
+        np.minimum(out[k : k + len(b)], x + b, out=out[k : k + len(b)])
     return out
 
 
@@ -367,13 +362,12 @@ def minplus_convolve(A: Vector, B: Vector, s: int | None = None) -> Vector:
     """(min,+)-convolve inverse vectors: C[l] = min over splits of A[k]+B[l-k].
 
     Output always has the full ``|A|+|B|-1`` length, since weight targets add
-    across operands.  Equivalent to negating both operands (POS_INF mapping
-    to NEG_INF), (max,+)-convolving at full length, and negating back.
+    across operands.  Equivalent to negating both operands,
+    (max,+)-convolving at full length, and negating back.
 
-    With a step size ``s`` the right operand must be s-step convex and the
-    step engine answers: past ``SMALL_PRODUCT_CUTOFF`` and on A whose finite
-    entries are followed only by ``POS_INF``, as in a capped accumulator.
-    Otherwise, and without ``s``, the naive evaluation answers.
+    With a step size ``s`` the right operand must be s-step convex, and past
+    ``SMALL_PRODUCT_CUTOFF`` the step engine answers.  Otherwise, and
+    without ``s``, the naive evaluation answers.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
@@ -381,12 +375,10 @@ def minplus_convolve(A: Vector, B: Vector, s: int | None = None) -> Vector:
         return _minplus_naive(A, B)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    a, b = _operands(A, B, sentinel=POS_INF)
+    a, b = _operands(A, B)
     bad = _first_sstep_convex_violation(b, s)
     if bad is not None:
         raise ValueError(f"right operand is not {s}-step convex: first violation at index {bad}")
-    finite = a != POS_INF  # the only non-finite entry _operands lets through
-    capped = finite[: np.count_nonzero(finite)].all()
-    if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF or not capped:
+    if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF:
         return _minplus_naive(a, b)
     return _minplus_sstep_convex(a, b, s)

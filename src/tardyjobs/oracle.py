@@ -7,7 +7,7 @@ with feasibility pruning.
 
 from __future__ import annotations
 
-from .core import Instance, Job, SolveResult, Vector
+from .core import Instance, Job, SolveResult
 
 __all__ = [
     "edd_feasible",
@@ -70,14 +70,14 @@ def brute_force(instance: Instance, cap: int = DEFAULT_CAP) -> SolveResult:
     )
 
 
-def brute_force_vector(jobs: list[Job], horizon: int, cap: int = DEFAULT_CAP) -> Vector:
+def brute_force_vector(jobs: list[Job], horizon: int, cap: int = DEFAULT_CAP) -> list[int]:
     """entry[k] = max weight over feasible early sets with total p <= k."""
     _check_cap(len(jobs), cap)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     ordered = sorted(jobs, key=lambda j: (j.d, j.id))
     n = len(ordered)
-    out: Vector = [0] * (horizon + 1)
+    out = [0] * (horizon + 1)
 
     stack = [(0, 0, 0)]
     while stack:

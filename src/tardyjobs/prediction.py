@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import Vector
 from .fractional import FractionalSolutionVector
@@ -59,14 +60,12 @@ def _rescaled(
     a: FractionalSolutionVector,
     b: FractionalSolutionVector,
     c: FractionalSolutionVector,
-) -> tuple[list[int], list[int], list[int], int]:
+) -> tuple[Sequence[int], Sequence[int], Sequence[int], int]:
+    """The three scaled vectors over their common scale; a vector already
+    at that scale is passed through, not copied."""
     scale = math.lcm(a.scale, b.scale, c.scale)
-    return (
-        [v * (scale // a.scale) for v in a.scaled],
-        [v * (scale // b.scale) for v in b.scaled],
-        [v * (scale // c.scale) for v in c.scaled],
-        scale,
-    )
+    av, bv, cv = (v.scaled if v.scale == scale else [x * (scale // v.scale) for x in v.scaled] for v in (a, b, c))
+    return av, bv, cv, scale
 
 
 def compute_range_intervals(

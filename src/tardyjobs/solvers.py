@@ -19,11 +19,11 @@ Two families:
   - ``CONCAVE_BY_P``: split each group by processing time and fold the
     step-concave per-class vectors.
   - ``INVERSE_BY_W``: run the whole merge chain in the weight-indexed
-    (min,+) mirror, folding per-weight classes, capping entries above each
-    group's due date; falls back to Lawler-Moore when n >= d_max, where
-    the baseline is at least as fast, and when the total weight exceeds
-    n * d_max, where the weight-indexed vectors would outgrow the
-    baseline's whole table.
+    (min,+) mirror, folding per-weight classes, and after each group keep
+    only the weight targets its due date reaches; falls back to
+    Lawler-Moore when n >= d_max, where the baseline is at least as fast,
+    and when the total weight exceeds n * d_max, where the weight-indexed
+    vectors would outgrow the baseline's whole table.
   - ``AUTO``: run the candidate with the smallest estimated time.  The
     candidates are the three policies that are fastest on some shape of the
     committed timing grid: Lawler-Moore, concave-p and inverse-w.  Naive and
@@ -66,7 +66,6 @@ from .builders import (
 )
 from .core import (
     NEG_INF,
-    POS_INF,
     DueDateGrouping,
     Instance,
     Job,
@@ -173,9 +172,10 @@ def _solve_inverse(grouping: DueDateGrouping) -> int:
     acc: Vector = np.zeros(1)
     for d_i, grp in zip(grouping.due_dates, grouping.groups):
         acc = build_inverse_solution_vector(list(grp), acc)
-        # entries needing more time than this due date are infeasible from here on
-        acc = np.where(acc <= d_i, acc, POS_INF)
-    return int(np.flatnonzero(acc != POS_INF)[-1])
+        # targets needing more time than this due date are out of reach from
+        # here on; the vector is non-decreasing, so the rest is a prefix
+        acc = acc[: np.count_nonzero(acc <= d_i)]
+    return len(acc) - 1
 
 
 # Fitted by scripts/fit_auto.py to the policy medians in BENCH_auto_grid.json

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tardyjobs import (
-    POS_INF,
     Job,
     build_inverse_solution_vector,
     build_solution_vector_concave,
@@ -151,8 +150,9 @@ class TestInverseBuilder:
         for _ in range(150):
             jobs, d = random_group(rng)
             prefix, d0 = random_group(rng)
-            # a capped prefix, as the solvers pass it: POS_INF past its due date
-            acc = [v if v <= d0 else POS_INF for v in build_inverse_solution_vector(prefix)]
+            # a trimmed prefix, as the solvers pass it: the weight targets its due date reaches
+            full = build_inverse_solution_vector(prefix)
+            acc = full[: np.count_nonzero(full <= d0)]
             want = minplus_convolve(acc, build_inverse_solution_vector(jobs))
             assert np.array_equal(build_inverse_solution_vector(jobs, acc), want)
         assert build_inverse_solution_vector([], [0, 4]).tolist() == [0, 4]

@@ -224,6 +224,36 @@ class TestPrefixSemantics:
         assert states[-1][1][-1] == lawler_moore(inst).max_early_weight
 
 
+class TestInverseChain:
+    def test_accumulator_holds_only_reachable_weight_targets(self, monkeypatch):
+        import tardyjobs.solvers as solvers
+
+        seen = []
+        real = solvers.build_inverse_solution_vector
+
+        def spy(jobs, acc):
+            seen.append(acc)
+            return real(jobs, acc)
+
+        monkeypatch.setattr(solvers, "build_inverse_solution_vector", spy)
+        rng = SplitMix64(909)
+        instances = [random_small_instance(rng, seed=trial + 300) for trial in range(40)]
+        # due dates well below the total processing time: most weight targets are out of reach
+        instances += [generate_instance(seed=s, n=40, d_hash=5, d_max=60, p_max=10) for s in range(5)]
+        for inst in instances:
+            grouping = group_by_due_date(inst)
+            groups = grouping.groups
+            seen.clear()
+            best = solvers._solve_inverse(grouping)
+            assert len(seen) == len(groups)
+            for i, acc in enumerate(seen):  # the accumulator after merging groups[:i]
+                assert np.isfinite(acc.astype(np.float64)).all() and (np.diff(acc) >= 0).all()
+                if i:
+                    prefix = Instance(tuple(job for grp in groups[:i] for job in grp))
+                    assert len(acc) - 1 == lawler_moore(prefix).max_early_weight
+            assert best == lawler_moore(inst).max_early_weight
+
+
 class TestReconstruct:
     def test_single_fitting_job(self):
         inst = Instance((J(0, 1, 1, 1),))
