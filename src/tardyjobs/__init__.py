@@ -15,8 +15,6 @@ from .builders import (
     build_solution_vector_dp,
 )
 from .core import (
-    NEG_INF,
-    POS_INF,
     DueDateGrouping,
     Instance,
     Job,
@@ -33,6 +31,8 @@ from .fractional import (
 from .generate import SplitMix64, generate_instance
 from .instance_io import parse_instance, serialize_instance
 from .maxplus import (
+    NEG_INF,
+    POS_INF,
     convolve_naive,
     convolve_sstep_concave,
     convolve_with_ranges,

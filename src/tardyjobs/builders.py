@@ -16,8 +16,9 @@ built three ways:
 
 The two direct builders agree entry for entry, and the inverse vector
 encodes the same optima; the cross-checks live in the test suite.  Every
-builder returns a :data:`~tardyjobs.core.Vector`: float64 while the sums
-it holds stay below ``EXACT_FLOAT_BOUND``, else exact Python ints.
+builder returns a :data:`~tardyjobs.core.Vector` of the dtype
+``maxplus.vector_dtype`` picks from the sums it can hold (the group's
+total weight or processing time).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Job, Vector
-from .maxplus import EXACT_FLOAT_BOUND, _operands, convolve_sstep_concave, minplus_convolve
+from .maxplus import _operands, convolve_sstep_concave, minplus_convolve, vector_dtype
 
 __all__ = [
     "build_solution_vector_dp",
@@ -38,15 +39,14 @@ __all__ = [
 
 def _prefix_sums(values: list[int]) -> Vector:
     """0 and the running sums of ``values``."""
-    return np.cumsum([0, *values], dtype=np.float64 if sum(values) < EXACT_FLOAT_BOUND else object)
+    return np.cumsum([0, *values], dtype=vector_dtype(sum(values)))
 
 
 def build_solution_vector_dp(jobs: list[Job], horizon: int) -> Vector:
     """Knapsack DP: entry k = max weight of a subset with total p <= k."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    total = sum(job.w for job in jobs)
-    f = np.zeros(horizon + 1, dtype=np.float64 if total < EXACT_FLOAT_BOUND else object)
+    f = np.zeros(horizon + 1, dtype=vector_dtype(sum(job.w for job in jobs)))
     for job in jobs:
         if job.p <= horizon:
             np.maximum(f[job.p :], f[: horizon + 1 - job.p] + job.w, out=f[job.p :])

@@ -13,8 +13,8 @@ most ``k``.  *Inverse* solution vectors swap the roles of weight and
 processing time: entry ``k`` is the minimum total processing time of an
 early set with total weight at least ``k``; a solver keeps only the
 weight targets it can still reach.  Both are numpy arrays of finite
-integers, :data:`Vector`: float64 while entries stay below
-``maxplus.EXACT_FLOAT_BOUND`` (2**52), else ``dtype=object`` arrays of
+integers, :data:`Vector`, of the dtype ``maxplus.vector_dtype`` picks:
+float64 while entries stay below 2**52, else ``dtype=object`` arrays of
 Python ints.  The helpers here validate the structural invariants (zero
 origin, monotonicity).
 """
@@ -29,15 +29,9 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .solvers import SolverPolicy
 
-# Fills, never Vector entries: the Lawler-Moore table's unreached states,
-# window padding and the kernels' initial outputs; NEG_INF also marks an
-# output index that no range of convolve_with_ranges reaches.  They compare
-# exactly against ints in float64 and object arrays alike.
-NEG_INF = float("-inf")
-POS_INF = float("inf")
-
 #: A (max,+) solution vector or (min,+) inverse vector: a float64 array of
-#: finite integers below 2**52 or an object array of Python ints.
+#: finite integers or an object array of Python ints, as
+#: ``maxplus.vector_dtype`` picks from the entries' bound.
 Vector = np.ndarray
 
 

@@ -19,16 +19,17 @@ precondition on the operands holds:
                                  lie; cost proportional to the total range
                                  width.
 
-The (min,+) mirror ``minplus_convolve`` runs its step-convex engine through
-the same kernel by negation.
+The (min,+) mirror ``minplus_convolve`` has no step assembly of its own: its
+step-convex engine is the concave engine run on the negated operands.
 
-Each operation has one numpy body, which runs on one of two element types.
-Operand entries must be finite integers; NaN or an infinity raises
-``ValueError``.  The body computes in float64 while every sum of an entry of
-A and one of B is exact there (magnitudes summing below
-``EXACT_FLOAT_BOUND``, 2**52), and otherwise on ``dtype=object`` arrays of
-exact Python ints.  Operands may be lists; results are ``core.Vector``
-arrays of the type computed in, so merge chains stay in arrays.
+This module alone decides what a ``core.Vector`` holds, by one rule for
+every container (list, float64 or object array): each operation's one numpy
+body computes in float64 while every sum of an entry of A and one of B is
+exact there (magnitudes summing below ``EXACT_FLOAT_BOUND``, 2**52), else on
+``dtype=object`` arrays of Python ints, each entry checked.  NaN, an
+infinity or (past the bound) a fraction raises ``ValueError`` naming its
+index.  Results are Vectors of the type computed in; producers pick it with
+:func:`vector_dtype`.
 ``SMALL_PRODUCT_CUTOFF`` only chooses between a step engine and the naive
 evaluation on small operands; magnitude never does.
 
@@ -45,7 +46,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import NEG_INF, POS_INF, Vector
+from .core import Vector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .prediction import RangeIntervals
@@ -68,42 +69,48 @@ SMALL_PRODUCT_CUTOFF = 4096
 # this bound vectors are exact Python-int object arrays.
 EXACT_FLOAT_BOUND = 2**52
 
+# Fills, never Vector entries: window padding and initial kernel outputs;
+# NEG_INF also marks an output index no range of convolve_with_ranges
+# reaches.  They compare exactly against ints in float64 and object arrays.
+NEG_INF = float("-inf")
+POS_INF = float("inf")
 
-def _max_abs_finite(v: np.ndarray) -> float:
-    """Largest magnitude of an entry of v; raises on a NaN or infinite entry."""
-    finite = np.isfinite(v)
-    if not finite.all():
-        k = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"operand entry {v[k]} is not finite at index {k}")
-    return float(np.abs(v).max()) if v.size else 0.0
+
+def vector_dtype(bound: int) -> type:
+    """The dtype of a Vector whose entries stay within ``bound`` in
+    magnitude: float64 below ``EXACT_FLOAT_BOUND``, else ``object``."""
+    return np.float64 if bound < EXACT_FLOAT_BOUND else object
 
 
 def _exact(v: Sequence) -> np.ndarray:
-    """v as an object array of Python ints.  An object array passes as is;
-    any other goes through ``int()`` entry by entry, since a float added to
-    an int past 2**53 silently rounds.  A non-integral entry raises."""
-    if isinstance(v, np.ndarray) and v.dtype == object:
+    """v as an object array of Python ints.  An object array of Python ints
+    passes as is (one type scan); any other entry goes through ``int()``,
+    since a float added to an int past 2**53 silently rounds.  NaN or an
+    infinity raises as not finite, a fraction as not an integer."""
+    if isinstance(v, np.ndarray) and v.dtype == object and set(map(type, v)) <= {int}:
         return v
     out = []
     for k, x in enumerate(v.tolist() if isinstance(v, np.ndarray) else v):
-        out.append(int(x))
+        try:
+            out.append(int(x))
+        except (OverflowError, ValueError):
+            raise ValueError(f"operand entry {x} is not finite at index {k}") from None
         if out[-1] != x:
             raise ValueError(f"operand entry {x} is not an integer at index {k}")
     return np.array(out, dtype=object)
 
 
 def _operands(*vectors: Sequence) -> list[np.ndarray]:
-    """The vectors as float64 arrays when every sum of one entry of each is
-    exact in float64 (their magnitudes sum below ``EXACT_FLOAT_BOUND``),
-    else as exact object arrays (see :func:`_exact`).  NaN or an infinity
-    raises ``ValueError`` naming the entry's index."""
+    """The vectors, whatever their container, as float64 arrays when every
+    sum of one entry of each is exact there (magnitudes summing below
+    ``EXACT_FLOAT_BOUND``; NaN or an infinity fails this too), else as
+    object arrays checked by :func:`_exact`."""
     try:
         arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
-    except OverflowError:  # an int beyond the float range: check the other entries as floats
-        for v in vectors:
-            _max_abs_finite(np.array([0.0 if isinstance(x, int) else x for x in v], dtype=np.float64))
+    except OverflowError:  # an int beyond the float range
+        pass
     else:
-        if sum(_max_abs_finite(v) for v in arrays) < EXACT_FLOAT_BOUND:
+        if sum(np.abs(v).max(initial=0.0) for v in arrays) < EXACT_FLOAT_BOUND:
             return arrays
     return [_exact(v) for v in vectors]
 
@@ -272,7 +279,12 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
         raise ValueError(f"right operand is not {s}-step concave: first violation at index {bad}")
     if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF:
         return convolve_naive(a, b)
-    L = max(len(a), len(b))
+    return _sstep_maxplus(a, b, s, max(len(a), len(b)))
+
+
+def _sstep_maxplus(a: np.ndarray, b: np.ndarray, s: int, L: int) -> np.ndarray:
+    """The first L entries of the (max,+)-convolution of a with an s-step
+    concave b, by the step engine of :func:`convolve_sstep_concave`."""
     Bc = b[::s]  # concave stride subsample
     start = (len(Bc) - 1) * s  # the final step of B covers b[start:]
     out = np.full(L, NEG_INF, dtype=a.dtype)
@@ -337,27 +349,6 @@ def _minplus_naive(A: Vector, B: Vector) -> Vector:
     return out
 
 
-def _minplus_sstep_convex(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
-    """(min,+) counterpart of the s-step engine for convex step vectors.
-
-    ``B[0]`` pairs with ``A[l]`` alone; step t >= 1 pairs ``B[t*s]`` with
-    the minimum of the width-s window of A starting at ``l - t*s``.
-    Negated, those windows are sliding maxima of -A ending at
-    ``l - (t-1)*s - 1`` and ``-B[s::s]`` is concave, so the (max,+) kernel
-    of the concave engine computes the steps.
-    """
-    L = len(a) + len(b) - 1
-    Bc = b[::s]  # convex stride subsample; last index of B is a multiple of s
-    out = np.full(L, POS_INF, dtype=a.dtype)
-    out[: len(a)] = a + Bc[0]
-    if len(Bc) > 1:
-        D = np.empty(L, dtype=a.dtype)
-        D[0] = NEG_INF  # the window before index 0 is empty
-        D[1:] = _sliding_max(-a, s, L - 1)
-        np.minimum(out, -_stride_maxplus(D, -Bc[1:], s), out=out)
-    return out
-
-
 def minplus_convolve(A: Vector, B: Vector, s: int | None = None) -> Vector:
     """(min,+)-convolve inverse vectors: C[l] = min over splits of A[k]+B[l-k].
 
@@ -366,8 +357,12 @@ def minplus_convolve(A: Vector, B: Vector, s: int | None = None) -> Vector:
     (max,+)-convolving at full length, and negating back.
 
     With a step size ``s`` the right operand must be s-step convex, and past
-    ``SMALL_PRODUCT_CUTOFF`` the step engine answers.  Otherwise, and
-    without ``s``, the naive evaluation answers.
+    ``SMALL_PRODUCT_CUTOFF`` the step engine answers: ``B[0]`` pairs with
+    ``A[l]`` alone, and ``B[1:]``, whose off-stride entries copy their
+    step's last entry, negates to an s-step concave vector with full steps,
+    so the rest is the concave engine of :func:`convolve_sstep_concave` on
+    ``-A`` and ``-B[1:]``, negated back.  Otherwise, and without ``s``, the
+    naive evaluation answers.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
@@ -381,4 +376,9 @@ def minplus_convolve(A: Vector, B: Vector, s: int | None = None) -> Vector:
         raise ValueError(f"right operand is not {s}-step convex: first violation at index {bad}")
     if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF:
         return _minplus_naive(a, b)
-    return _minplus_sstep_convex(a, b, s)
+    L = len(a) + len(b) - 1
+    out = np.full(L, POS_INF, dtype=a.dtype)
+    out[: len(a)] = a + b[0]
+    if len(b) > 1:  # b[1:] copies each entry from its step's last index: -b[1:] is s-step concave
+        np.minimum(out[1:], -_sstep_maxplus(-a, -b[1:], s, L - 1), out=out[1:])
+    return out

@@ -65,7 +65,6 @@ from .builders import (
     build_solution_vector_dp,
 )
 from .core import (
-    NEG_INF,
     DueDateGrouping,
     Instance,
     Job,
@@ -74,7 +73,7 @@ from .core import (
     group_by_due_date,
 )
 from .fractional import fractional_solution_vector
-from .maxplus import EXACT_FLOAT_BOUND, convolve_naive, convolve_with_ranges
+from .maxplus import convolve_naive, convolve_with_ranges, vector_dtype
 from .oracle import edd_feasible
 from .prediction import compute_range_intervals
 
@@ -105,16 +104,17 @@ def _edd_order(instance: Instance) -> list[Job]:
 
 
 def _lawler_moore_dp(instance: Instance, taken: np.ndarray | None = None) -> np.ndarray:
-    """The Lawler-Moore table: entry k = best early weight in exactly time k.
+    """The Lawler-Moore table: entry k = best weight of a set of jobs that,
+    run back to back in EDD order and finishing at time k, are all early.
 
-    Jobs enter in :func:`_edd_order`.  A job can join the early set only
-    while its completion time stays within its due date, so states above
-    d_j never gain job j.  With ``taken`` (bool, n x (d_max+1)) given, row i
-    records the states where the i-th job strictly improved the table.
+    The table starts at zero (the empty set finishes anywhere), so its
+    maximum is the optimum.  Jobs enter in :func:`_edd_order`.  A job can
+    join the set only while its completion time stays within its due date,
+    so states above d_j never gain job j.  With ``taken`` (bool, n x
+    (d_max+1)) given, row i records the states where the i-th job strictly
+    improved the table.
     """
-    dtype = np.float64 if instance.w_total < EXACT_FLOAT_BOUND else object
-    f = np.full(instance.d_max + 1, NEG_INF, dtype=dtype)
-    f[0] = 0
+    f = np.zeros(instance.d_max + 1, dtype=vector_dtype(instance.w_total))
     for i, job in enumerate(_edd_order(instance)):
         p, d = job.p, job.d
         if p <= d:  # otherwise it can never be early

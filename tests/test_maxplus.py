@@ -204,6 +204,22 @@ class TestStepEnginesAtScale:
             got = minplus_convolve(shifted(inv, big), shifted(c, big), s)
             assert got.tolist() == shifted(want_inv, 2 * big)
 
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_one_entry_step_operand(self, s, monkeypatch):
+        # a one-entry stride subsample, and no B[1:] for the (min,+) steps
+        rng = random.Random(101 + s)
+        a = [rng.randint(0, 10**6) for _ in range(5000)]
+        assert len(a) > mp.SMALL_PRODUCT_CUTOFF
+        want, want_inv = convolve_naive(a, [7]), minplus_convolve(a, [7])
+
+        def refuse(*args):
+            raise AssertionError("a step engine fell back to the naive evaluation")
+
+        monkeypatch.setattr(mp, "convolve_naive", refuse)
+        monkeypatch.setattr(mp, "_minplus_naive", refuse)
+        assert np.array_equal(convolve_sstep_concave(a, [7], s), want)
+        assert np.array_equal(minplus_convolve(a, [7], s), want_inv)
+
     def test_concave_precondition_names_first_index(self):
         rng = random.Random(79)
         # off stride: an entry stops copying its predecessor; on stride: a whole step bends upward
@@ -259,6 +275,7 @@ def full_ranges(a, b):
     return RangeIntervals(tuple((0, len(b) - 1) for _ in a), error=0)
 
 
+@pytest.mark.parametrize("container", [list, lambda v: np.array(v, dtype=object)], ids=["list", "object"])
 @pytest.mark.parametrize("shift", [0, 2**60])
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("bad", [float("nan"), NEG_INF, POS_INF])
@@ -272,11 +289,11 @@ def full_ranges(a, b):
         lambda a, b: minplus_convolve(a, b, 1),
     ],
 )
-def test_kernels_reject_nan_and_both_infinities(kernel, bad, side, shift):
+def test_kernels_reject_nan_and_both_infinities(kernel, bad, side, shift, container):
     operands = [shifted([0, 1, 2], shift), shifted([0, 1, 2], shift)]
     operands[side][1] = bad
     with pytest.raises(ValueError, match=f"^operand entry {bad} is not finite at index 1$"):
-        kernel(*operands)
+        kernel(*map(container, operands))
 
 
 def test_float_operands_enter_exact_arithmetic_through_int():
@@ -285,6 +302,11 @@ def test_float_operands_enter_exact_arithmetic_through_int():
     assert minplus_convolve(np.array([0.0, 2.0**70]), np.array([0.0, 1.0])).tolist() == [0, 1, 2**70 + 1]
     with pytest.raises(ValueError, match="^operand entry 0.5 is not an integer at index 0$"):
         convolve_naive(np.array([0.5, 2.0**60]), np.array([0.0, 1.0]))
+    # an object array is checked like any other container
+    got = convolve_naive(np.array([0, 2**60 + 1], dtype=object), np.array([0.0, 1.0], dtype=object)).tolist()
+    assert got == [0, 2**60 + 1] and all(type(x) is int for x in got)
+    with pytest.raises(ValueError, match="^operand entry 0.5 is not an integer at index 0$"):
+        convolve_naive(np.array([0.5, 2**60], dtype=object), np.array([0.0, 1.0]))
 
 
 class TestMixedMagnitudes:
