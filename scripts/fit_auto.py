@@ -15,9 +15,9 @@ reference solve: the default reference is the quadratic naive merge, and
 the three candidates already check one another.
 
 The fit needs no timing.  AUTO estimates a candidate's time as
-``a * calls + b * units`` (see ``tardyjobs.solvers``); for each candidate
-this finds the non-negative ``(a, b)`` that minimise the squared relative
-error over the grid's shapes.  Shapes where inverse-w falls back to
+``a * calls + b * units + c * n`` (see ``tardyjobs.solvers``); for each
+candidate this finds the non-negative ``(a, b, c)`` that minimise the squared
+relative error over the grid's shapes.  Shapes where inverse-w falls back to
 Lawler-Moore are left out of inverse-w's fit, since their median is the
 baseline's.
 """
@@ -31,6 +31,7 @@ import os
 import platform
 import statistics
 import sys
+from itertools import combinations
 from pathlib import Path
 from unittest.mock import patch
 
@@ -87,21 +88,24 @@ def load() -> list[tuple[object, dict[SolverPolicy, float]]]:
     ]
 
 
-def fit(shapes) -> dict[SolverPolicy, tuple[float, float]]:
-    """Per candidate, the non-negative (a, b) with the least squared relative error."""
+def fit(shapes) -> dict[SolverPolicy, tuple[float, ...]]:
+    """Per candidate, the non-negative constants with the least squared relative error."""
     counts = [(_auto_counts(instance), medians) for instance, medians in shapes]
     constants = {}
     for policy in DEFAULT_CALIBRATION:
         # inverse-w has no counts where it falls back to Lawler-Moore
-        rows = [(*c[policy], medians[policy]) for c, medians in counts if policy in c]
-        x = np.array([(calls / ms, units / ms) for calls, units, ms in rows])
-        ones = np.ones(len(rows))
-        candidates = [np.linalg.lstsq(x, ones, rcond=None)[0]]
-        for col in (0, 1):  # the best fit with one of the terms dropped
-            single = np.zeros(2)
-            single[col] = x[:, col] @ ones / (x[:, col] @ x[:, col])
-            candidates.append(single)
-        best = min((c for c in candidates if (c >= 0).all()), key=lambda c: ((x @ c - 1) ** 2).sum())
+        x = np.array([[v / medians[policy] for v in c[policy]] for c, medians in counts if policy in c])
+        ones = np.ones(len(x))
+        terms = range(x.shape[1])
+        subsets = [list(cols) for k in terms for cols in combinations(terms, k + 1)]
+        best, best_error = None, math.inf
+        # the least-squares fit on every subset of the terms, the others held at zero
+        for cols in subsets:
+            candidate = np.zeros(x.shape[1])
+            candidate[cols] = np.linalg.lstsq(x[:, cols], ones, rcond=None)[0]
+            error = ((x @ candidate - 1) ** 2).sum()
+            if (candidate >= 0).all() and error < best_error:
+                best, best_error = candidate, error
         constants[policy] = tuple(float(f"{v:.{DIGITS}g}") for v in best)
     return constants
 
@@ -148,8 +152,8 @@ def main() -> int:
         return 0
     report(shapes, constants)
     print("DEFAULT_CALIBRATION = {")
-    for policy, (a, b) in constants.items():
-        print(f"    SolverPolicy.{policy.name}: ({a!r}, {b!r}),")
+    for policy, values in constants.items():
+        print(f"    SolverPolicy.{policy.name}: ({', '.join(map(repr, values))}),")
     print("}")
     return 0
 

@@ -4,7 +4,8 @@ All jobs passed to these builders share one due date; the group is then an
 ordinary knapsack over processing times, and its solution vector can be
 built three ways:
 
-* plain pseudo-polynomial DP over the horizon,
+* plain pseudo-polynomial DP over the horizon, run over bundles of equal
+  jobs (:func:`bundled_knapsack`, shared with the Lawler-Moore solver),
 * grouping jobs by equal processing time ``p``: the vector of one such
   class is ``p``-step concave (top weights first, so increments shrink),
   and folding classes with the step-concave engine is near-linear, or
@@ -23,9 +24,14 @@ total weight or processing time).
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
+from operator import attrgetter
+from typing import Iterable
+
 import numpy as np
 
-from .core import Job, Vector
+from .core import Job, JobClass, Vector
 from .maxplus import _operands, convolve_sstep_concave, minplus_convolve, vector_dtype
 
 __all__ = [
@@ -42,15 +48,66 @@ def _prefix_sums(values: list[int]) -> Vector:
     return np.cumsum([0, *values], dtype=vector_dtype(sum(values)))
 
 
+@lru_cache(maxsize=None)
+def bundle_sizes(c: int) -> tuple[int, ...]:
+    """The binary split of c copies: 1, 2, 4, ... and a remainder.
+
+    Every count 0..c is the sum of a subset of them, so c interchangeable
+    items become O(log c) items of t copies each with the same optima.
+    """
+    sizes = []
+    t = 1
+    while c:
+        t = min(t, c)
+        sizes.append(t)
+        c -= t
+        t *= 2
+    return tuple(sizes)
+
+
+def bundled_knapsack(classes: Iterable[JobClass], horizon: int, dtype, taken: list | None = None) -> Vector:
+    """The Lawler-Moore table over job classes, one row update per bundle.
+
+    Entry k = best weight of a set of jobs that, run back to back in
+    due-date order and finishing at time k, are all early; the classes must
+    come in due-date order, with every due date at most ``horizon``.  The
+    table starts at zero, so its maximum is the optimum.
+
+    A class of c copies enters as the bundles of :func:`bundle_sizes`: a
+    bundle of t copies is one item of time t*p and weight t*w, and only
+    states up to its due date can gain it.  A class of one job is one
+    update.  With ``taken`` given, each bundle that fits appends
+    ``(class key, t, mask)``: mask[k - t*p] is set where the bundle strictly
+    improved state k.
+    """
+    f = np.zeros(horizon + 1, dtype=dtype)
+    for key, c in classes:
+        d, p, w = key
+        for t in (1,) if c == 1 else bundle_sizes(c):
+            tp = t * p
+            if tp <= d:  # otherwise the bundle can never be early
+                gain = f[: d + 1 - tp] + t * w
+                dst = f[tp : d + 1]
+                if taken is not None:
+                    taken.append((key, t, gain > dst))
+                np.maximum(dst, gain, out=dst)
+    return f
+
+
 def build_solution_vector_dp(jobs: list[Job], horizon: int) -> Vector:
-    """Knapsack DP: entry k = max weight of a subset with total p <= k."""
+    """Knapsack DP: entry k = max weight of a subset with total p <= k.
+
+    The Lawler-Moore table of the jobs with every due date set to the
+    horizon, run over bundles of jobs with equal (p, w).
+    """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    f = np.zeros(horizon + 1, dtype=vector_dtype(sum(job.w for job in jobs)))
-    for job in jobs:
-        if job.p <= horizon:
-            np.maximum(f[job.p :], f[: horizon + 1 - job.p] + job.w, out=f[job.p :])
-    return f
+    classes = Counter(map(attrgetter("p", "w"), jobs)).items()
+    return bundled_knapsack(
+        (((horizon, p, w), c) for (p, w), c in classes),
+        horizon,
+        vector_dtype(sum(job.w for job in jobs)),
+    )
 
 
 def step_concave_class_vector(weights: list[int], p: int, horizon: int) -> Vector:

@@ -21,8 +21,10 @@ origin, monotonicity).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -120,6 +122,21 @@ def group_by_due_date(instance: Instance) -> DueDateGrouping:
     due_dates = sorted(buckets)
     groups = tuple(tuple(sorted(buckets[d], key=lambda j: j.id)) for d in due_dates)
     return DueDateGrouping(due_dates=tuple(due_dates), groups=groups)
+
+
+#: A class of interchangeable jobs, ``((d, p, w), c)``: c jobs with due date
+#: d, processing time p and weight w.
+JobClass = tuple[tuple[int, int, int], int]
+
+
+def job_classes(jobs: Iterable[Job]) -> list[JobClass]:
+    """The jobs' (d, p, w) classes with their sizes, in due-date order.
+
+    Jobs of one class are interchangeable, so the dynamic programs run over
+    classes instead of jobs.  Within one due date the classes are in (p, w)
+    order.
+    """
+    return sorted(Counter(map(attrgetter("d", "p", "w"), jobs)).items(), key=itemgetter(0))
 
 
 def validate_solution_vector(v: Sequence) -> list[str]:

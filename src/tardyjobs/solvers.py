@@ -4,7 +4,8 @@ Two families:
 
 * :func:`lawler_moore` -- the classic O(n * d_max) dynamic program over
   jobs in due-date order, used as the baseline and as the reconstruction
-  backend.
+  backend.  It runs over the instance's (d, p, w) job classes, each split
+  into O(log c) bundles of interchangeable jobs.
 * the due-date merge -- partition jobs by due date, build a solution
   vector per group, and merge the groups in due-date order with
   (max,+)-convolutions.  After merging group i the accumulator entry k
@@ -34,20 +35,25 @@ Every policy returns the exact optimum; they differ only in running time.
 :func:`solve` is the entry point: it resolves ``AUTO``, applies the
 fallbacks, runs the policy and reports which policy ran.
 
-AUTO's estimate for a candidate is ``a * calls + b * units`` ms, counted in
-what the candidate's loops touch (d_i is the due date of group i):
+AUTO's estimate for a candidate is ``a * calls + b * units + c * n`` ms,
+counted in what the candidate's loops touch (d_i is the due date of group i);
+the per-job term is the Python pass over the jobs that every candidate makes
+first (the class table, or the due-date groups and their class lists):
 
-* Lawler-Moore: n numpy row updates, over sum_j max(0, d_j - p_j + 1) cells;
+* Lawler-Moore: one numpy row update per bundle of t copies of a (d, p, w)
+  class with t * p <= d, over d - t * p + 1 cells each;
 * concave-p: per group, one kernel call per processing-time class with
   p <= d_i, over (d_i + 1) * log(d_i + 2) units per class;
 * inverse-w: per group, one kernel call per weight class, over the running
   total weight of the groups up to and including it per class.
 
 Where inverse-w would fall back, its estimate is Lawler-Moore's.  The
-constants ``(a, b)`` are configuration, ``DEFAULT_CALIBRATION``, fitted by
+constants ``(a, b, c)`` are configuration, ``DEFAULT_CALIBRATION``, fitted by
 ``scripts/fit_auto.py`` to the per-policy medians in ``BENCH_auto_grid.json``.
 :func:`auto_estimates` returns the estimates and :func:`auto_select` the
-choice.  The counts take a few linear passes over the jobs and no sort.
+choice.  All three counts are projections of the class table of
+:func:`~tardyjobs.core.job_classes`, which :func:`solve` builds once and
+hands to both AUTO and the Lawler-Moore DP.
 """
 
 from __future__ import annotations
@@ -63,14 +69,18 @@ from .builders import (
     build_inverse_solution_vector,
     build_solution_vector_concave,
     build_solution_vector_dp,
+    bundle_sizes,
+    bundled_knapsack,
 )
 from .core import (
     DueDateGrouping,
     Instance,
     Job,
+    JobClass,
     SolveResult,
     Vector,
     group_by_due_date,
+    job_classes,
 )
 from .fractional import fractional_solution_vector
 from .maxplus import convolve_naive, convolve_with_ranges, vector_dtype
@@ -98,36 +108,32 @@ class SolverPolicy(Enum):
     AUTO = "auto"
 
 
-def _edd_order(instance: Instance) -> list[Job]:
-    """The instance's jobs in due-date order, ties by id."""
-    return sorted(instance.jobs, key=lambda j: (j.d, j.id))
-
-
-def _lawler_moore_dp(instance: Instance, taken: np.ndarray | None = None) -> np.ndarray:
+def _lawler_moore_dp(
+    instance: Instance, classes: list[JobClass] | None = None, taken: list | None = None
+) -> np.ndarray:
     """The Lawler-Moore table: entry k = best weight of a set of jobs that,
     run back to back in EDD order and finishing at time k, are all early.
 
     The table starts at zero (the empty set finishes anywhere), so its
-    maximum is the optimum.  Jobs enter in :func:`_edd_order`.  A job can
-    join the set only while its completion time stays within its due date,
-    so states above d_j never gain job j.  With ``taken`` (bool, n x
-    (d_max+1)) given, row i records the states where the i-th job strictly
-    improved the table.
+    maximum is the optimum.  It runs over the instance's job classes
+    (``classes``, by default :func:`~tardyjobs.core.job_classes` of its
+    jobs) in due-date order, one row update per bundle of interchangeable
+    jobs; see :func:`~tardyjobs.builders.bundled_knapsack`, which also
+    fills ``taken``.  A bundle can join the set only while its completion
+    time stays within its due date, so states above d never gain it.
     """
-    f = np.zeros(instance.d_max + 1, dtype=vector_dtype(instance.w_total))
-    for i, job in enumerate(_edd_order(instance)):
-        p, d = job.p, job.d
-        if p <= d:  # otherwise it can never be early
-            gain = f[: d + 1 - p] + job.w
-            if taken is not None:
-                taken[i, p : d + 1] = gain > f[p : d + 1]
-            np.maximum(f[p : d + 1], gain, out=f[p : d + 1])
-    return f
+    if classes is None:
+        classes = job_classes(instance.jobs)
+    return bundled_knapsack(classes, instance.d_max, vector_dtype(instance.w_total), taken)
 
 
-def lawler_moore(instance: Instance) -> SolveResult:
-    """Baseline DP over jobs in due-date order, state = exact early time.  O(n * d_max)."""
-    best = int(_lawler_moore_dp(instance).max())
+def lawler_moore(instance: Instance, classes: list[JobClass] | None = None) -> SolveResult:
+    """Baseline DP over jobs in due-date order, state = exact early time.
+
+    O(b * d_max) for b bundles, at most n of them; ``classes`` is the
+    instance's class table, if the caller has built it.
+    """
+    best = int(_lawler_moore_dp(instance, classes).max())
     return SolveResult(instance.w_total - best, best, policy=SolverPolicy.LAWLER_MOORE)
 
 
@@ -180,11 +186,11 @@ def _solve_inverse(grouping: DueDateGrouping) -> int:
 
 # Fitted by scripts/fit_auto.py to the policy medians in BENCH_auto_grid.json
 # (shapes from bench/auto_grid.json): per candidate, (ms per call, ms per unit)
-# in the counts of _auto_counts.
-DEFAULT_CALIBRATION: dict[SolverPolicy, tuple[float, float]] = {
-    SolverPolicy.LAWLER_MOORE: (0.00426, 7.7e-07),
-    SolverPolicy.CONCAVE_BY_P: (0.513, 4.64e-05),
-    SolverPolicy.INVERSE_BY_W: (0.193, 0.000395),
+# and ms per job, in the counts of _auto_counts.
+DEFAULT_CALIBRATION: dict[SolverPolicy, tuple[float, float, float]] = {
+    SolverPolicy.LAWLER_MOORE: (0.00305, 6.16e-07, 0.00023),
+    SolverPolicy.CONCAVE_BY_P: (0.34, 2.49e-05, 0.000639),
+    SolverPolicy.INVERSE_BY_W: (0.13, 0.000106, 0.000971),
 }
 
 
@@ -193,70 +199,79 @@ def _inverse_falls_back(instance: Instance) -> bool:
     return instance.n >= instance.d_max or instance.w_total > instance.n * instance.d_max
 
 
-def _auto_counts(instance: Instance) -> dict[SolverPolicy, tuple[int, float]]:
-    """Per candidate: (calls, units), the counts of the module docstring.
+def _auto_counts(
+    instance: Instance, classes: list[JobClass] | None = None
+) -> dict[SolverPolicy, tuple[int, float, int]]:
+    """Per candidate: (calls, units, n), the counts of the module docstring.
 
-    Where inverse-w would fall back, it has no entry.  The counts come from
-    the jobs' attribute lists and the distinct (d, p) and (d, w) pairs in
-    them, with no grouping or sort of the jobs.
+    Where inverse-w would fall back, it has no entry.  The counts are
+    projections of the class table (``classes``, by default
+    :func:`~tardyjobs.core.job_classes` of the jobs): Lawler-Moore's bundles,
+    the distinct (d, p) pairs and the (d, w) pairs with their total weight.
     """
-    ds = [job.d for job in instance.jobs]
-    ps = [job.p for job in instance.jobs]
-    pairs = set(zip(ds, ps))
-    if all(p <= d for d, p in pairs):
-        cells = sum(ds) - sum(ps) + instance.n
-    else:  # a job that can never be early touches no cells
-        cells = sum(d - p + 1 for d, p in zip(ds, ps) if p <= d)
-    p_classes = Counter(d for d, p in pairs if p <= d)
+    if classes is None:
+        classes = job_classes(instance.jobs)
+    bundles = cells = 0
+    dp_pairs = set()
+    dw_pairs = set()
+    weight: Counter[int] = Counter()  # due date -> total weight of its jobs
+    for (d, p, w), c in classes:
+        for t in bundle_sizes(c):
+            if t * p <= d:
+                bundles += 1
+                cells += d + 1 - t * p
+        if p <= d:
+            dp_pairs.add((d, p))
+        dw_pairs.add((d, w))
+        weight[d] += c * w
+    p_classes = Counter(d for d, _ in dp_pairs)
     counts = {
-        SolverPolicy.LAWLER_MOORE: (instance.n, cells),
+        SolverPolicy.LAWLER_MOORE: (bundles, cells, instance.n),
         SolverPolicy.CONCAVE_BY_P: (
-            sum(p_classes.values()),
+            len(dp_pairs),
             sum(c * (d + 1) * log(d + 2) for d, c in p_classes.items()),
+            instance.n,
         ),
     }
     if not _inverse_falls_back(instance):
-        dw = Counter(zip(ds, [job.w for job in instance.jobs]))  # (d, w) -> how many jobs
-        weight: Counter[int] = Counter()
-        w_classes: Counter[int] = Counter()
-        for (d, w), c in dw.items():
-            weight[d] += c * w
-            w_classes[d] += 1
+        w_classes = Counter(d for d, _ in dw_pairs)
         running = units = 0
         for d in sorted(weight):
             running += weight[d]
             units += w_classes[d] * running
-        counts[SolverPolicy.INVERSE_BY_W] = (len(dw), units)
+        counts[SolverPolicy.INVERSE_BY_W] = (len(dw_pairs), units, instance.n)
     return counts
 
 
-def auto_estimates(instance: Instance) -> dict[SolverPolicy, float]:
+def auto_estimates(instance: Instance, classes: list[JobClass] | None = None) -> dict[SolverPolicy, float]:
     """Estimated ms of each AUTO candidate on the instance.
 
-    Each is ``a * calls + b * units`` in the counts of the module docstring,
-    with ``(a, b)`` from ``DEFAULT_CALIBRATION``.  Where inverse-w would fall
+    Each is ``a * calls + b * units + c * n`` in the counts of the module
+    docstring, with ``(a, b, c)`` from ``DEFAULT_CALIBRATION``.  Where inverse-w would fall
     back, its estimate is Lawler-Moore's.  Lawler-Moore comes first, so
-    ``min`` breaks a tie in its favour.
+    ``min`` breaks a tie in its favour.  ``classes`` is the instance's class
+    table, if the caller has built it.
     """
     estimates = {}
-    for policy, (calls, units) in _auto_counts(instance).items():
-        per_call, per_unit = DEFAULT_CALIBRATION[policy]
-        estimates[policy] = per_call * calls + per_unit * units
+    for policy, (calls, units, jobs) in _auto_counts(instance, classes).items():
+        per_call, per_unit, per_job = DEFAULT_CALIBRATION[policy]
+        estimates[policy] = per_call * calls + per_unit * units + per_job * jobs
     estimates.setdefault(SolverPolicy.INVERSE_BY_W, estimates[SolverPolicy.LAWLER_MOORE])
     return estimates
 
 
-def auto_select(instance: Instance) -> SolverPolicy:
+def auto_select(instance: Instance, classes: list[JobClass] | None = None) -> SolverPolicy:
     """The AUTO candidate with the smallest estimate in :func:`auto_estimates`.
 
     The candidates are Lawler-Moore, concave-p and inverse-w, the policies
     that are fastest on some shape of ``bench/auto_grid.json``; ties go to
-    the earlier one in that order.  Each estimate is ``a * calls + b *
-    units`` ms in the counts of the module docstring, after inverse-w's
-    fallback; ``(a, b)`` comes from ``DEFAULT_CALIBRATION``, fitted by
-    ``scripts/fit_auto.py`` to ``BENCH_auto_grid.json``.
+    the earlier one in that order.  Each estimate is ``a * calls + b * units
+    + c * n`` ms in the counts of the module docstring, after inverse-w's
+    fallback; ``(a, b, c)`` comes from ``DEFAULT_CALIBRATION``, fitted by
+    ``scripts/fit_auto.py`` to ``BENCH_auto_grid.json``.  ``classes`` is
+    the instance's class table, if the caller has built it.
     """
-    estimates = auto_estimates(instance)
+    estimates = auto_estimates(instance, classes)
     return min(estimates, key=estimates.get)
 
 
@@ -270,11 +285,15 @@ def solve(
 
     The one place that resolves ``AUTO`` (through :func:`auto_select`) and
     the ``INVERSE_BY_W`` fallbacks to Lawler-Moore described above; the
-    result's ``policy`` names the policy that ran.  A Lawler-Moore witness
-    solve runs the DP once, inside :func:`reconstruct_schedule`.
+    result's ``policy`` names the policy that ran.  Under AUTO the class
+    table is built once, for both the choice and a Lawler-Moore run.  A
+    Lawler-Moore witness solve runs the DP once, inside
+    :func:`reconstruct_schedule`.
     """
+    classes = None
     if policy is SolverPolicy.AUTO:
-        policy = auto_select(instance)
+        classes = job_classes(instance.jobs)
+        policy = auto_select(instance, classes)
     if policy is SolverPolicy.INVERSE_BY_W and _inverse_falls_back(instance):
         policy = SolverPolicy.LAWLER_MOORE
     early = None
@@ -283,7 +302,7 @@ def solve(
         chosen = set(early)
         best = sum(job.w for job in instance.jobs if job.id in chosen)
     elif policy is SolverPolicy.LAWLER_MOORE:
-        best = lawler_moore(instance).max_early_weight
+        best = lawler_moore(instance, classes).max_early_weight
     elif policy is SolverPolicy.INVERSE_BY_W:
         best = _solve_inverse(group_by_due_date(instance))
     else:
@@ -298,15 +317,19 @@ def solve(
 def reconstruct_schedule(instance: Instance, target_weight: int | None = None) -> list[int]:
     """Recover an early set of the given optimal weight, or of the optimum.
 
-    Runs the Lawler-Moore DP while recording, per job, the states where
-    taking it strictly improved the table (one bool per job and budget), and
-    walks those records back from the first optimal state.  Without a target
-    the DP's optimum is the target.  Raises ``ValueError`` if the target is
-    not the DP optimum (a solver bug), and ``RuntimeError`` if the recovered
-    set fails verification.
+    Runs the Lawler-Moore DP while recording, per bundle of interchangeable
+    jobs, the states where taking it strictly improved the table (one bool
+    per bundle and budget up to its due date), and walks those records back
+    from the first optimal state; a taken bundle of t copies contributes t
+    jobs of its class.  Without a target the DP's optimum is the target.
+    Raises ``ValueError`` if the target is not the DP optimum (a solver
+    bug), and ``RuntimeError`` if the recovered set fails verification.
     """
-    taken = np.zeros((instance.n, instance.d_max + 1), dtype=bool)
-    f = _lawler_moore_dp(instance, taken)
+    members: dict[tuple[int, int, int], list[Job]] = {}
+    for job in instance.jobs:
+        members.setdefault((job.d, job.p, job.w), []).append(job)
+    taken: list = []
+    f = _lawler_moore_dp(instance, sorted((key, len(jobs)) for key, jobs in members.items()), taken)
     best = int(f.max())
     if target_weight is None:
         target_weight = best
@@ -314,10 +337,12 @@ def reconstruct_schedule(instance: Instance, target_weight: int | None = None) -
         raise ValueError(f"no early set of weight {target_weight}: the optimum is {best}")
     k = int(np.argmax(f))
     chosen: list[Job] = []
-    for i, job in reversed(list(enumerate(_edd_order(instance)))):
-        if taken[i, k]:
-            chosen.append(job)
-            k -= job.p
+    for key, t, mask in reversed(taken):
+        d, p, _ = key
+        if t * p <= k <= d and mask[k - t * p]:
+            chosen += members[key][-t:]
+            del members[key][-t:]
+            k -= t * p
     early_ids = sorted(j.id for j in chosen)
     if sum(j.w for j in chosen) != target_weight or not edd_feasible(chosen):
         raise RuntimeError("reconstructed early set failed verification")

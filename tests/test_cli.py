@@ -177,8 +177,8 @@ class TestCli:
 
         real_lawler_moore, real_merge = solvers.lawler_moore, solvers.convolve_naive
 
-        def off_by_one(instance):
-            res = real_lawler_moore(instance)
+        def off_by_one(instance, *classes):
+            res = real_lawler_moore(instance, *classes)
             return type(res)(res.min_tardy_weight + 1, res.max_early_weight - 1, policy=res.policy)
 
         def off_by_one_merge(A, B):

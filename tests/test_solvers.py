@@ -1,10 +1,13 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tardyjobs import (
     DEFAULT_CALIBRATION,
@@ -334,6 +337,62 @@ class TestReconstruct:
             assert edd_feasible(chosen)
 
 
+@st.composite
+def duplicate_heavy_instances(draw):
+    """Up to four (d, p, w) classes of up to 40 copies each.
+
+    Short due dates against p <= 12 give jobs with p > d and bundles of
+    t copies with t * p > d; a shift of 2**60 on every weight puts the DPs
+    on the exact object-array path.  A copy cap of 3 keeps n within reach
+    of the brute-force oracle.
+    """
+    shift = draw(st.sampled_from([0, 2**60]))
+    copies = draw(st.sampled_from([3, 40]))
+    specs = draw(
+        st.lists(
+            st.tuples(st.integers(1, 40), st.integers(1, 12), st.integers(1, 9), st.integers(1, copies)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    jobs = []
+    for d, p, w, c in specs:
+        jobs += [J(len(jobs) + k, p, w + shift, d) for k in range(c)]
+    return Instance(tuple(jobs))
+
+
+class TestDuplicateJobs:
+    @given(duplicate_heavy_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_every_policy_and_witness_on_repeated_jobs(self, inst):
+        if inst.n <= 12:
+            want = brute_force(inst).max_early_weight
+        else:
+            want = lawler_moore(inst).max_early_weight
+        by_id = {j.id: j for j in inst.jobs}
+        for policy in [*ALL_POLICIES, SolverPolicy.AUTO]:
+            res = solve(inst, policy, reconstruct=True)
+            assert res.max_early_weight == want, policy
+            assert len(set(res.early_set)) == len(res.early_set), policy
+            chosen = [by_id[i] for i in res.early_set]
+            assert sum(j.w for j in chosen) == want and edd_feasible(chosen), policy
+
+    def test_lawler_moore_witness_memory_follows_the_bundles(self):
+        # 5000 jobs in about 200 (d, p, w) classes: a taken row per job and
+        # budget would be 17 MB here, one per bundle is a few MB
+        inst = generate_instance(seed=1, n=5000, d_hash=4, d_max=5000, p_max=5, w_max=10)
+        tracemalloc.start()
+        try:
+            res = solve(inst, SolverPolicy.LAWLER_MOORE, reconstruct=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        by_id = {j.id: j for j in inst.jobs}
+        chosen = [by_id[i] for i in res.early_set]
+        assert sum(j.w for j in chosen) == res.max_early_weight and edd_feasible(chosen)
+
+
 class TestAutoSelect:
     def test_returns_concrete_policy(self):
         inst = TWO_JOBS
@@ -346,7 +405,7 @@ class TestAutoSelect:
         # an absurd cost on every candidate except one forces that one
         for policy in AUTO_CANDIDATES:
             for p in DEFAULT_CALIBRATION:
-                monkeypatch.setitem(solvers.DEFAULT_CALIBRATION, p, (1.0, 1.0) if p is policy else (1e18, 1e18))
+                monkeypatch.setitem(solvers.DEFAULT_CALIBRATION, p, (1.0,) * 3 if p is policy else (1e18,) * 3)
             assert auto_select(inst) is policy
 
     def test_picks_only_candidates(self):
@@ -376,16 +435,28 @@ class TestAutoSelect:
             p_classes = [len({j.p for j in g if j.p <= d}) for d, g in zip(grouping.due_dates, grouping.groups)]
             w_classes = [len({j.w for j in g}) for g in grouping.groups]
             running = accumulate(sum(j.w for j in g) for g in grouping.groups)
+            # Lawler-Moore: per (d, p, w) class of c jobs, the bundles 1, 2, 4, ..., 2**(m-1)
+            # and the remainder c - (2**m - 1), for the largest m with 2**m - 1 <= c
+            bundles = []
+            for (d, p, w), c in Counter((j.d, j.p, j.w) for j in inst.jobs).items():
+                m = (c + 1).bit_length() - 1
+                sizes = [2**i for i in range(m)] + [c - 2**m + 1] * (c > 2**m - 1)
+                bundles += [d - t * p + 1 for t in sizes if t * p <= d]
             got = _auto_counts(inst)
-            assert got[SolverPolicy.LAWLER_MOORE] == (inst.n, sum(j.d - j.p + 1 for j in inst.jobs if j.p <= j.d))
+            assert got[SolverPolicy.LAWLER_MOORE] == (len(bundles), sum(bundles), inst.n)
             assert got[SolverPolicy.CONCAVE_BY_P] == (
                 sum(p_classes),
                 pytest.approx(sum(c * (d + 1) * math.log(d + 2) for c, d in zip(p_classes, grouping.due_dates))),
+                inst.n,
             )
             if _inverse_falls_back(inst):
                 assert SolverPolicy.INVERSE_BY_W not in got
             else:
-                assert got[SolverPolicy.INVERSE_BY_W] == (sum(w_classes), sum(c * w for c, w in zip(w_classes, running)))
+                assert got[SolverPolicy.INVERSE_BY_W] == (
+                    sum(w_classes),
+                    sum(c * w for c, w in zip(w_classes, running)),
+                    inst.n,
+                )
                 live += 1
         assert live > 10
 
@@ -395,5 +466,7 @@ class TestAutoSelect:
         assert auto_select(Instance(jobs)) is SolverPolicy.LAWLER_MOORE
 
     def test_single_due_date_prefers_merge(self):
-        jobs = tuple(J(i, 1, 1, 2) for i in range(500))
+        # 500 jobs of one due date and two processing times, no two alike:
+        # Lawler-Moore makes 500 row updates, concave-p folds two classes
+        jobs = tuple(J(i, 1 + i % 2, 1 + i // 2, 2) for i in range(500))
         assert auto_select(Instance(jobs)) is not SolverPolicy.LAWLER_MOORE
