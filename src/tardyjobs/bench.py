@@ -15,7 +15,8 @@ The config is a JSON-compatible dict:
 
 One CSV row is emitted per (policy, instance, repetition) with the wall
 time in nanoseconds.  Repetitions run in rounds that solve the instance
-once under every policy.  Correctness comes before timing: all policies (plus
+once under every policy, each time on a fresh copy of the instance, so every
+timed call is a first solve.  Correctness comes before timing: all policies (plus
 an untimed reference solve when ``verify`` is on) must agree on every
 instance, otherwise the run aborts with :class:`BenchDisagreement` and no
 rows are reported for it.
@@ -28,6 +29,7 @@ import io
 import time
 from typing import Iterable
 
+from .core import Instance
 from .generate import generate_instance
 from .solvers import SolverPolicy, solve
 
@@ -75,8 +77,9 @@ def run_bench(config: dict) -> list[dict]:
             # slow stretch of a shared machine falls on every policy alike
             for _ in range(repetitions):
                 for policy in policies:
+                    fresh = Instance(instance.jobs)
                     t0 = time.perf_counter_ns()
-                    result = solve(instance, policy)
+                    result = solve(fresh, policy)
                     timings[policy.value].append(time.perf_counter_ns() - t0)
                     answer = answers.setdefault(policy.value, result.min_tardy_weight)
                     if answer != result.min_tardy_weight:

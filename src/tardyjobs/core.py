@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -35,6 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: finite integers or an object array of Python ints, as
 #: ``maxplus.vector_dtype`` picks from the entries' bound.
 Vector = np.ndarray
+
+
+#: A class of interchangeable jobs, ``((d, p, w), c)``: c jobs with due date
+#: d, processing time p and weight w.
+JobClass = tuple[tuple[int, int, int], int]
 
 
 @dataclass(frozen=True, order=True)
@@ -51,6 +57,8 @@ class Job:
     d: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, int) or isinstance(self.id, bool):
+            raise ValueError(f"job id must be an integer, got {self.id!r}")
         for name in ("p", "w", "d"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -59,7 +67,11 @@ class Job:
 
 @dataclass(frozen=True)
 class Instance:
-    """An immutable problem instance with cached summary statistics."""
+    """An immutable problem instance with cached summary statistics.
+
+    ``classes`` is the jobs' (d, p, w) class table, built on first use and
+    cached on the instance.
+    """
 
     jobs: tuple[Job, ...]
     n: int = field(init=False)
@@ -83,6 +95,17 @@ class Instance:
         object.__setattr__(self, "p_max", max(j.p for j in jobs))
         object.__setattr__(self, "w_max", max(j.w for j in jobs))
         object.__setattr__(self, "w_total", sum(j.w for j in jobs))
+
+    @cached_property
+    def classes(self) -> tuple[JobClass, ...]:
+        """The jobs' (d, p, w) classes with their sizes, in due-date order.
+
+        Jobs of one class are interchangeable, so the dynamic programs run
+        over classes instead of jobs.  Within one due date the classes are in
+        (p, w) order.  A tuple, so that no caller can change what every
+        later solve of the instance reads.
+        """
+        return tuple(sorted(Counter(map(attrgetter("d", "p", "w"), self.jobs)).items(), key=itemgetter(0)))
 
 
 @dataclass(frozen=True)
@@ -122,21 +145,6 @@ def group_by_due_date(instance: Instance) -> DueDateGrouping:
     due_dates = sorted(buckets)
     groups = tuple(tuple(sorted(buckets[d], key=lambda j: j.id)) for d in due_dates)
     return DueDateGrouping(due_dates=tuple(due_dates), groups=groups)
-
-
-#: A class of interchangeable jobs, ``((d, p, w), c)``: c jobs with due date
-#: d, processing time p and weight w.
-JobClass = tuple[tuple[int, int, int], int]
-
-
-def job_classes(jobs: Iterable[Job]) -> list[JobClass]:
-    """The jobs' (d, p, w) classes with their sizes, in due-date order.
-
-    Jobs of one class are interchangeable, so the dynamic programs run over
-    classes instead of jobs.  Within one due date the classes are in (p, w)
-    order.
-    """
-    return sorted(Counter(map(attrgetter("d", "p", "w"), jobs)).items(), key=itemgetter(0))
 
 
 def validate_solution_vector(v: Sequence) -> list[str]:

@@ -51,9 +51,9 @@ Where inverse-w would fall back, its estimate is Lawler-Moore's.  The
 constants ``(a, b, c)`` are configuration, ``DEFAULT_CALIBRATION``, fitted by
 ``scripts/fit_auto.py`` to the per-policy medians in ``BENCH_auto_grid.json``.
 :func:`auto_estimates` returns the estimates and :func:`auto_select` the
-choice.  All three counts are projections of the class table of
-:func:`~tardyjobs.core.job_classes`, which :func:`solve` builds once and
-hands to both AUTO and the Lawler-Moore DP.
+choice.  All three counts are projections of the instance's class table,
+``Instance.classes``, which the instance builds once for AUTO, the
+Lawler-Moore DP and the witness alike.
 """
 
 from __future__ import annotations
@@ -76,11 +76,9 @@ from .core import (
     DueDateGrouping,
     Instance,
     Job,
-    JobClass,
     SolveResult,
     Vector,
     group_by_due_date,
-    job_classes,
 )
 from .fractional import fractional_solution_vector
 from .maxplus import convolve_naive, convolve_with_ranges, vector_dtype
@@ -108,32 +106,26 @@ class SolverPolicy(Enum):
     AUTO = "auto"
 
 
-def _lawler_moore_dp(
-    instance: Instance, classes: list[JobClass] | None = None, taken: list | None = None
-) -> np.ndarray:
+def _lawler_moore_dp(instance: Instance, taken: list | None = None) -> np.ndarray:
     """The Lawler-Moore table: entry k = best weight of a set of jobs that,
     run back to back in EDD order and finishing at time k, are all early.
 
     The table starts at zero (the empty set finishes anywhere), so its
-    maximum is the optimum.  It runs over the instance's job classes
-    (``classes``, by default :func:`~tardyjobs.core.job_classes` of its
-    jobs) in due-date order, one row update per bundle of interchangeable
-    jobs; see :func:`~tardyjobs.builders.bundled_knapsack`, which also
-    fills ``taken``.  A bundle can join the set only while its completion
-    time stays within its due date, so states above d never gain it.
+    maximum is the optimum.  It runs over ``instance.classes`` in due-date
+    order, one row update per bundle of interchangeable jobs; see
+    :func:`~tardyjobs.builders.bundled_knapsack`, which also fills
+    ``taken``.  A bundle can join the set only while its completion time
+    stays within its due date, so states above d never gain it.
     """
-    if classes is None:
-        classes = job_classes(instance.jobs)
-    return bundled_knapsack(classes, instance.d_max, vector_dtype(instance.w_total), taken)
+    return bundled_knapsack(instance.classes, instance.d_max, vector_dtype(instance.w_total), taken)
 
 
-def lawler_moore(instance: Instance, classes: list[JobClass] | None = None) -> SolveResult:
+def lawler_moore(instance: Instance) -> SolveResult:
     """Baseline DP over jobs in due-date order, state = exact early time.
 
-    O(b * d_max) for b bundles, at most n of them; ``classes`` is the
-    instance's class table, if the caller has built it.
+    O(b * d_max) for b bundles, at most n of them.
     """
-    best = int(_lawler_moore_dp(instance, classes).max())
+    best = int(_lawler_moore_dp(instance).max())
     return SolveResult(instance.w_total - best, best, policy=SolverPolicy.LAWLER_MOORE)
 
 
@@ -199,23 +191,18 @@ def _inverse_falls_back(instance: Instance) -> bool:
     return instance.n >= instance.d_max or instance.w_total > instance.n * instance.d_max
 
 
-def _auto_counts(
-    instance: Instance, classes: list[JobClass] | None = None
-) -> dict[SolverPolicy, tuple[int, float, int]]:
+def _auto_counts(instance: Instance) -> dict[SolverPolicy, tuple[int, float, int]]:
     """Per candidate: (calls, units, n), the counts of the module docstring.
 
     Where inverse-w would fall back, it has no entry.  The counts are
-    projections of the class table (``classes``, by default
-    :func:`~tardyjobs.core.job_classes` of the jobs): Lawler-Moore's bundles,
-    the distinct (d, p) pairs and the (d, w) pairs with their total weight.
+    projections of ``instance.classes``: Lawler-Moore's bundles, the
+    distinct (d, p) pairs and the (d, w) pairs with their total weight.
     """
-    if classes is None:
-        classes = job_classes(instance.jobs)
     bundles = cells = 0
     dp_pairs = set()
     dw_pairs = set()
     weight: Counter[int] = Counter()  # due date -> total weight of its jobs
-    for (d, p, w), c in classes:
+    for (d, p, w), c in instance.classes:
         for t in bundle_sizes(c):
             if t * p <= d:
                 bundles += 1
@@ -243,24 +230,23 @@ def _auto_counts(
     return counts
 
 
-def auto_estimates(instance: Instance, classes: list[JobClass] | None = None) -> dict[SolverPolicy, float]:
+def auto_estimates(instance: Instance) -> dict[SolverPolicy, float]:
     """Estimated ms of each AUTO candidate on the instance.
 
     Each is ``a * calls + b * units + c * n`` in the counts of the module
     docstring, with ``(a, b, c)`` from ``DEFAULT_CALIBRATION``.  Where inverse-w would fall
     back, its estimate is Lawler-Moore's.  Lawler-Moore comes first, so
-    ``min`` breaks a tie in its favour.  ``classes`` is the instance's class
-    table, if the caller has built it.
+    ``min`` breaks a tie in its favour.
     """
     estimates = {}
-    for policy, (calls, units, jobs) in _auto_counts(instance, classes).items():
+    for policy, (calls, units, jobs) in _auto_counts(instance).items():
         per_call, per_unit, per_job = DEFAULT_CALIBRATION[policy]
         estimates[policy] = per_call * calls + per_unit * units + per_job * jobs
     estimates.setdefault(SolverPolicy.INVERSE_BY_W, estimates[SolverPolicy.LAWLER_MOORE])
     return estimates
 
 
-def auto_select(instance: Instance, classes: list[JobClass] | None = None) -> SolverPolicy:
+def auto_select(instance: Instance) -> SolverPolicy:
     """The AUTO candidate with the smallest estimate in :func:`auto_estimates`.
 
     The candidates are Lawler-Moore, concave-p and inverse-w, the policies
@@ -268,10 +254,9 @@ def auto_select(instance: Instance, classes: list[JobClass] | None = None) -> So
     the earlier one in that order.  Each estimate is ``a * calls + b * units
     + c * n`` ms in the counts of the module docstring, after inverse-w's
     fallback; ``(a, b, c)`` comes from ``DEFAULT_CALIBRATION``, fitted by
-    ``scripts/fit_auto.py`` to ``BENCH_auto_grid.json``.  ``classes`` is
-    the instance's class table, if the caller has built it.
+    ``scripts/fit_auto.py`` to ``BENCH_auto_grid.json``.
     """
-    estimates = auto_estimates(instance, classes)
+    estimates = auto_estimates(instance)
     return min(estimates, key=estimates.get)
 
 
@@ -285,15 +270,11 @@ def solve(
 
     The one place that resolves ``AUTO`` (through :func:`auto_select`) and
     the ``INVERSE_BY_W`` fallbacks to Lawler-Moore described above; the
-    result's ``policy`` names the policy that ran.  Under AUTO the class
-    table is built once, for both the choice and a Lawler-Moore run.  A
-    Lawler-Moore witness solve runs the DP once, inside
-    :func:`reconstruct_schedule`.
+    result's ``policy`` names the policy that ran.  A Lawler-Moore witness
+    solve runs the DP once, inside :func:`reconstruct_schedule`.
     """
-    classes = None
     if policy is SolverPolicy.AUTO:
-        classes = job_classes(instance.jobs)
-        policy = auto_select(instance, classes)
+        policy = auto_select(instance)
     if policy is SolverPolicy.INVERSE_BY_W and _inverse_falls_back(instance):
         policy = SolverPolicy.LAWLER_MOORE
     early = None
@@ -302,7 +283,7 @@ def solve(
         chosen = set(early)
         best = sum(job.w for job in instance.jobs if job.id in chosen)
     elif policy is SolverPolicy.LAWLER_MOORE:
-        best = lawler_moore(instance, classes).max_early_weight
+        best = lawler_moore(instance).max_early_weight
     elif policy is SolverPolicy.INVERSE_BY_W:
         best = _solve_inverse(group_by_due_date(instance))
     else:
@@ -325,11 +306,13 @@ def reconstruct_schedule(instance: Instance, target_weight: int | None = None) -
     Raises ``ValueError`` if the target is not the DP optimum (a solver
     bug), and ``RuntimeError`` if the recovered set fails verification.
     """
+    # the DP runs on instance.classes; this maps each class to its jobs, whose
+    # ids the walk-back hands out
     members: dict[tuple[int, int, int], list[Job]] = {}
     for job in instance.jobs:
         members.setdefault((job.d, job.p, job.w), []).append(job)
     taken: list = []
-    f = _lawler_moore_dp(instance, sorted((key, len(jobs)) for key, jobs in members.items()), taken)
+    f = _lawler_moore_dp(instance, taken)
     best = int(f.max())
     if target_weight is None:
         target_weight = best

@@ -130,6 +130,23 @@ class TestBench:
         header = text.splitlines()[0]
         assert header == "policy,seed,n,d_hash,d_max,p_max,w_max,answer,nanos"
 
+    def test_every_timed_solve_is_a_first_solve(self, monkeypatch):
+        import tardyjobs.bench as bench_mod
+
+        real = bench_mod.solve
+        seen = []
+
+        def recording(instance, policy):
+            seen.append((instance, "classes" in instance.__dict__))
+            return real(instance, policy)
+
+        monkeypatch.setattr(bench_mod, "solve", recording)
+        config = {**self.CONFIG, "policies": ["auto", "lawler-moore"], "verify": False}
+        rows = run_bench(config)
+        assert len(seen) == len(rows) == 8
+        assert not any(built for _, built in seen)
+        assert len({id(inst) for inst, _ in seen}) == len(seen)
+
     def test_disagreement_aborts(self, monkeypatch):
         import tardyjobs.bench as bench_mod
 
@@ -177,8 +194,8 @@ class TestCli:
 
         real_lawler_moore, real_merge = solvers.lawler_moore, solvers.convolve_naive
 
-        def off_by_one(instance, *classes):
-            res = real_lawler_moore(instance, *classes)
+        def off_by_one(instance):
+            res = real_lawler_moore(instance)
             return type(res)(res.min_tardy_weight + 1, res.max_early_weight - 1, policy=res.policy)
 
         def off_by_one_merge(A, B):

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from tardyjobs import Instance, Job, group_by_due_date, validate_solution_vector
+import tardyjobs.core
+from tardyjobs import Instance, Job, SolverPolicy, group_by_due_date, solve, validate_solution_vector
 
 
 def J(i, p, w, d):
@@ -17,6 +20,11 @@ class TestJob:
         kwargs = {"id": 0, "p": 1, "w": 1, "d": 1, field: value}
         with pytest.raises(ValueError):
             Job(**kwargs)
+
+    @pytest.mark.parametrize("value", ["a", None, 1.0, True, (1,)])
+    def test_rejects_non_integer_id(self, value):
+        with pytest.raises(ValueError, match="id"):
+            Job(id=value, p=1, w=1, d=1)
 
     def test_p_greater_than_d_allowed(self):
         J(0, 5, 1, 2)  # never early, but a legal job
@@ -40,6 +48,44 @@ class TestInstance:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
             Instance((J(0, 1, 1, 1), J(0, 2, 2, 2)))
+
+
+class TestClassTable:
+    def test_classes_in_due_date_then_pw_order(self):
+        inst = Instance((J(0, 2, 1, 5), J(1, 1, 3, 5), J(2, 2, 1, 5), J(3, 4, 4, 2)))
+        assert inst.classes == (((2, 4, 4), 1), ((5, 1, 3), 1), ((5, 2, 1), 2))
+
+    def test_built_once_across_solves(self, monkeypatch):
+        builds = []
+        real_counter = tardyjobs.core.Counter
+
+        def counting(*args):
+            builds.append(1)
+            return real_counter(*args)
+
+        monkeypatch.setattr(tardyjobs.core, "Counter", counting)
+        inst = Instance(tuple(J(i, 1 + i % 3, 1 + i % 4, 5 + i % 2) for i in range(30)))
+        answers = {
+            solve(inst).min_tardy_weight,
+            solve(inst, SolverPolicy.LAWLER_MOORE).min_tardy_weight,
+            solve(inst, SolverPolicy.LAWLER_MOORE, reconstruct=True).min_tardy_weight,
+        }
+        assert len(answers) == 1
+        assert len(builds) == 1
+
+    def test_cache_leaves_equality_and_hash_alone(self):
+        jobs = (J(0, 1, 2, 3), J(1, 2, 2, 3))
+        a, b = Instance(jobs), Instance(jobs)
+        a.classes
+        assert "classes" in a.__dict__ and "classes" not in b.__dict__
+        assert a == b and hash(a) == hash(b)
+
+    def test_replace_gets_its_own_table(self):
+        inst = Instance((J(0, 1, 2, 3),))
+        assert inst.classes == (((3, 1, 2), 1),)
+        other = dataclasses.replace(inst, jobs=(J(0, 1, 2, 3), J(1, 4, 5, 6)))
+        assert other.classes == (((3, 1, 2), 1), ((6, 4, 5), 1))
+        assert inst.classes == (((3, 1, 2), 1),)
 
 
 class TestGroupByDueDate:
