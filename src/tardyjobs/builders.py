@@ -70,8 +70,10 @@ def bundled_knapsack(classes: Iterable[JobClass], horizon: int, dtype, taken: li
 
     Entry k = best weight of a set of jobs that, run back to back in
     due-date order and finishing at time k, are all early; the classes must
-    come in due-date order, with every due date at most ``horizon``.  The
-    table starts at zero, so its maximum is the optimum.
+    come in due-date order.  The table spans budgets 0..``horizon`` and a
+    due date past it counts as the horizon, so a horizon of at least the
+    jobs' total processing time loses nothing.  The table starts at zero,
+    so its maximum is the optimum.
 
     A class of c copies enters as the bundles of :func:`bundle_sizes`: a
     bundle of t copies is one item of time t*p and weight t*w, and only
@@ -83,6 +85,7 @@ def bundled_knapsack(classes: Iterable[JobClass], horizon: int, dtype, taken: li
     f = np.zeros(horizon + 1, dtype=dtype)
     for key, c in classes:
         d, p, w = key
+        d = d if d < horizon else horizon
         for t in (1,) if c == 1 else bundle_sizes(c):
             tp = t * p
             if tp <= d:  # otherwise the bundle can never be early
@@ -115,7 +118,9 @@ def step_concave_class_vector(weights: list[int], p: int, horizon: int) -> Vecto
 
     Taking t jobs costs t*p time and the best choice is the t largest
     weights, so the vector steps up by sorted-descending weights at each
-    multiple of p and is flat in between: a p-step concave vector.
+    multiple of p and is flat in between: a p-step concave vector.  It
+    spans budgets 0..``horizon``; past ``len(weights) * p``, the class's
+    reach, it only repeats its last entry.
     """
     sums = _prefix_sums(sorted(weights, reverse=True)[: horizon // p])
     return sums[np.minimum(np.arange(horizon + 1) // p, len(sums) - 1)]
@@ -130,6 +135,12 @@ def build_solution_vector_concave(jobs: list[Job], horizon: int, acc: Vector | N
     and the result is its (max,+)-convolution with this group's vector.
     Without it the fold starts from the first class vector, so a group of
     c classes costs c - 1 kernel calls.
+
+    The accumulator, ``acc`` or the first class vector, spans the whole
+    horizon, and every other class vector stops at its reach
+    min(horizon, c*p) for c jobs of time p.  The kernel cuts its output at
+    the longer operand, so the output keeps the horizon, and a class vector
+    that short has about c steps: the step kernel's few-step branch.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -147,7 +158,8 @@ def build_solution_vector_concave(jobs: list[Job], horizon: int, acc: Vector | N
         (acc,) = _operands(acc)
         acc = acc[np.minimum(np.arange(horizon + 1), len(acc) - 1)]
     for p in order:
-        acc = convolve_sstep_concave(acc, step_concave_class_vector(classes[p], p, horizon), p)
+        reach = min(horizon, len(classes[p]) * p)
+        acc = convolve_sstep_concave(acc, step_concave_class_vector(classes[p], p, reach), p)
     return acc
 
 

@@ -70,7 +70,7 @@ class Instance:
     """An immutable problem instance with cached summary statistics.
 
     ``classes`` is the jobs' (d, p, w) class table, built on first use and
-    cached on the instance.
+    cached on the instance, and so is ``horizon``.
     """
 
     jobs: tuple[Job, ...]
@@ -106,6 +106,12 @@ class Instance:
         later solve of the instance reads.
         """
         return tuple(sorted(Counter(map(attrgetter("d", "p", "w"), self.jobs)).items(), key=itemgetter(0)))
+
+    @cached_property
+    def horizon(self) -> int:
+        """min(d_max, total processing time): no set of jobs finishes later,
+        so no budget past it changes an answer."""
+        return min(self.d_max, sum(p * c for (_, p, _), c in self.classes))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,14 @@ precondition on the operands holds:
 * ``convolve_naive``          -- no precondition, O(|A|*|B|).
 * ``convolve_sstep_concave``  -- right operand is s-step concave; each full
                                  step of B meets a sliding-window maximum of
-                                 A, and the row maxima of the resulting
-                                 totally monotone matrices (one per residue
-                                 class modulo s) come from one batched
-                                 divide-and-conquer kernel: O(log L) numpy
-                                 passes of O(L) work for all classes.
+                                 A.  With few steps each one is a shifted
+                                 maximum, one O(L) numpy pass per step;
+                                 past ``_FEW_STEPS`` steps the row maxima of
+                                 the resulting totally monotone matrices
+                                 (one per residue class modulo s) come from
+                                 one batched divide-and-conquer kernel:
+                                 O(log L) numpy passes of O(L) work for all
+                                 classes.
 * ``convolve_with_ranges``    -- guided by per-index ranges ``[x_k, y_k]``
                                  certifying where optimal split witnesses
                                  lie; cost proportional to the total range
@@ -64,6 +67,13 @@ __all__ = [
 # their asymptotics only pay off past it.  Tests shrink it to 0 to force the
 # step engines' code paths on small inputs.
 SMALL_PRODUCT_CUTOFF = 4096
+
+# Up to this many steps _stride_maxplus takes one shifted maximum per step;
+# past it the divide and conquer's O(log L) passes are cheaper.  On float64
+# operands on a 2-CPU x86_64 VM the two cost the same at about 230 steps
+# for 2000 rows per class and about 450 for 20000 rows, so 128 stays on
+# the cheaper side of both.
+_FEW_STEPS = 128
 
 # Sums of finite entries must stay exactly representable in float64; past
 # this bound vectors are exact Python-int object arrays.
@@ -214,17 +224,26 @@ def _stride_maxplus(D: np.ndarray, Bc: np.ndarray, s: int) -> np.ndarray:
     """out[l] = max of Bc[t] + D[l - t*s] over t < |Bc| with t*s <= l, for
     concave Bc and D whose NEG_INF entries form a prefix and a suffix.
 
-    Output index l = q*s + r pairs with D[u*s + r], u = q - t, so residue
-    class r is the row maxima of the matrix M_r[q][u] = E_r[u] + Bc[q-u],
-    E_r = D[r::s].  Concave Bc makes the leftmost row argmax non-decreasing
-    in q, so divide and conquer over rows needs only the column window
-    between the argmaxes of the rows already solved around it.  The
-    recursion runs one level at a time over all classes at once: each level
-    evaluates the middle row of every open row range over its window in one
-    flattened pass, so a call costs O(log |D|) numpy passes of O(|D|) each.
+    With at most ``_FEW_STEPS`` steps the definition is evaluated directly,
+    one shifted maximum per step: |Bc| numpy passes of O(|D|) each.
+
+    Past that, output index l = q*s + r pairs with D[u*s + r], u = q - t,
+    so residue class r is the row maxima of the matrix
+    M_r[q][u] = E_r[u] + Bc[q-u], E_r = D[r::s].  Concave Bc makes the
+    leftmost row argmax non-decreasing in q, so divide and conquer over
+    rows needs only the column window between the argmaxes of the rows
+    already solved around it.  The recursion runs one level at a time over
+    all classes at once: each level evaluates the middle row of every open
+    row range over its window in one flattened pass, so a call costs
+    O(log |D|) numpy passes of O(|D|) each.
     """
     L, T = len(D), len(Bc)
     Q = -(-L // s)  # rows per class
+    if T <= _FEW_STEPS:
+        out = np.full(L, NEG_INF, dtype=D.dtype)
+        for t, x in enumerate(Bc[:Q].tolist()):  # step t >= Q starts past the output
+            np.maximum(out[t * s :], x + D[: L - t * s], out=out[t * s :])
+        return out
     E = np.full(Q * s, NEG_INF, dtype=D.dtype)
     E[:L] = D
     E = E.reshape(Q, s).T.ravel()  # E_r[u] at r*Q + u
@@ -261,10 +280,14 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
     grouped by the step of B they use: the final step of B, which may be
     shorter than s, is one sliding-window maximum of A; every full step t
     pairs the stride entry ``B[t*s]`` with the width-s window maximum of A
-    ending at ``l - t*s``.  The full steps thus form, per residue class of l
-    modulo s, a totally monotone matrix whose row maxima one batched
-    divide-and-conquer kernel finds for all classes together, in
-    O(log L) numpy passes over O(L) entries (L the output length).
+    ending at ``l - t*s``.  Up to ``_FEW_STEPS`` full steps, each is one
+    shifted maximum over the output, T numpy passes of O(L) for T steps
+    (L the output length).  Past that the full steps form, per residue
+    class of l modulo s, a totally monotone matrix whose row maxima one
+    batched divide-and-conquer kernel finds for all classes together, in
+    O(log L) numpy passes over O(L) entries.  A class vector of c jobs
+    that stops at its reach c*s has c steps, so a class of at most
+    ``_FEW_STEPS`` jobs takes the few-step branch.
 
     At or below ``SMALL_PRODUCT_CUTOFF`` on ``|A|*|B|`` the call is
     answered by :func:`convolve_naive` instead.

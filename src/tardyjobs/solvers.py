@@ -2,10 +2,11 @@
 
 Two families:
 
-* :func:`lawler_moore` -- the classic O(n * d_max) dynamic program over
-  jobs in due-date order, used as the baseline and as the reconstruction
-  backend.  It runs over the instance's (d, p, w) job classes, each split
-  into O(log c) bundles of interchangeable jobs.
+* :func:`lawler_moore` -- the classic O(n * H) dynamic program over jobs
+  in due-date order, H = min(d_max, total processing time), used as the
+  baseline and as the reconstruction backend.  It runs over the
+  instance's (d, p, w) job classes, each split into O(log c) bundles of
+  interchangeable jobs.
 * the due-date merge -- partition jobs by due date, build a solution
   vector per group, and merge the groups in due-date order with
   (max,+)-convolutions.  After merging group i the accumulator entry k
@@ -41,11 +42,14 @@ the per-job term is the Python pass over the jobs that every candidate makes
 first (the class table, or the due-date groups and their class lists):
 
 * Lawler-Moore: one numpy row update per bundle of t copies of a (d, p, w)
-  class with t * p <= d, over d - t * p + 1 cells each;
+  class with t * p <= d, over min(d, H) - t * p + 1 cells each;
 * concave-p: per group, one kernel call per processing-time class with
   p <= d_i, over (d_i + 1) * log(d_i + 2) units per class;
 * inverse-w: per group, one kernel call per weight class, over the running
-  total weight of the groups up to and including it per class.
+  total weight of the groups up to and including it, times min(c,
+  ``_FEW_STEPS``) for a class of c jobs: the kernel takes one pass per
+  step up to ``_FEW_STEPS`` steps, and its divide and conquer past that
+  costs about as much as that many passes.
 
 Where inverse-w would fall back, its estimate is Lawler-Moore's.  The
 constants ``(a, b, c)`` are configuration, ``DEFAULT_CALIBRATION``, fitted by
@@ -58,7 +62,7 @@ Lawler-Moore DP and the witness alike.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from enum import Enum
 from math import log
 from typing import Iterator
@@ -81,7 +85,7 @@ from .core import (
     group_by_due_date,
 )
 from .fractional import fractional_solution_vector
-from .maxplus import convolve_naive, convolve_with_ranges, vector_dtype
+from .maxplus import _FEW_STEPS, convolve_naive, convolve_with_ranges, vector_dtype
 from .oracle import edd_feasible
 from .prediction import compute_range_intervals
 
@@ -111,19 +115,21 @@ def _lawler_moore_dp(instance: Instance, taken: list | None = None) -> np.ndarra
     run back to back in EDD order and finishing at time k, are all early.
 
     The table starts at zero (the empty set finishes anywhere), so its
-    maximum is the optimum.  It runs over ``instance.classes`` in due-date
-    order, one row update per bundle of interchangeable jobs; see
+    maximum is the optimum.  It spans ``instance.horizon``: no set of jobs
+    runs past their total processing time, so a larger d_max adds nothing.
+    It runs over ``instance.classes`` in due-date order, one row update per
+    bundle of interchangeable jobs; see
     :func:`~tardyjobs.builders.bundled_knapsack`, which also fills
     ``taken``.  A bundle can join the set only while its completion time
     stays within its due date, so states above d never gain it.
     """
-    return bundled_knapsack(instance.classes, instance.d_max, vector_dtype(instance.w_total), taken)
+    return bundled_knapsack(instance.classes, instance.horizon, vector_dtype(instance.w_total), taken)
 
 
 def lawler_moore(instance: Instance) -> SolveResult:
     """Baseline DP over jobs in due-date order, state = exact early time.
 
-    O(b * d_max) for b bundles, at most n of them.
+    O(b * H) for b bundles, at most n of them, H = ``instance.horizon``.
     """
     best = int(_lawler_moore_dp(instance).max())
     return SolveResult(instance.w_total - best, best, policy=SolverPolicy.LAWLER_MOORE)
@@ -180,9 +186,9 @@ def _solve_inverse(grouping: DueDateGrouping) -> int:
 # (shapes from bench/auto_grid.json): per candidate, (ms per call, ms per unit)
 # and ms per job, in the counts of _auto_counts.
 DEFAULT_CALIBRATION: dict[SolverPolicy, tuple[float, float, float]] = {
-    SolverPolicy.LAWLER_MOORE: (0.00305, 6.16e-07, 0.00023),
-    SolverPolicy.CONCAVE_BY_P: (0.34, 2.49e-05, 0.000639),
-    SolverPolicy.INVERSE_BY_W: (0.13, 0.000106, 0.000971),
+    SolverPolicy.LAWLER_MOORE: (0.00409, 6.01e-07, 0.000182),
+    SolverPolicy.CONCAVE_BY_P: (0.0986, 5.11e-06, 0.00152),
+    SolverPolicy.INVERSE_BY_W: (0.125, 7.83e-07, 0.000972),
 }
 
 
@@ -196,20 +202,23 @@ def _auto_counts(instance: Instance) -> dict[SolverPolicy, tuple[int, float, int
 
     Where inverse-w would fall back, it has no entry.  The counts are
     projections of ``instance.classes``: Lawler-Moore's bundles, the
-    distinct (d, p) pairs and the (d, w) pairs with their total weight.
+    distinct (d, p) pairs and the (d, w) pairs with their job counts and the
+    total weight per due date.
     """
     bundles = cells = 0
+    horizon = instance.horizon
     dp_pairs = set()
-    dw_pairs = set()
-    weight: Counter[int] = Counter()  # due date -> total weight of its jobs
+    dw_jobs: defaultdict[tuple[int, int], int] = defaultdict(int)  # (d, w) -> number of jobs
+    weight: defaultdict[int, int] = defaultdict(int)  # due date -> total weight of its jobs
     for (d, p, w), c in instance.classes:
-        for t in bundle_sizes(c):
-            if t * p <= d:
-                bundles += 1
-                cells += d + 1 - t * p
-        if p <= d:
+        if p <= d:  # else no bundle of the class can be early
             dp_pairs.add((d, p))
-        dw_pairs.add((d, w))
+            top = (d if d < horizon else horizon) + 1  # the table's states up to d
+            for t in (1,) if c == 1 else bundle_sizes(c):
+                if t * p <= d:
+                    bundles += 1
+                    cells += top - t * p
+        dw_jobs[d, w] += c
         weight[d] += c * w
     p_classes = Counter(d for d, _ in dp_pairs)
     counts = {
@@ -221,12 +230,14 @@ def _auto_counts(instance: Instance) -> dict[SolverPolicy, tuple[int, float, int
         ),
     }
     if not _inverse_falls_back(instance):
-        w_classes = Counter(d for d, _ in dw_pairs)
+        passes: defaultdict[int, int] = defaultdict(int)  # due date -> step passes of its weight classes
+        for (d, _), c in dw_jobs.items():
+            passes[d] += c if c < _FEW_STEPS else _FEW_STEPS
         running = units = 0
         for d in sorted(weight):
             running += weight[d]
-            units += w_classes[d] * running
-        counts[SolverPolicy.INVERSE_BY_W] = (len(dw_pairs), units, instance.n)
+            units += passes[d] * running
+        counts[SolverPolicy.INVERSE_BY_W] = (len(dw_jobs), units, instance.n)
     return counts
 
 
@@ -300,9 +311,10 @@ def reconstruct_schedule(instance: Instance, target_weight: int | None = None) -
 
     Runs the Lawler-Moore DP while recording, per bundle of interchangeable
     jobs, the states where taking it strictly improved the table (one bool
-    per bundle and budget up to its due date), and walks those records back
-    from the first optimal state; a taken bundle of t copies contributes t
-    jobs of its class.  Without a target the DP's optimum is the target.
+    per bundle and budget up to its due date or ``instance.horizon``,
+    whichever is smaller), and walks those records back from the first
+    optimal state; a taken bundle of t copies contributes t jobs of its
+    class.  Without a target the DP's optimum is the target.
     Raises ``ValueError`` if the target is not the DP optimum (a solver
     bug), and ``RuntimeError`` if the recovered set fails verification.
     """

@@ -111,6 +111,33 @@ class TestConcaveBuilder:
             assert np.array_equal(build_solution_vector_concave(jobs, d, acc), want)
         assert build_solution_vector_concave([], 3, [0, 2]).tolist() == [0, 2, 2, 2]
 
+    def test_classes_far_shorter_than_the_horizon(self, forced_structured_engines, monkeypatch):
+        # every class vector stops at its reach c*p, far below the horizon;
+        # the accumulator, the first class vector or a padded acc, spans it
+        import tardyjobs.builders as builders
+
+        lengths = []
+        real = builders.convolve_sstep_concave
+        monkeypatch.setattr(
+            builders, "convolve_sstep_concave", lambda a, b, s: lengths.append(len(b)) or real(a, b, s)
+        )
+        rng = random.Random(53)
+        for trial in range(40):
+            d = rng.randint(200, 400)
+            w_max = 2**60 if trial % 2 else 9
+            specs = [(p, rng.randint(1, w_max)) for p in range(1, 13) for _ in range(rng.randint(1, 3))]
+            jobs = group(specs, d)
+            prefix = group([(rng.randint(1, 12), rng.randint(1, 9)) for _ in range(rng.randint(1, 6))], d)
+            assert np.array_equal(build_solution_vector_concave(jobs, d), build_solution_vector_dp(jobs, d))
+            acc = build_solution_vector_dp(prefix, d)
+            want = build_solution_vector_dp(prefix + jobs, d)
+            assert np.array_equal(build_solution_vector_concave(jobs, d, acc), want)
+            d0 = rng.randint(1, d - 1)  # an acc shorter than the horizon is padded flat to it
+            acc = build_solution_vector_dp(prefix, d0)
+            want = convolve_naive(acc, build_solution_vector_dp(jobs, d))
+            assert np.array_equal(build_solution_vector_concave(jobs, d, acc), want)
+        assert max(lengths) <= 3 * 12 + 1
+
     def test_matches_dp(self):
         rng = random.Random(47)
         for _ in range(200):

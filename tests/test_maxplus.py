@@ -251,6 +251,64 @@ class TestStepEnginesAtScale:
             convolve_sstep_concave([0] * 400, b, 2)
 
 
+class TestFewStepBranch:
+    """``_stride_maxplus`` takes one shifted maximum per step up to
+    ``_FEW_STEPS`` steps and runs the divide and conquer past it.  Each
+    case runs at the real threshold and with each branch forced, on step
+    counts either side of it."""
+
+    STEPS = (1, 2, mp._FEW_STEPS, mp._FEW_STEPS + 1)
+    FORCED = (mp._FEW_STEPS, 0, 10**9)  # the real threshold, always divide and conquer, always direct
+
+    @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_concave_matches_naive(self, s, shift, forced_structured_engines, monkeypatch):
+        rng = random.Random(400 + s)
+        for steps in self.STEPS:
+            n_b = steps * s + 1  # steps full steps and a one-entry final step
+            # A shorter than B leaves a NEG_INF suffix in the windowed maxima of A
+            for n_a in (n_b // 2 + 1, n_b + 7):
+                a = shifted([rng.randint(0, 10**6) for _ in range(n_a)], shift)
+                b = shifted(sstep_concave(n_b, s, rng), shift)
+                want = convolve_naive(a, b)
+                for few in self.FORCED:
+                    monkeypatch.setattr(mp, "_FEW_STEPS", few)
+                    assert np.array_equal(convolve_sstep_concave(a, b, s), want), (steps, n_a, few)
+
+    @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_minplus_matches_naive(self, s, shift, forced_structured_engines, monkeypatch):
+        rng = random.Random(500 + s)
+        for steps in self.STEPS:
+            # B[1:] has `steps` full steps; A ends before or after B
+            for n_a in (steps * s // 2 + 1, steps * s + 7):
+                a = shifted(sorted(rng.randint(0, 10**6) for _ in range(n_a)), shift)
+                b = shifted(sstep_convex(steps, s, rng), shift)
+                want = minplus_convolve(a, b)
+                for few in self.FORCED:
+                    monkeypatch.setattr(mp, "_FEW_STEPS", few)
+                    assert np.array_equal(minplus_convolve(a, b, s), want), (steps, n_a, few)
+
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_stride_kernel_on_neg_inf_padding(self, s, dtype, monkeypatch):
+        # D holds NEG_INF in a prefix and a suffix, as the windowed maxima of
+        # an operand shorter than the output can; the shorter D ends before
+        # the last steps start
+        rng = random.Random(600 + s)
+        for steps, L in ((t, L) for t in self.STEPS for L in (t * s + rng.randint(1, 40), t * s // 2 + 2)):
+            D = np.full(L, NEG_INF, dtype=dtype)
+            lo, hi = sorted(rng.sample(range(L + 1), 2))
+            D[lo:hi] = [rng.randint(0, 10**6) for _ in range(hi - lo)]
+            Bc = np.array(sstep_concave(steps, 1, rng), dtype=dtype)
+            want = [
+                max((Bc[t] + D[l - t * s] for t in range(steps) if t * s <= l), default=NEG_INF) for l in range(L)
+            ]
+            for few in self.FORCED:
+                monkeypatch.setattr(mp, "_FEW_STEPS", few)
+                assert mp._stride_maxplus(D, Bc, s).tolist() == want, (steps, few)
+
+
 class TestOneKernel:
     """Each operation has one numpy body; float64 and exact object arrays
     must both give the definition's answer."""

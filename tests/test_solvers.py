@@ -64,6 +64,60 @@ class TestLawlerMoore:
             assert lawler_moore(inst).min_tardy_weight == brute_force(inst).min_tardy_weight
 
 
+@st.composite
+def slack_horizon_instances(draw):
+    """Up to 8 jobs, some due dates far past the total processing time.
+
+    Every job has p <= 6, so P <= 48, while due dates reach 10**9; a shift
+    of 2**60 on every weight puts the DP on the exact object-array path.
+    """
+    shift = draw(st.sampled_from([0, 2**60]))
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 6), st.integers(1, 9), st.one_of(st.integers(1, 20), st.integers(10**6, 10**9))
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return Instance(tuple(J(i, p, w + shift, d) for i, (p, w, d) in enumerate(specs)))
+
+
+class TestHorizonPastTotalTime:
+    """d_max far above the total processing time P: the Lawler-Moore table
+    and its witness records stop at min(d_max, P)."""
+
+    @given(slack_horizon_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_table_and_witness_match_the_oracle(self, inst):
+        from tardyjobs.solvers import _lawler_moore_dp
+
+        P = sum(j.p for j in inst.jobs)
+        taken = []
+        assert len(_lawler_moore_dp(inst, taken)) == min(inst.d_max, P) + 1
+        assert all(len(mask) <= min(inst.d_max, P) + 1 for _, _, mask in taken)
+        want = brute_force(inst).max_early_weight
+        assert lawler_moore(inst).max_early_weight == want
+        by_id = {j.id: j for j in inst.jobs}
+        chosen = [by_id[i] for i in reconstruct_schedule(inst)]
+        assert sum(j.w for j in chosen) == want and edd_feasible(chosen)
+
+    def test_witness_peak_does_not_grow_with_d_max(self):
+        peaks = []
+        for d_max in (10**6, 10**9):
+            inst = generate_instance(seed=1, n=50, d_hash=4, d_max=d_max, p_max=10, w_max=10)
+            tracemalloc.start()
+            try:
+                res = solve(inst, SolverPolicy.LAWLER_MOORE, reconstruct=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.max_early_weight == inst.w_total  # P < every due date: all jobs are early
+        # 50 bundles of at most P + 1 = 268 states each; a d_max-sized row is 1 MB
+        assert max(peaks) < 200_000
+
+
 class TestSolveMaxplus:
     def test_single_due_date_is_knapsack(self):
         jobs = tuple(J(i, p, w, 7) for i, (p, w) in enumerate([(3, 4), (2, 3), (4, 6), (5, 2)]))
@@ -425,6 +479,7 @@ class TestAutoSelect:
         assert auto_select(TWO_JOBS) is SolverPolicy.LAWLER_MOORE
 
     def test_auto_counts_match_a_per_group_pass(self):
+        from tardyjobs.maxplus import _FEW_STEPS
         from tardyjobs.solvers import _auto_counts, _inverse_falls_back
 
         rng = SplitMix64(606)
@@ -434,14 +489,18 @@ class TestAutoSelect:
             grouping = group_by_due_date(inst)
             p_classes = [len({j.p for j in g if j.p <= d}) for d, g in zip(grouping.due_dates, grouping.groups)]
             w_classes = [len({j.w for j in g}) for g in grouping.groups]
+            # one pass per step of each weight class, up to the kernel's few-step threshold
+            w_passes = [sum(min(c, _FEW_STEPS) for c in Counter(j.w for j in g).values()) for g in grouping.groups]
             running = accumulate(sum(j.w for j in g) for g in grouping.groups)
             # Lawler-Moore: per (d, p, w) class of c jobs, the bundles 1, 2, 4, ..., 2**(m-1)
-            # and the remainder c - (2**m - 1), for the largest m with 2**m - 1 <= c
+            # and the remainder c - (2**m - 1), for the largest m with 2**m - 1 <= c; the
+            # table stops at min(d_max, total p)
+            horizon = min(inst.d_max, sum(j.p for j in inst.jobs))
             bundles = []
             for (d, p, w), c in Counter((j.d, j.p, j.w) for j in inst.jobs).items():
                 m = (c + 1).bit_length() - 1
                 sizes = [2**i for i in range(m)] + [c - 2**m + 1] * (c > 2**m - 1)
-                bundles += [d - t * p + 1 for t in sizes if t * p <= d]
+                bundles += [min(d, horizon) - t * p + 1 for t in sizes if t * p <= d]
             got = _auto_counts(inst)
             assert got[SolverPolicy.LAWLER_MOORE] == (len(bundles), sum(bundles), inst.n)
             assert got[SolverPolicy.CONCAVE_BY_P] == (
@@ -454,7 +513,7 @@ class TestAutoSelect:
             else:
                 assert got[SolverPolicy.INVERSE_BY_W] == (
                     sum(w_classes),
-                    sum(c * w for c, w in zip(w_classes, running)),
+                    sum(c * w for c, w in zip(w_passes, running)),
                     inst.n,
                 )
                 live += 1
