@@ -131,8 +131,11 @@ def build_solution_vector_concave(jobs: list[Job], horizon: int, acc: Vector | N
 
     With ``acc`` given, the classes are folded into it instead: ``acc`` is a
     monotone solution vector of other jobs (a merged prefix) spanning at most
-    ``horizon + 1`` budgets, padded with its last entry up to ``horizon``,
-    and the result is its (max,+)-convolution with this group's vector.
+    ``horizon + 1`` budgets, and the result is its (max,+)-convolution with
+    this group's vector.  A prefix that stops short, at its own horizon
+    min(d, P) of its latest due date d and total processing time P, holds
+    its last entry at every later budget, so it is padded with that entry up
+    to ``horizon``.
     Without it the fold starts from the first class vector, so a group of
     c classes costs c - 1 kernel calls.
 

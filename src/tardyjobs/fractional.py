@@ -67,15 +67,20 @@ def wspt_sort(jobs: list[Job]) -> list[Job]:
     return sorted(jobs, key=lambda j: (-j.w * (lcm // j.p), j.id))
 
 
-def fractional_solution_vector(instance: Instance) -> FractionalSolutionVector:
-    """Greedy fractional solution vector over budgets 0..d_max.
+def fractional_solution_vector(instance: Instance, horizon: int | None = None) -> FractionalSolutionVector:
+    """Greedy fractional solution vector over budgets 0..``horizon``, by
+    default 0..d_max.
 
     Jobs are taken in WSPT order, each as many unit slices as fit at once:
     with ``room[t]`` the due date t minus the units already placed against
     due dates <= t, job j takes ``min(p_j, min(room[i:]))`` units, where i
     indexes its own due date, and the take is subtracted from ``room[i:]``.
     Each unit adds the job's rate ``w_j / p_j``, so the vector is the prefix
-    sums of the rates in take order, flat once jobs run out.
+    sums of the rates in take order, flat once jobs run out.  At most
+    min(d_max, P) units are taken, P the total processing time, so a
+    horizon at or past that only adds flat entries, and a shorter one cuts
+    the vector.  A solver passes its merge's horizon, so that no vector
+    outgrows the integral ones.
     """
     dates = sorted({j.d for j in instance.jobs})
     date_index = {d: i for i, d in enumerate(dates)}
@@ -90,8 +95,11 @@ def fractional_solution_vector(instance: Instance) -> FractionalSolutionVector:
             room[t] -= take
         rates += [job.w * (scale // job.p)] * take
         units[job.id] = take
+    if horizon is None:
+        horizon = instance.d_max
     scaled = list(accumulate(rates, initial=0))
-    scaled += [scaled[-1]] * (instance.d_max + 1 - len(scaled))
+    del scaled[horizon + 1 :]
+    scaled += [scaled[-1]] * (horizon + 1 - len(scaled))
     return FractionalSolutionVector(scaled=tuple(scaled), scale=scale, units=units)
 
 

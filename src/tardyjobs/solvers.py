@@ -12,7 +12,10 @@ Two families:
   (max,+)-convolutions.  After merging group i the accumulator entry k
   holds the best early weight achievable from the first i groups within
   processing budget k, so the last entry of the final accumulator is the
-  optimum.  The policy picks how each merge is computed:
+  optimum.  Merge i spans budgets 0..h_i, h_i = min(d_i, P<=i) with P<=i
+  the total processing time of the first i groups: no set of them
+  finishes later, so a larger budget would only repeat the last entry.
+  The policy picks how each merge is computed:
 
   - ``MAXPLUS_NAIVE``: quadratic convolution per merge.
   - ``PREDICTION``: per merge, build fractional solution vectors for the
@@ -142,30 +145,40 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
     """Yield (i, accumulator) after merging each due-date group.
 
     The accumulator after iteration i is a ``Vector`` spanning budgets
-    0..d^(i), the best early weight of the first i groups per budget.  Introspection
-    surface for tests and demos; :func:`solve` consumes it.  Raises
-    ``ValueError`` for a policy that does not run the forward merge.
+    0..h_i, h_i = min(d^(i), P<=i), the best early weight of the first i
+    groups per budget; P<=i, their total processing time, comes from
+    ``instance.classes``.  Every vector of merge i, the group's and under
+    PREDICTION the fractional vectors of the group and the union, spans the
+    same budgets.  Introspection surface for tests and demos; :func:`solve`
+    consumes it.  Raises ``ValueError`` for a policy that does not run the
+    forward merge.
     """
     if policy not in _MERGE_POLICIES:
         raise ValueError(f"forward merge does not apply to policy {policy}")
     grouping = group_by_due_date(instance)
+    time_by_date: defaultdict[int, int] = defaultdict(int)  # due date -> total processing time of its jobs
+    for (d, p, _), c in instance.classes:
+        time_by_date[d] += p * c
     acc: Vector | None = None
     prefix: tuple[Job, ...] = ()
     prefix_frac = None
+    total = 0  # P<=i, the total processing time of the first i groups
     for i, (d_i, grp) in enumerate(zip(grouping.due_dates, grouping.groups), start=1):
+        total += time_by_date[d_i]
+        h = min(d_i, total)
         if policy is SolverPolicy.CONCAVE_BY_P:
-            acc = build_solution_vector_concave(list(grp), d_i, acc)
+            acc = build_solution_vector_concave(list(grp), h, acc)
         elif acc is None:
-            acc = build_solution_vector_dp(list(grp), d_i)
+            acc = build_solution_vector_dp(list(grp), h)
         elif policy is SolverPolicy.MAXPLUS_NAIVE:
-            acc = convolve_naive(acc, build_solution_vector_dp(list(grp), d_i))
+            acc = convolve_naive(acc, build_solution_vector_dp(list(grp), h))
         else:  # PREDICTION
             if prefix_frac is None:
-                prefix_frac = fractional_solution_vector(Instance(prefix))
-            b_frac = fractional_solution_vector(Instance(grp))
-            c_frac = fractional_solution_vector(Instance(prefix + grp))
+                prefix_frac = fractional_solution_vector(Instance(prefix), len(acc) - 1)
+            b_frac = fractional_solution_vector(Instance(grp), h)
+            c_frac = fractional_solution_vector(Instance(prefix + grp), h)
             ranges = compute_range_intervals(prefix_frac, b_frac, c_frac, i, instance.w_max)
-            acc = convolve_with_ranges(acc, build_solution_vector_dp(list(grp), d_i), ranges)
+            acc = convolve_with_ranges(acc, build_solution_vector_dp(list(grp), h), ranges)
             prefix_frac = c_frac  # the union is the next merge's prefix
         prefix += grp
         yield i, acc

@@ -40,6 +40,15 @@ TWO_JOBS = Instance((J(0, 2, 3, 2), J(1, 2, 5, 3)))
 
 AUTO_CANDIDATES = (SolverPolicy.LAWLER_MOORE, SolverPolicy.CONCAVE_BY_P, SolverPolicy.INVERSE_BY_W)
 
+MERGE_POLICIES = (SolverPolicy.MAXPLUS_NAIVE, SolverPolicy.PREDICTION, SolverPolicy.CONCAVE_BY_P)
+
+
+def merge_horizons(inst):
+    """Per due-date group i, min(d_i, P<=i): the budgets its merge spans."""
+    grouping = group_by_due_date(inst)
+    totals = accumulate(sum(j.p for j in grp) for grp in grouping.groups)
+    return [min(d, total) for d, total in zip(grouping.due_dates, totals)]
+
 
 class TestLawlerMoore:
     def test_two_jobs(self):
@@ -86,7 +95,8 @@ def slack_horizon_instances(draw):
 
 class TestHorizonPastTotalTime:
     """d_max far above the total processing time P: the Lawler-Moore table
-    and its witness records stop at min(d_max, P)."""
+    and its witness records stop at min(d_max, P), and merge i of the
+    due-date chain at min(d_i, P<=i)."""
 
     @given(slack_horizon_instances())
     @settings(max_examples=80, deadline=None)
@@ -115,6 +125,32 @@ class TestHorizonPastTotalTime:
                 tracemalloc.stop()
             assert res.max_early_weight == inst.w_total  # P < every due date: all jobs are early
         # 50 bundles of at most P + 1 = 268 states each; a d_max-sized row is 1 MB
+        assert max(peaks) < 200_000
+
+    @given(slack_horizon_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_merge_chain_stops_at_the_prefix_total_time(self, inst):
+        want = brute_force(inst).max_early_weight
+        horizons = merge_horizons(inst)
+        for policy in MERGE_POLICIES:
+            for i, acc in forward_states(inst, policy):
+                assert len(acc) == horizons[i - 1] + 1, policy
+                assert prefix_vector_semantics_check(inst, i, acc), policy
+            assert solve(inst, policy).max_early_weight == want, policy
+
+    @pytest.mark.parametrize("policy", MERGE_POLICIES, ids=lambda p: p.value)
+    def test_merge_peak_does_not_grow_with_d_max(self, policy):
+        peaks = []
+        for d_max in (10**6, 10**9):
+            inst = generate_instance(seed=1, n=50, d_hash=4, d_max=d_max, p_max=10, w_max=10)
+            tracemalloc.start()
+            try:
+                res = solve(inst, policy)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.min_tardy_weight == 0  # P < every due date: all jobs are early
+        # every vector spans at most P + 1 = 268 budgets; a d_max-sized one is 8 MB
         assert max(peaks) < 200_000
 
 
@@ -177,10 +213,10 @@ class TestSolveMaxplus:
                 SolverPolicy.PREDICTION,
                 SolverPolicy.CONCAVE_BY_P,
             ):
+                horizons = merge_horizons(inst)
                 for i, acc in forward_states(inst, policy):
                     assert validate_solution_vector(acc) == []
-                    d_i = group_by_due_date(inst).due_dates[i - 1]
-                    assert len(acc) == d_i + 1
+                    assert len(acc) == horizons[i - 1] + 1
 
     def test_auto_policy_solves(self):
         rng = SplitMix64(31337)
@@ -246,7 +282,8 @@ class TestPrefixSemantics:
         inst = Instance((J(0, 2, 3, 4), J(1, 1, 1, 4), J(2, 2, 2, 9)))
         states = dict(forward_states(inst, SolverPolicy.MAXPLUS_NAIVE))
         grouping = group_by_due_date(inst)
-        assert np.array_equal(states[1], build_solution_vector_dp(list(grouping.groups[0]), 4))
+        # the first group's jobs take P = 3 < d = 4: its vector stops there
+        assert np.array_equal(states[1], build_solution_vector_dp(list(grouping.groups[0]), 3))
         assert prefix_vector_semantics_check(inst, 1, states[1])
 
     def test_mid_iterations(self):
@@ -274,10 +311,18 @@ class TestPrefixSemantics:
 
         calls = []
         real = solvers.fractional_solution_vector
-        monkeypatch.setattr(solvers, "fractional_solution_vector", lambda inst: calls.append(inst) or real(inst))
+
+        def spy(inst, horizon):
+            calls.append(horizon)
+            return real(inst, horizon)
+
+        monkeypatch.setattr(solvers, "fractional_solution_vector", spy)
         inst = generate_instance(seed=7, n=80, d_hash=16, d_max=400)
         states = list(forward_states(inst, SolverPolicy.PREDICTION))
         assert len(calls) == 2 * 16 - 1  # the first prefix, then group and union per merge
+        # the prefix spans the accumulator, the group and the union merge i's horizon
+        h = merge_horizons(inst)
+        assert calls == [h[0]] + [h[i] for i in range(1, 16) for _ in range(2)]
         assert states[-1][1][-1] == lawler_moore(inst).max_early_weight
 
 
