@@ -25,14 +25,13 @@ total weight or processing time).
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
 
 from .core import Job, JobClass, Vector
-from .maxplus import _operands, convolve_sstep_concave, minplus_convolve, vector_dtype
+from .maxplus import _operands, bundle_sizes, convolve_sstep_concave, minplus_convolve, vector_dtype
 
 __all__ = [
     "build_solution_vector_dp",
@@ -48,23 +47,6 @@ def _prefix_sums(values: list[int]) -> Vector:
     return np.cumsum([0, *values], dtype=vector_dtype(sum(values)))
 
 
-@lru_cache(maxsize=None)
-def bundle_sizes(c: int) -> tuple[int, ...]:
-    """The binary split of c copies: 1, 2, 4, ... and a remainder.
-
-    Every count 0..c is the sum of a subset of them, so c interchangeable
-    items become O(log c) items of t copies each with the same optima.
-    """
-    sizes = []
-    t = 1
-    while c:
-        t = min(t, c)
-        sizes.append(t)
-        c -= t
-        t *= 2
-    return tuple(sizes)
-
-
 def bundled_knapsack(classes: Iterable[JobClass], horizon: int, dtype, taken: list | None = None) -> Vector:
     """The Lawler-Moore table over job classes, one row update per bundle.
 
@@ -75,12 +57,12 @@ def bundled_knapsack(classes: Iterable[JobClass], horizon: int, dtype, taken: li
     jobs' total processing time loses nothing.  The table starts at zero,
     so its maximum is the optimum.
 
-    A class of c copies enters as the bundles of :func:`bundle_sizes`: a
-    bundle of t copies is one item of time t*p and weight t*w, and only
-    states up to its due date can gain it.  A class of one job is one
-    update.  With ``taken`` given, each bundle that fits appends
-    ``(class key, t, mask)``: mask[k - t*p] is set where the bundle strictly
-    improved state k.
+    A class of c copies enters as the bundles of
+    :func:`~tardyjobs.maxplus.bundle_sizes`: a bundle of t copies is one
+    item of time t*p and weight t*w, and only states up to its due date
+    can gain it.  A class of one job is one update.  With ``taken`` given,
+    each bundle that fits appends ``(class key, t, mask)``: mask[k - t*p]
+    is set where the bundle strictly improved state k.
     """
     f = np.zeros(horizon + 1, dtype=dtype)
     for key, c in classes:
@@ -143,7 +125,9 @@ def build_solution_vector_concave(jobs: list[Job], horizon: int, acc: Vector | N
     horizon, and every other class vector stops at its reach
     min(horizon, c*p) for c jobs of time p.  The kernel cuts its output at
     the longer operand, so the output keeps the horizon, and a class vector
-    that short has about c steps: the step kernel's few-step branch.
+    that short has about c steps: the step kernel's one pass per step up to
+    ``_FEW_STEPS`` jobs, and past that one pass per bundle of a run of
+    equal weights.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")

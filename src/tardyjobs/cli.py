@@ -73,17 +73,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 2
 
     if args.verify:
-        if instance.n <= DEFAULT_CAP:
-            check_name = "brute-force"
-            check = brute_force(instance).min_tardy_weight
-        else:
-            other = (
-                SolverPolicy.MAXPLUS_NAIVE
-                if result.policy is SolverPolicy.LAWLER_MOORE
-                else SolverPolicy.LAWLER_MOORE
-            )
-            check_name = other.value
-            check = solve(instance, other).min_tardy_weight
+        try:  # the check is a solver too
+            if instance.n <= DEFAULT_CAP:
+                check_name = "brute-force"
+                check = brute_force(instance).min_tardy_weight
+            else:
+                other = (
+                    SolverPolicy.MAXPLUS_NAIVE
+                    if result.policy is SolverPolicy.LAWLER_MOORE
+                    else SolverPolicy.LAWLER_MOORE
+                )
+                check_name = other.value
+                check = solve(instance, other).min_tardy_weight
+        except (ValueError, RuntimeError) as exc:
+            print(f"INTERNAL INCONSISTENCY: {check_name}: {exc}", file=sys.stderr)
+            return 2
         if check != result.min_tardy_weight:
             print(
                 f"INTERNAL INCONSISTENCY: {result.policy.value} returned "

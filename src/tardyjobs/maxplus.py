@@ -9,14 +9,18 @@ precondition on the operands holds:
 * ``convolve_naive``          -- no precondition, O(|A|*|B|).
 * ``convolve_sstep_concave``  -- right operand is s-step concave; each full
                                  step of B meets a sliding-window maximum of
-                                 A.  With few steps each one is a shifted
-                                 maximum, one O(L) numpy pass per step;
-                                 past ``_FEW_STEPS`` steps the row maxima of
-                                 the resulting totally monotone matrices
-                                 (one per residue class modulo s) come from
-                                 one batched divide-and-conquer kernel:
-                                 O(log L) numpy passes of O(L) work for all
-                                 classes.
+                                 A.  Three branches, each counted in O(L)
+                                 numpy passes: up to ``_FEW_STEPS`` steps,
+                                 one shifted maximum per step; past that,
+                                 while the steps' rises form runs of equal
+                                 value whose binary bundles number at most
+                                 ``_FEW_STEPS``, one shifted maximum per
+                                 bundle (O(log m) for a run of m steps);
+                                 otherwise the row maxima of the resulting
+                                 totally monotone matrices (one per residue
+                                 class modulo s) come from one batched
+                                 divide-and-conquer kernel: O(log L) passes
+                                 for all classes.
 * ``convolve_with_ranges``    -- guided by per-index ranges ``[x_k, y_k]``
                                  certifying where optimal split witnesses
                                  lie; cost proportional to the total range
@@ -45,6 +49,7 @@ mirror used by inverse (weight-indexed) vectors instead keeps the full
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -69,10 +74,12 @@ __all__ = [
 SMALL_PRODUCT_CUTOFF = 4096
 
 # Up to this many steps _stride_maxplus takes one shifted maximum per step;
-# past it the divide and conquer's O(log L) passes are cheaper.  On float64
-# operands on a 2-CPU x86_64 VM the two cost the same at about 230 steps
-# for 2000 rows per class and about 450 for 20000 rows, so 128 stays on
-# the cheaper side of both.
+# past it, one per bundle of a run of equal rises while those bundles number
+# at most this many, else the divide and conquer's O(log L) passes, which
+# are cheaper than more shifted maxima.  On float64 operands on a 2-CPU
+# x86_64 VM one pass per step and the divide and conquer cost the same at
+# about 230 steps for 2000 rows per class and about 450 for 20000 rows, so
+# 128 stays on the cheaper side of both.
 _FEW_STEPS = 128
 
 # Sums of finite entries must stay exactly representable in float64; past
@@ -220,30 +227,80 @@ def _sliding_max(a: np.ndarray, width: int, length: int) -> np.ndarray:
     return np.maximum(suffix[:length], prefix[width - 1 : width - 1 + length])
 
 
+@lru_cache(maxsize=None)
+def bundle_sizes(c: int) -> tuple[int, ...]:
+    """The binary split of c copies: 1, 2, 4, ... and a remainder.
+
+    Every count 0..c is the sum of a subset of them, so c interchangeable
+    items become O(log c) items of t copies each with the same optima.
+    """
+    sizes = []
+    t = 1
+    while c:
+        t = min(t, c)
+        sizes.append(t)
+        c -= t
+        t *= 2
+    return tuple(sizes)
+
+
 def _stride_maxplus(D: np.ndarray, Bc: np.ndarray, s: int) -> np.ndarray:
     """out[l] = max of Bc[t] + D[l - t*s] over t < |Bc| with t*s <= l, for
     concave Bc and D whose NEG_INF entries form a prefix and a suffix.
 
-    With at most ``_FEW_STEPS`` steps the definition is evaluated directly,
-    one shifted maximum per step: |Bc| numpy passes of O(|D|) each.
+    Three branches, the first that applies:
 
-    Past that, output index l = q*s + r pairs with D[u*s + r], u = q - t,
-    so residue class r is the row maxima of the matrix
-    M_r[q][u] = E_r[u] + Bc[q-u], E_r = D[r::s].  Concave Bc makes the
-    leftmost row argmax non-decreasing in q, so divide and conquer over
-    rows needs only the column window between the argmaxes of the rows
-    already solved around it.  The recursion runs one level at a time over
-    all classes at once: each level evaluates the middle row of every open
-    row range over its window in one flattened pass, so a call costs
-    O(log |D|) numpy passes of O(|D|) each.
+    * With at most ``_FEW_STEPS`` steps the definition is evaluated
+      directly, one shifted maximum per step: |Bc| numpy passes of O(|D|)
+      each.
+    * Past that, when the rises Bc[t+1] - Bc[t] of the steps that start
+      inside the output form runs of equal rise whose bundles
+      (:func:`bundle_sizes` of each run's length) number at most
+      ``_FEW_STEPS``, the steps are composed run by run from
+      out = D + Bc[0].  A bundle of b steps of a run of rise v is one
+      in-place shifted maximum out[l] = max(out[l], out[l - b*s] + b*v).
+      After a run of m steps every count 0..m of them has been taken, so
+      out[l] is the best of D[l - t*s] plus Bc[0] and some choice of t
+      rises, at most m from each run; since the rises do not grow, the
+      best choice of t rises is the first t, which sum to Bc[t] - Bc[0].
+      That is one numpy pass per bundle: O(log m) per run of m steps.
+    * Otherwise divide and conquer.  Output index l = q*s + r pairs with
+      D[u*s + r], u = q - t, so residue class r is the row maxima of the
+      matrix M_r[q][u] = E_r[u] + Bc[q-u], E_r = D[r::s].  Concave Bc
+      makes the leftmost row argmax non-decreasing in q, so divide and
+      conquer over rows needs only the column window between the argmaxes
+      of the rows already solved around it.  The recursion runs one level
+      at a time over all classes at once: each level evaluates the middle
+      row of every open row range over its window in one flattened pass,
+      so a call costs O(log |D|) numpy passes of O(|D|) each.
     """
     L, T = len(D), len(Bc)
-    Q = -(-L // s)  # rows per class
+    Q = -(-L // s)  # rows per class; step t >= Q starts past the output
     if T <= _FEW_STEPS:
         out = np.full(L, NEG_INF, dtype=D.dtype)
-        for t, x in enumerate(Bc[:Q].tolist()):  # step t >= Q starts past the output
+        for t, x in enumerate(Bc[:Q].tolist()):
             np.maximum(out[t * s :], x + D[: L - t * s], out=out[t * s :])
         return out
+    rise = np.diff(Bc[:Q])
+    firsts = (np.flatnonzero(rise[1:] != rise[:-1]) + 1).tolist()  # where a new run starts
+    if len(firsts) < _FEW_STEPS:
+        # Exact in float64: every stored entry is a prefix value
+        # D[u] + Bc[t], below |a|max + |b|max < 2**52 in magnitude for the
+        # operands a, b the kernel was called on, and a bundle's b*v is a
+        # difference of two Bc entries.  A candidate out[l - b*s] + b*v is
+        # at most the prefix value D[u] + Bc[t + b] of the same D entry, by
+        # concavity, so it can leave the exact range only downwards, past
+        # -2**53; rounding keeps it there, and that prefix value, also
+        # taken at l, beats it.  Later rises are no larger, so nothing
+        # built on it climbs back.
+        bundles = [
+            (b, rise[i]) for i, j in zip([0, *firsts], [*firsts, len(rise)]) for b in bundle_sizes(j - i)
+        ]
+        if len(bundles) <= _FEW_STEPS:
+            out = D + Bc[0]
+            for b, v in bundles:  # b <= Q - 1, so b*s < L
+                np.maximum(out[b * s :], out[: L - b * s] + b * v, out=out[b * s :])
+            return out
     E = np.full(Q * s, NEG_INF, dtype=D.dtype)
     E[:L] = D
     E = E.reshape(Q, s).T.ravel()  # E_r[u] at r*Q + u
@@ -280,14 +337,24 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
     grouped by the step of B they use: the final step of B, which may be
     shorter than s, is one sliding-window maximum of A; every full step t
     pairs the stride entry ``B[t*s]`` with the width-s window maximum of A
-    ending at ``l - t*s``.  Up to ``_FEW_STEPS`` full steps, each is one
-    shifted maximum over the output, T numpy passes of O(L) for T steps
-    (L the output length).  Past that the full steps form, per residue
-    class of l modulo s, a totally monotone matrix whose row maxima one
-    batched divide-and-conquer kernel finds for all classes together, in
-    O(log L) numpy passes over O(L) entries.  A class vector of c jobs
-    that stops at its reach c*s has c steps, so a class of at most
-    ``_FEW_STEPS`` jobs takes the few-step branch.
+    ending at ``l - t*s``.  The full steps take one of three branches
+    (L the output length):
+
+    * up to ``_FEW_STEPS`` full steps, each is one shifted maximum over
+      the output, T numpy passes of O(L) for T steps;
+    * past that, the steps whose stride entries rise by equal amounts form
+      a run, and a run of m steps is O(log m) shifted maxima, one per
+      binary bundle of its steps, when all runs' bundles number at most
+      ``_FEW_STEPS``;
+    * otherwise the full steps form, per residue class of l modulo s, a
+      totally monotone matrix whose row maxima one batched
+      divide-and-conquer kernel finds for all classes together, in
+      O(log L) numpy passes over O(L) entries.
+
+    A class vector of c jobs that stops at its reach c*s has c steps, so
+    a class of at most ``_FEW_STEPS`` jobs takes the first branch; a
+    larger class with few distinct weights has few runs and takes the
+    second.
 
     At or below ``SMALL_PRODUCT_CUTOFF`` on ``|A|*|B|`` the call is
     answered by :func:`convolve_naive` instead.

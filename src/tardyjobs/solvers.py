@@ -51,8 +51,10 @@ first (the class table, or the due-date groups and their class lists):
 * inverse-w: per group, one kernel call per weight class, over the running
   total weight of the groups up to and including it, times min(c,
   ``_FEW_STEPS``) for a class of c jobs: the kernel takes one pass per
-  step up to ``_FEW_STEPS`` steps, and its divide and conquer past that
-  costs about as much as that many passes.
+  step up to ``_FEW_STEPS`` steps, and past that its divide and conquer
+  costs about as much as that many passes.  A class with few distinct
+  processing times costs less past ``_FEW_STEPS``, one pass per bundle of
+  a run of equal steps, which the count does not follow.
 
 Where inverse-w would fall back, its estimate is Lawler-Moore's.  The
 constants ``(a, b, c)`` are configuration, ``DEFAULT_CALIBRATION``, fitted by
@@ -76,7 +78,6 @@ from .builders import (
     build_inverse_solution_vector,
     build_solution_vector_concave,
     build_solution_vector_dp,
-    bundle_sizes,
     bundled_knapsack,
 )
 from .core import (
@@ -88,7 +89,7 @@ from .core import (
     group_by_due_date,
 )
 from .fractional import fractional_solution_vector
-from .maxplus import _FEW_STEPS, convolve_naive, convolve_with_ranges, vector_dtype
+from .maxplus import _FEW_STEPS, bundle_sizes, convolve_naive, convolve_with_ranges, vector_dtype
 from .oracle import edd_feasible
 from .prediction import compute_range_intervals
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -137,6 +138,16 @@ class TestConcaveBuilder:
             want = convolve_naive(acc, build_solution_vector_dp(jobs, d))
             assert np.array_equal(build_solution_vector_concave(jobs, d, acc), want)
         assert max(lengths) <= 3 * 12 + 1
+
+    def test_classes_past_the_few_step_branch(self):
+        # one group of 2000 jobs, p <= 5 and w <= 3: every class holds far
+        # more than _FEW_STEPS jobs, and its rises form at most three runs
+        from tardyjobs.maxplus import _FEW_STEPS
+
+        rng = random.Random(59)
+        jobs = group([(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(2000)], 3000)
+        assert min(Counter(job.p for job in jobs).values()) > _FEW_STEPS
+        assert np.array_equal(build_solution_vector_concave(jobs, 3000), build_solution_vector_dp(jobs, 3000))
 
     def test_matches_dp(self):
         rng = random.Random(47)

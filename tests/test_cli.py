@@ -215,6 +215,33 @@ class TestCli:
         assert "INTERNAL INCONSISTENCY" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n, error", [(8, RuntimeError), (60, ValueError)], ids=["brute-force", "re-solve"])
+    def test_check_that_raises_exits_2(self, tmp_path, capsys, monkeypatch, n, error):
+        # --verify checks with brute force up to DEFAULT_CAP jobs and past it
+        # by re-solving under another policy; either check raising is a
+        # solver fault on a parsed instance, not an input error
+        import tardyjobs.cli as cli
+
+        real_solve = cli.solve
+
+        def check_raises(*args, **kwargs):
+            raise error("check failed")
+
+        def first_solve_only(instance, policy, **kwargs):
+            if policy is cli.SolverPolicy.LAWLER_MOORE:
+                raise error("check failed")
+            return real_solve(instance, policy, **kwargs)
+
+        monkeypatch.setattr(cli, "brute_force", check_raises)
+        monkeypatch.setattr(cli, "solve", first_solve_only)
+        inst = generate_instance(seed=21, n=n, d_hash=3, d_max=200)
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(inst, "json"))
+        assert main(["solve", str(path), "--algo", "concave-p", "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert "INTERNAL INCONSISTENCY" in captured.err and "check failed" in captured.err
+        assert captured.out == ""
+
     def test_lawler_moore_witness_runs_the_dp_once(self, tmp_path, capsys, monkeypatch):
         import tardyjobs.solvers as solvers
 

@@ -18,6 +18,7 @@ from tardyjobs import (
     is_sstep_convex,
     minplus_convolve,
 )
+from tardyjobs.builders import step_convex_class_vector
 
 vec = st.lists(st.integers(min_value=-20, max_value=50), min_size=1, max_size=24)
 
@@ -253,9 +254,10 @@ class TestStepEnginesAtScale:
 
 class TestFewStepBranch:
     """``_stride_maxplus`` takes one shifted maximum per step up to
-    ``_FEW_STEPS`` steps and runs the divide and conquer past it.  Each
-    case runs at the real threshold and with each branch forced, on step
-    counts either side of it."""
+    ``_FEW_STEPS`` steps; past it, runs of equal rise or the divide and
+    conquer.  Each case runs at the real threshold and with the per-step
+    branch and the divide and conquer forced, on step counts either side of
+    it."""
 
     STEPS = (1, 2, mp._FEW_STEPS, mp._FEW_STEPS + 1)
     FORCED = (mp._FEW_STEPS, 0, 10**9)  # the real threshold, always divide and conquer, always direct
@@ -307,6 +309,128 @@ class TestFewStepBranch:
             for few in self.FORCED:
                 monkeypatch.setattr(mp, "_FEW_STEPS", few)
                 assert mp._stride_maxplus(D, Bc, s).tolist() == want, (steps, few)
+
+
+def equal_rise_runs(n_steps, n_rises, rng):
+    """A concave stride subsample of n_steps entries whose rises take
+    n_rises distinct values of mixed signs, in runs of random length."""
+    rises = sorted(rng.sample(range(-60, 60), n_rises), reverse=True)
+    cuts = sorted(rng.sample(range(1, n_steps - 1), n_rises - 1))
+    lengths = [j - i for i, j in zip([0, *cuts], [*cuts, n_steps - 1])]
+    core = [rng.randint(-9, 9)]
+    for v, m in zip(rises, lengths):
+        for _ in range(m):
+            core.append(core[-1] + v)
+    return core
+
+
+class TestEqualRiseRuns:
+    """Past ``_FEW_STEPS`` steps, a stride subsample whose rises form few
+    runs of equal value takes one shifted maximum per bundle of a run.
+    Each case runs at the real threshold (the runs branch), with the
+    divide and conquer forced (0) and with the per-step branch forced."""
+
+    FEW = mp._FEW_STEPS
+    FORCED = (FEW, 0, 10**9)
+    RISES = (1, 2, 5, 12)
+
+    @pytest.fixture
+    def bundles(self, monkeypatch):
+        """The bundles the runs branch splits each run into."""
+        seen = []
+        real = mp.bundle_sizes
+        monkeypatch.setattr(mp, "bundle_sizes", lambda m: seen.append(real(m)) or real(m))
+        return seen
+
+    def took_runs_branch(self, bundles, n_rises):
+        return len(bundles) == n_rises and 0 < sum(map(len, bundles)) <= self.FEW
+
+    @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_concave_matches_naive(self, s, shift, forced_structured_engines, monkeypatch, bundles):
+        rng = random.Random(700 + s)
+        for n_rises in self.RISES:
+            steps = rng.randint(self.FEW + 1, 2 * self.FEW)
+            core = shifted(equal_rise_runs(steps + 1, n_rises, rng), shift)
+            b = [core[i // s] for i in range(steps * s + 1)]  # steps full steps, a one-entry final step
+            # A shorter than B leaves a NEG_INF suffix in the windowed maxima of A
+            for n_a in (len(b) // 3, len(b) + 11):
+                a = shifted([rng.randint(-(10**6), 10**6) for _ in range(n_a)], shift)
+                want = convolve_naive(a, b)
+                for few in self.FORCED:
+                    monkeypatch.setattr(mp, "_FEW_STEPS", few)
+                    bundles.clear()
+                    assert np.array_equal(convolve_sstep_concave(a, b, s), want), (n_rises, n_a, few)
+                    assert self.took_runs_branch(bundles, n_rises) == (few == self.FEW), few
+
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_stride_kernel_on_neg_inf_padding(self, s, dtype, monkeypatch):
+        # D holds NEG_INF in a prefix and a suffix; the shorter output ends
+        # before the last steps start
+        rng = random.Random(800 + s)
+        for n_rises in self.RISES:
+            steps = rng.randint(self.FEW + 1, 2 * self.FEW)
+            Bc = np.array(equal_rise_runs(steps, n_rises, rng), dtype=dtype)
+            for L in (steps * s + rng.randint(1, 40), steps * s // 2 + 2):
+                D = np.full(L, NEG_INF, dtype=dtype)
+                lo, hi = sorted(rng.sample(range(L + 1), 2))
+                D[lo:hi] = [rng.randint(-(10**6), 10**6) for _ in range(hi - lo)]
+                want = np.full(L, NEG_INF, dtype=dtype)  # the definition, one step at a time
+                for t in range(min(steps, -(-L // s))):
+                    want[t * s :] = np.maximum(want[t * s :], Bc[t] + D[: L - t * s])
+                for few in self.FORCED:
+                    monkeypatch.setattr(mp, "_FEW_STEPS", few)
+                    assert mp._stride_maxplus(D, Bc, s).tolist() == want.tolist(), (n_rises, L, few)
+
+    @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
+    @pytest.mark.parametrize("w", [1, 3, 8])
+    def test_minplus_on_a_large_weight_class(self, w, shift, forced_structured_engines, monkeypatch, bundles):
+        # a weight class of 300 jobs with three distinct processing times:
+        # its inverse vector's rises form three runs
+        rng = random.Random(900 + w)
+        b = step_convex_class_vector([rng.choice((2, 3, 7)) for _ in range(300)], w)
+        b = shifted(b.astype(np.int64).tolist(), shift)
+        a = shifted(sorted(rng.randint(0, 10**6) for _ in range(rng.randint(200, 2000))), shift)
+        want = minplus_convolve(a, b)
+        for few in self.FORCED:
+            monkeypatch.setattr(mp, "_FEW_STEPS", few)
+            bundles.clear()
+            assert np.array_equal(minplus_convolve(a, b, w), want), few
+            assert self.took_runs_branch(bundles, 3) == (few == self.FEW), few
+
+    def test_float64_next_to_the_exactness_bound(self, bundles):
+        # |a|max + |b|max = 2**52 - 1 keeps the float64 path.  The stride
+        # subsample climbs from -M, M = 2**52 - 1 - |a|max, to near M and
+        # falls back in a run of 127 steps, whose largest bundle of 64
+        # steps falls by more than M: added to an entry built on Bc[0]
+        # alone it lands past -2**53, where float64 rounds
+        A_MAX, M = 1000, 2**52 - 1 - 1000
+        m_up, m_down = 172, 127
+        up = (2 * M - 1) // (m_up + 1)
+        peak = -M + 1 + (m_up + 1) * up
+        down = -((peak + M) // m_down)
+        core = [-M, -M + up + 1]
+        for v in [up] * m_up + [down] * m_down:
+            core.append(core[-1] + v)
+        assert max(map(abs, core)) == M and 64 * down < -M
+        T = len(core)
+        rng = random.Random(1000)
+        big = 2**60  # the object path's exact reference, shifted back
+        for s in (1, 3):
+            b = [core[i // s] for i in range(T * s)]
+            a = [rng.randint(-A_MAX, A_MAX) for _ in range(T * s // 2)] + [A_MAX]
+            want = (convolve_naive(shifted(a, big), shifted(b, big)) - 2 * big).tolist()
+            bundles.clear()
+            got = convolve_sstep_concave(a, b, s)
+            assert got.dtype == np.float64 and self.took_runs_branch(bundles, 3)
+            assert got.astype(object).tolist() == want, s
+            # a D finite only before the second step: every entry the
+            # falling run's bundles build on is D + Bc[0]
+            D = np.full(T * s, NEG_INF)
+            D[:s] = -A_MAX
+            got = mp._stride_maxplus(D, np.array(core, dtype=np.float64), s)
+            assert got.astype(object).tolist() == [core[l // s] - A_MAX for l in range(T * s)], s
 
 
 class TestOneKernel:

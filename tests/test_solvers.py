@@ -476,6 +476,21 @@ class TestDuplicateJobs:
             chosen = [by_id[i] for i in res.early_set]
             assert sum(j.w for j in chosen) == want and edd_feasible(chosen), policy
 
+    def test_concave_p_on_large_classes_past_float_exactness(self):
+        # weights 2**60 + {0, 1, 2} put every fold on the exact object
+        # arrays, and each (d, p) class of about 200 jobs, past _FEW_STEPS,
+        # has rises in at most three runs of equal value
+        from tardyjobs.maxplus import _FEW_STEPS
+
+        rng = random.Random(61)
+        inst = Instance(
+            tuple(J(i, rng.randint(1, 5), 2**60 + rng.randint(0, 2), rng.choice((1500, 4000))) for i in range(2000))
+        )
+        assert min(Counter((j.d, j.p) for j in inst.jobs).values()) > _FEW_STEPS
+        res = solve(inst, SolverPolicy.CONCAVE_BY_P)
+        assert res.policy is SolverPolicy.CONCAVE_BY_P
+        assert res.min_tardy_weight == lawler_moore(inst).min_tardy_weight
+
     def test_lawler_moore_witness_memory_follows_the_bundles(self):
         # 5000 jobs in about 200 (d, p, w) classes: a taken row per job and
         # budget would be 17 MB here, one per bundle is a few MB
