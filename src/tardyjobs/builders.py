@@ -104,6 +104,8 @@ def step_concave_class_vector(weights: list[int], p: int, horizon: int) -> Vecto
     spans budgets 0..``horizon``; past ``len(weights) * p``, the class's
     reach, it only repeats its last entry.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     sums = _prefix_sums(sorted(weights, reverse=True)[: horizon // p])
     return sums[np.minimum(np.arange(horizon + 1) // p, len(sums) - 1)]
 
@@ -125,9 +127,8 @@ def build_solution_vector_concave(jobs: list[Job], horizon: int, acc: Vector | N
     horizon, and every other class vector stops at its reach
     min(horizon, c*p) for c jobs of time p.  The kernel cuts its output at
     the longer operand, so the output keeps the horizon, and a class vector
-    that short has about c steps: the step kernel's one pass per step up to
-    ``_FEW_STEPS`` jobs, and past that one pass per bundle of a run of
-    equal weights.
+    that short has about c steps: the step kernel takes one pass per
+    bundle of a run of equal weights, at most ``_FEW_STEPS`` passes.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")

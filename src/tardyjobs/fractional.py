@@ -82,6 +82,10 @@ def fractional_solution_vector(instance: Instance, horizon: int | None = None) -
     the vector.  A solver passes its merge's horizon, so that no vector
     outgrows the integral ones.
     """
+    if horizon is None:
+        horizon = instance.d_max
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     dates = sorted({j.d for j in instance.jobs})
     date_index = {d: i for i, d in enumerate(dates)}
     room = list(dates)
@@ -95,8 +99,6 @@ def fractional_solution_vector(instance: Instance, horizon: int | None = None) -
             room[t] -= take
         rates += [job.w * (scale // job.p)] * take
         units[job.id] = take
-    if horizon is None:
-        horizon = instance.d_max
     scaled = list(accumulate(rates, initial=0))
     del scaled[horizon + 1 :]
     scaled += [scaled[-1]] * (horizon + 1 - len(scaled))

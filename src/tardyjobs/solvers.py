@@ -50,11 +50,12 @@ first (the class table, or the due-date groups and their class lists):
   p <= d_i, over (d_i + 1) * log(d_i + 2) units per class;
 * inverse-w: per group, one kernel call per weight class, over the running
   total weight of the groups up to and including it, times min(c,
-  ``_FEW_STEPS``) for a class of c jobs: the kernel takes one pass per
-  step up to ``_FEW_STEPS`` steps, and past that its divide and conquer
-  costs about as much as that many passes.  A class with few distinct
-  processing times costs less past ``_FEW_STEPS``, one pass per bundle of
-  a run of equal steps, which the count does not follow.
+  ``_FEW_STEPS``) for a class of c jobs: the kernel's passes when the
+  class's processing times all differ, one per step up to
+  ``_FEW_STEPS`` steps, and past that a divide and conquer that costs
+  about as much as that many passes.  The kernel takes one pass per
+  bundle of a run of equal steps, so a class with repeated processing
+  times costs fewer passes at any size, which the count does not follow.
 
 Where inverse-w would fall back, its estimate is Lawler-Moore's.  The
 constants ``(a, b, c)`` are configuration, ``DEFAULT_CALIBRATION``, fitted by
@@ -246,6 +247,7 @@ def _auto_counts(instance: Instance) -> dict[SolverPolicy, tuple[int, float, int
     if not _inverse_falls_back(instance):
         passes: defaultdict[int, int] = defaultdict(int)  # due date -> step passes of its weight classes
         for (d, _), c in dw_jobs.items():
+            # the passes of c distinct processing times; repeated ones take fewer, at any c
             passes[d] += c if c < _FEW_STEPS else _FEW_STEPS
         running = units = 0
         for d in sorted(weight):

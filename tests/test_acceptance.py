@@ -278,17 +278,23 @@ def test_criterion_5_edd_sufficiency():
 
 
 def test_criterion_6_scaling_in_distinct_due_dates():
+    # five rounds of one timed solve per instance, each round over the three
+    # shapes in alternating order, so that a burst of load on a shared
+    # machine falls on every shape alike
     seeds = [101, 102, 103, 104, 105]
-    config = {
-        "policies": ["naive"],
-        "repetitions": 5,
-        "verify": True,
-        "grid": [
-            {"n": 64, "d_hash": dh, "d_max": 2000, "p_max": 10, "w_max": 10, "seeds": seeds}
-            for dh in (4, 8, 16)
-        ],
-    }
-    rows = run_bench(config)
+    rows = []
+    for round_ in range(5):
+        order = (4, 8, 16) if round_ % 2 == 0 else (16, 8, 4)
+        config = {
+            "policies": ["naive"],
+            "repetitions": 1,
+            "verify": True,
+            "grid": [
+                {"n": 64, "d_hash": dh, "d_max": 2000, "p_max": 10, "w_max": 10, "seeds": seeds}
+                for dh in order
+            ],
+        }
+        rows += run_bench(config)
     med = {}
     for dh in (4, 8, 16):
         per_seed = [

@@ -69,6 +69,10 @@ class TestConcaveBuilder:
     def test_empty(self):
         assert build_solution_vector_concave([], 3).tolist() == [0, 0, 0, 0]
 
+    def test_negative_horizon_errors(self):
+        with pytest.raises(ValueError, match="horizon must be >= 0, got -1$"):
+            step_concave_class_vector([5, 1], 2, -1)
+
     def test_class_vectors_are_step_concave(self):
         rng = random.Random(43)
         for _ in range(100):

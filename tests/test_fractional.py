@@ -63,6 +63,12 @@ class TestFractionalVector:
         inst = Instance((Job(id=0, p=1, w=5, d=4),))
         assert fractional_solution_vector(inst).values() == [0, 5, 5, 5, 5]
 
+    @pytest.mark.parametrize("horizon", [-1, -5])
+    def test_negative_horizon_errors(self, horizon):
+        inst = generate_instance(seed=1, n=10, d_hash=2, d_max=50)
+        with pytest.raises(ValueError, match=f"horizon must be >= 0, got {horizon}$"):
+            fractional_solution_vector(inst, horizon)
+
     def test_values_independent_of_equal_ratio_tie_order(self):
         a = Instance((Job(id=0, p=1, w=2, d=4), Job(id=1, p=2, w=4, d=4)))
         b = Instance((Job(id=0, p=2, w=4, d=4), Job(id=1, p=1, w=2, d=4)))

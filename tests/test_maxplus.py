@@ -18,7 +18,7 @@ from tardyjobs import (
     is_sstep_convex,
     minplus_convolve,
 )
-from tardyjobs.builders import step_convex_class_vector
+from tardyjobs.builders import step_concave_class_vector, step_convex_class_vector
 
 vec = st.lists(st.integers(min_value=-20, max_value=50), min_size=1, max_size=24)
 
@@ -252,19 +252,56 @@ class TestStepEnginesAtScale:
             convolve_sstep_concave([0] * 400, b, 2)
 
 
-class TestFewStepBranch:
-    """``_stride_maxplus`` takes one shifted maximum per step up to
-    ``_FEW_STEPS`` steps; past it, runs of equal rise or the divide and
-    conquer.  Each case runs at the real threshold and with the per-step
-    branch and the divide and conquer forced, on step counts either side of
-    it."""
+@pytest.fixture
+def branches(monkeypatch):
+    """The branch of each ``_stride_maxplus`` call, in call order: "compose",
+    or "divide" once the call runs the divide and conquer, the only code in
+    maxplus that calls ``np.repeat``."""
+    taken = []
+    kernel = mp._stride_maxplus
 
-    STEPS = (1, 2, mp._FEW_STEPS, mp._FEW_STEPS + 1)
-    FORCED = (mp._FEW_STEPS, 0, 10**9)  # the real threshold, always divide and conquer, always direct
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def repeat(self, *args):
+            taken[-1] = "divide"
+            return np.repeat(*args)
+
+    def spy(*args):
+        taken.append("compose")
+        return kernel(*args)
+
+    monkeypatch.setattr(mp, "np", Numpy())
+    monkeypatch.setattr(mp, "_stride_maxplus", spy)
+    return taken
+
+
+@pytest.fixture
+def bundles(monkeypatch):
+    """The bundle splits the composition asks for, one per run of equal rise."""
+    seen = []
+    real = mp.bundle_sizes
+    monkeypatch.setattr(mp, "bundle_sizes", lambda m: seen.append(real(m)) or real(m))
+    return seen
+
+
+FEW = mp._FEW_STEPS
+# the real threshold, always divide and conquer, always compose
+FORCED = {FEW: "compose", -1: "divide", 10**9: "compose"}
+
+
+class TestStepCounts:
+    """``_stride_maxplus`` on step counts either side of ``_FEW_STEPS``.
+    The rises of these vectors form at most ten runs, so at the real
+    threshold they compose; each case also runs with the divide and
+    conquer and the composition forced, and asserts which branch ran."""
+
+    STEPS = (1, 2, FEW, FEW + 1)
 
     @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
     @pytest.mark.parametrize("s", [1, 3, 8])
-    def test_concave_matches_naive(self, s, shift, forced_structured_engines, monkeypatch):
+    def test_concave_matches_naive(self, s, shift, forced_structured_engines, monkeypatch, branches):
         rng = random.Random(400 + s)
         for steps in self.STEPS:
             n_b = steps * s + 1  # steps full steps and a one-entry final step
@@ -273,13 +310,15 @@ class TestFewStepBranch:
                 a = shifted([rng.randint(0, 10**6) for _ in range(n_a)], shift)
                 b = shifted(sstep_concave(n_b, s, rng), shift)
                 want = convolve_naive(a, b)
-                for few in self.FORCED:
+                for few, branch in FORCED.items():
                     monkeypatch.setattr(mp, "_FEW_STEPS", few)
+                    branches.clear()
                     assert np.array_equal(convolve_sstep_concave(a, b, s), want), (steps, n_a, few)
+                    assert branches == [branch], (steps, n_a, few)
 
     @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
     @pytest.mark.parametrize("s", [1, 3, 8])
-    def test_minplus_matches_naive(self, s, shift, forced_structured_engines, monkeypatch):
+    def test_minplus_matches_naive(self, s, shift, forced_structured_engines, monkeypatch, branches):
         rng = random.Random(500 + s)
         for steps in self.STEPS:
             # B[1:] has `steps` full steps; A ends before or after B
@@ -287,13 +326,16 @@ class TestFewStepBranch:
                 a = shifted(sorted(rng.randint(0, 10**6) for _ in range(n_a)), shift)
                 b = shifted(sstep_convex(steps, s, rng), shift)
                 want = minplus_convolve(a, b)
-                for few in self.FORCED:
+                for few, branch in FORCED.items():
                     monkeypatch.setattr(mp, "_FEW_STEPS", few)
+                    branches.clear()
                     assert np.array_equal(minplus_convolve(a, b, s), want), (steps, n_a, few)
+                    # the last of B[1:]'s steps is the sliding maximum's; one step leaves none to the kernel
+                    assert branches == ([branch] if steps > 1 else []), (steps, n_a, few)
 
     @pytest.mark.parametrize("dtype", [np.float64, object])
     @pytest.mark.parametrize("s", [1, 3, 8])
-    def test_stride_kernel_on_neg_inf_padding(self, s, dtype, monkeypatch):
+    def test_stride_kernel_on_neg_inf_padding(self, s, dtype, monkeypatch, branches):
         # D holds NEG_INF in a prefix and a suffix, as the windowed maxima of
         # an operand shorter than the output can; the shorter D ends before
         # the last steps start
@@ -306,9 +348,28 @@ class TestFewStepBranch:
             want = [
                 max((Bc[t] + D[l - t * s] for t in range(steps) if t * s <= l), default=NEG_INF) for l in range(L)
             ]
-            for few in self.FORCED:
+            for few, branch in FORCED.items():
                 monkeypatch.setattr(mp, "_FEW_STEPS", few)
+                branches.clear()
                 assert mp._stride_maxplus(D, Bc, s).tolist() == want, (steps, few)
+                assert branches == [branch], (steps, few)
+
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_bundle_count_at_the_threshold(self, s, dtype, branches, bundles):
+        # rises that all differ are runs of one step, one bundle each:
+        # FEW rises compose, more divide, and the split stops at FEW + 1
+        rng = random.Random(650 + s)
+        for n_rises, branch in ((FEW, "compose"), (FEW + 1, "divide"), (FEW + 40, "divide")):
+            rises = sorted(rng.sample(range(-500, 500), n_rises), reverse=True)
+            Bc = np.array([0, *np.cumsum(rises).tolist()], dtype=dtype)
+            L = len(Bc) * s + rng.randint(0, s)
+            D = np.array([rng.randint(-(10**6), 10**6) for _ in range(L)], dtype=dtype)
+            want = [max(Bc[t] + D[l - t * s] for t in range(len(Bc)) if t * s <= l) for l in range(L)]
+            branches.clear()
+            bundles.clear()
+            assert mp._stride_maxplus(D, Bc, s).tolist() == want, n_rises
+            assert branches == [branch] and bundles == [(1,)] * min(n_rises, FEW + 1), n_rises
 
 
 def equal_rise_runs(n_steps, n_rises, rng):
@@ -325,52 +386,41 @@ def equal_rise_runs(n_steps, n_rises, rng):
 
 
 class TestEqualRiseRuns:
-    """Past ``_FEW_STEPS`` steps, a stride subsample whose rises form few
-    runs of equal value takes one shifted maximum per bundle of a run.
-    Each case runs at the real threshold (the runs branch), with the
-    divide and conquer forced (0) and with the per-step branch forced."""
+    """A stride subsample whose rises form few runs of equal value takes
+    one shifted maximum per bundle of a run, at any step count.  Each case
+    runs at the real threshold (the composition), with the divide and
+    conquer forced and with the composition forced."""
 
-    FEW = mp._FEW_STEPS
-    FORCED = (FEW, 0, 10**9)
     RISES = (1, 2, 5, 12)
-
-    @pytest.fixture
-    def bundles(self, monkeypatch):
-        """The bundles the runs branch splits each run into."""
-        seen = []
-        real = mp.bundle_sizes
-        monkeypatch.setattr(mp, "bundle_sizes", lambda m: seen.append(real(m)) or real(m))
-        return seen
-
-    def took_runs_branch(self, bundles, n_rises):
-        return len(bundles) == n_rises and 0 < sum(map(len, bundles)) <= self.FEW
 
     @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
     @pytest.mark.parametrize("s", [1, 3, 8])
-    def test_concave_matches_naive(self, s, shift, forced_structured_engines, monkeypatch, bundles):
+    def test_concave_matches_naive(self, s, shift, forced_structured_engines, monkeypatch, branches, bundles):
         rng = random.Random(700 + s)
         for n_rises in self.RISES:
-            steps = rng.randint(self.FEW + 1, 2 * self.FEW)
+            steps = rng.randint(FEW + 1, 2 * FEW)
             core = shifted(equal_rise_runs(steps + 1, n_rises, rng), shift)
             b = [core[i // s] for i in range(steps * s + 1)]  # steps full steps, a one-entry final step
             # A shorter than B leaves a NEG_INF suffix in the windowed maxima of A
             for n_a in (len(b) // 3, len(b) + 11):
                 a = shifted([rng.randint(-(10**6), 10**6) for _ in range(n_a)], shift)
                 want = convolve_naive(a, b)
-                for few in self.FORCED:
+                for few, branch in FORCED.items():
                     monkeypatch.setattr(mp, "_FEW_STEPS", few)
+                    branches.clear()
                     bundles.clear()
                     assert np.array_equal(convolve_sstep_concave(a, b, s), want), (n_rises, n_a, few)
-                    assert self.took_runs_branch(bundles, n_rises) == (few == self.FEW), few
+                    assert branches == [branch], (n_rises, n_a, few)
+                    assert branch == "divide" or len(bundles) == n_rises, (n_rises, n_a, few)
 
     @pytest.mark.parametrize("dtype", [np.float64, object])
     @pytest.mark.parametrize("s", [1, 3, 8])
-    def test_stride_kernel_on_neg_inf_padding(self, s, dtype, monkeypatch):
+    def test_stride_kernel_on_neg_inf_padding(self, s, dtype, monkeypatch, branches):
         # D holds NEG_INF in a prefix and a suffix; the shorter output ends
         # before the last steps start
         rng = random.Random(800 + s)
         for n_rises in self.RISES:
-            steps = rng.randint(self.FEW + 1, 2 * self.FEW)
+            steps = rng.randint(FEW + 1, 2 * FEW)
             Bc = np.array(equal_rise_runs(steps, n_rises, rng), dtype=dtype)
             for L in (steps * s + rng.randint(1, 40), steps * s // 2 + 2):
                 D = np.full(L, NEG_INF, dtype=dtype)
@@ -379,13 +429,15 @@ class TestEqualRiseRuns:
                 want = np.full(L, NEG_INF, dtype=dtype)  # the definition, one step at a time
                 for t in range(min(steps, -(-L // s))):
                     want[t * s :] = np.maximum(want[t * s :], Bc[t] + D[: L - t * s])
-                for few in self.FORCED:
+                for few, branch in FORCED.items():
                     monkeypatch.setattr(mp, "_FEW_STEPS", few)
+                    branches.clear()
                     assert mp._stride_maxplus(D, Bc, s).tolist() == want.tolist(), (n_rises, L, few)
+                    assert branches == [branch], (n_rises, L, few)
 
     @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
     @pytest.mark.parametrize("w", [1, 3, 8])
-    def test_minplus_on_a_large_weight_class(self, w, shift, forced_structured_engines, monkeypatch, bundles):
+    def test_minplus_on_a_large_weight_class(self, w, shift, forced_structured_engines, monkeypatch, branches, bundles):
         # a weight class of 300 jobs with three distinct processing times:
         # its inverse vector's rises form three runs
         rng = random.Random(900 + w)
@@ -393,13 +445,35 @@ class TestEqualRiseRuns:
         b = shifted(b.astype(np.int64).tolist(), shift)
         a = shifted(sorted(rng.randint(0, 10**6) for _ in range(rng.randint(200, 2000))), shift)
         want = minplus_convolve(a, b)
-        for few in self.FORCED:
+        for few, branch in FORCED.items():
             monkeypatch.setattr(mp, "_FEW_STEPS", few)
+            branches.clear()
             bundles.clear()
             assert np.array_equal(minplus_convolve(a, b, w), want), few
-            assert self.took_runs_branch(bundles, 3) == (few == self.FEW), few
+            assert branches == [branch], few
+            assert branch == "divide" or len(bundles) == 3, few
 
-    def test_float64_next_to_the_exactness_bound(self, bundles):
+    @pytest.mark.parametrize("p", [1, 5])
+    def test_a_class_of_few_step_jobs_takes_a_pass_per_bundle(self, p, branches, bundles):
+        # 128 jobs of one weight: 128 steps, whose 127 equal rises are one
+        # run of 7 bundles, at the real cutoffs
+        rng = random.Random(950 + p)
+        b = step_concave_class_vector([4] * FEW, p, FEW * p)
+        a = sorted(rng.randint(0, 10**6) for _ in range(len(b) + rng.randint(0, 500)))  # an accumulator past the reach
+        assert np.array_equal(convolve_sstep_concave(a, b, p), convolve_naive(a, b))
+        assert branches == ["compose"] and bundles == [(1, 2, 4, 8, 16, 32, 64)]
+
+    @pytest.mark.parametrize("w", [1, 5])
+    def test_minplus_on_a_class_of_few_step_jobs_takes_a_pass_per_bundle(self, w, branches, bundles):
+        # 128 jobs of one processing time: B[1:] has 128 steps, of which the
+        # kernel takes all but the last, so 126 equal rises, 7 bundles
+        rng = random.Random(960 + w)
+        b = step_convex_class_vector([3] * FEW, w)
+        a = sorted(rng.randint(0, 10**6) for _ in range(rng.randint(200, 2000)))
+        assert np.array_equal(minplus_convolve(a, b, w), minplus_convolve(a, b))
+        assert branches == ["compose"] and bundles == [(1, 2, 4, 8, 16, 32, 63)]
+
+    def test_float64_next_to_the_exactness_bound(self, branches, bundles):
         # |a|max + |b|max = 2**52 - 1 keeps the float64 path.  The stride
         # subsample climbs from -M, M = 2**52 - 1 - |a|max, to near M and
         # falls back in a run of 127 steps, whose largest bundle of 64
@@ -421,9 +495,10 @@ class TestEqualRiseRuns:
             b = [core[i // s] for i in range(T * s)]
             a = [rng.randint(-A_MAX, A_MAX) for _ in range(T * s // 2)] + [A_MAX]
             want = (convolve_naive(shifted(a, big), shifted(b, big)) - 2 * big).tolist()
+            branches.clear()
             bundles.clear()
             got = convolve_sstep_concave(a, b, s)
-            assert got.dtype == np.float64 and self.took_runs_branch(bundles, 3)
+            assert got.dtype == np.float64 and branches == ["compose"] and len(bundles) == 3
             assert got.astype(object).tolist() == want, s
             # a D finite only before the second step: every entry the
             # falling run's bundles build on is D + Bc[0]
