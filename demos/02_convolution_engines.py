@@ -9,6 +9,7 @@ the same output.  Vectors are numpy arrays (float64 at these magnitudes).
 import numpy as np
 
 from tardyjobs import (
+    Instance,
     Job,
     build_solution_vector_dp,
     convolve_naive,
@@ -23,8 +24,9 @@ from tardyjobs.builders import step_concave_class_vector
 early_group = [Job(id=0, p=2, w=4, d=6), Job(id=1, p=3, w=5, d=6)]
 late_group = [Job(id=2, p=2, w=3, d=10), Job(id=3, p=2, w=6, d=10), Job(id=4, p=5, w=4, d=10)]
 
-A = build_solution_vector_dp(early_group, 6)
-B = build_solution_vector_dp(late_group, 10)
+# The builders take a group's class table: its ((d, p, w), count) entries.
+A = build_solution_vector_dp(Instance(early_group).classes, 6)
+B = build_solution_vector_dp(Instance(late_group).classes, 10)
 print("A (due 6): ", A)
 print("B (due 10):", B)
 assert validate_solution_vector(A) == [] and validate_solution_vector(B) == []

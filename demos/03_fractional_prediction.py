@@ -38,12 +38,13 @@ print(
 # Reproduce one merge of the due-date chain with range guidance.
 grouping = group_by_due_date(inst)
 dates, groups = grouping.due_dates, grouping.groups
-acc = build_solution_vector_dp(list(groups[0]), dates[0])
+# the DP builder takes a group's class table; the fractional vectors take its jobs
+acc = build_solution_vector_dp(Instance(groups[0]).classes, dates[0])
 prefix = list(groups[0])
 
 for i in range(2, len(dates) + 1):
     grp = groups[i - 1]
-    b_vec = build_solution_vector_dp(list(grp), dates[i - 1])
+    b_vec = build_solution_vector_dp(Instance(grp).classes, dates[i - 1])
     a_frac = fractional_solution_vector(Instance(tuple(prefix)))
     b_frac = fractional_solution_vector(Instance(tuple(grp)))
     prefix = prefix + list(grp)

@@ -1,36 +1,35 @@
-"""Solution-vector builders for single-due-date job groups.
+"""Solution-vector builders over job classes.
 
-All jobs passed to these builders share one due date; the group is then an
-ordinary knapsack over processing times, and its solution vector can be
-built three ways:
+Every builder takes a tuple of :data:`~tardyjobs.core.JobClass` entries
+``((d, p, w), c)``, c interchangeable jobs each, as ``Instance.classes``
+holds them; the solvers pass one due date's slice of that table, a group
+that is an ordinary knapsack over processing times.  Its solution vector
+can be built three ways:
 
-* plain pseudo-polynomial DP over the horizon, run over bundles of equal
-  jobs (:func:`bundled_knapsack`, shared with the Lawler-Moore solver),
-* grouping jobs by equal processing time ``p``: the vector of one such
-  class is ``p``-step concave (top weights first, so increments shrink),
-  and folding classes with the step-concave engine is near-linear, or
-* the weight-indexed mirror: group by equal weight ``w`` and fold per-class
-  *inverse* vectors (minimum processing time per weight target) with the
-  (min,+) step engine.  Solvers keep only the weight targets a due date
-  lets them reach and read the optimum off the trimmed inverse vector as
-  its last index, so it is never mapped back.
+* plain pseudo-polynomial DP over the horizon, one row update per bundle of
+  equal jobs (:func:`build_solution_vector_dp`, which over the whole table
+  is the Lawler-Moore DP and its witness records),
+* per processing time ``p``: the vector of the jobs of one ``p`` is
+  ``p``-step concave (top weights first, so increments shrink), and folding
+  these class vectors with the step-concave engine is near-linear, or
+* the weight-indexed mirror: per weight ``w``, fold the *inverse* class
+  vectors (minimum processing time per weight target) with the (min,+)
+  step engine.  Solvers keep only the weight targets a due date lets them
+  reach and read the optimum off the trimmed inverse vector as its last
+  index, so it is never mapped back.
 
 The two direct builders agree entry for entry, and the inverse vector
 encodes the same optima; the cross-checks live in the test suite.  Every
 builder returns a :data:`~tardyjobs.core.Vector` of the dtype
-``maxplus.vector_dtype`` picks from the sums it can hold (the group's
-total weight or processing time).
+``maxplus.vector_dtype`` picks from the sums it can hold (the classes' total
+weight or processing time).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from operator import attrgetter
-from typing import Iterable
-
 import numpy as np
 
-from .core import Job, JobClass, Vector
+from .core import JobClass, Vector
 from .maxplus import _operands, bundle_sizes, convolve_sstep_concave, minplus_convolve, vector_dtype
 
 __all__ = [
@@ -47,15 +46,18 @@ def _prefix_sums(values: list[int]) -> Vector:
     return np.cumsum([0, *values], dtype=vector_dtype(sum(values)))
 
 
-def bundled_knapsack(classes: Iterable[JobClass], horizon: int, dtype, taken: list | None = None) -> Vector:
-    """The Lawler-Moore table over job classes, one row update per bundle.
+def build_solution_vector_dp(classes: tuple[JobClass, ...], horizon: int, taken: list | None = None) -> Vector:
+    """Knapsack DP over job classes, one row update per bundle.
 
     Entry k = best weight of a set of jobs that, run back to back in
     due-date order and finishing at time k, are all early; the classes must
-    come in due-date order.  The table spans budgets 0..``horizon`` and a
-    due date past it counts as the horizon, so a horizon of at least the
-    jobs' total processing time loses nothing.  The table starts at zero,
-    so its maximum is the optimum.
+    come in due-date order, as in ``Instance.classes``.  The table spans
+    budgets 0..``horizon`` and a due date past it counts as the horizon: for
+    one due date's slice and a horizon up to that date, entry k is the best
+    weight with total processing time <= k.  Over the whole table and
+    ``Instance.horizon`` it is the Lawler-Moore table, whose maximum is the
+    optimum: it starts at zero, and no set of jobs runs past their total
+    processing time.
 
     A class of c copies enters as the bundles of
     :func:`~tardyjobs.maxplus.bundle_sizes`: a bundle of t copies is one
@@ -64,7 +66,9 @@ def bundled_knapsack(classes: Iterable[JobClass], horizon: int, dtype, taken: li
     each bundle that fits appends ``(class key, t, mask)``: mask[k - t*p]
     is set where the bundle strictly improved state k.
     """
-    f = np.zeros(horizon + 1, dtype=dtype)
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    f = np.zeros(horizon + 1, dtype=vector_dtype(sum(w * c for (_, _, w), c in classes)))
     for key, c in classes:
         d, p, w = key
         d = d if d < horizon else horizon
@@ -77,22 +81,6 @@ def bundled_knapsack(classes: Iterable[JobClass], horizon: int, dtype, taken: li
                     taken.append((key, t, gain > dst))
                 np.maximum(dst, gain, out=dst)
     return f
-
-
-def build_solution_vector_dp(jobs: list[Job], horizon: int) -> Vector:
-    """Knapsack DP: entry k = max weight of a subset with total p <= k.
-
-    The Lawler-Moore table of the jobs with every due date set to the
-    horizon, run over bundles of jobs with equal (p, w).
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    classes = Counter(map(attrgetter("p", "w"), jobs)).items()
-    return bundled_knapsack(
-        (((horizon, p, w), c) for (p, w), c in classes),
-        horizon,
-        vector_dtype(sum(job.w for job in jobs)),
-    )
 
 
 def step_concave_class_vector(weights: list[int], p: int, horizon: int) -> Vector:
@@ -110,8 +98,12 @@ def step_concave_class_vector(weights: list[int], p: int, horizon: int) -> Vecto
     return sums[np.minimum(np.arange(horizon + 1) // p, len(sums) - 1)]
 
 
-def build_solution_vector_concave(jobs: list[Job], horizon: int, acc: Vector | None = None) -> Vector:
+def build_solution_vector_concave(classes: tuple[JobClass, ...], horizon: int, acc: Vector | None = None) -> Vector:
     """Same output as the DP builder, via per-processing-time concave folds.
+
+    The classes are those of one due date at or past ``horizon``, whose due
+    date is therefore not read; the weights of the jobs of one processing
+    time p, ``[w] * c`` per class, make p's class vector.
 
     With ``acc`` given, the classes are folded into it instead: ``acc`` is a
     monotone solution vector of other jobs (a merged prefix) spanning at most
@@ -132,22 +124,22 @@ def build_solution_vector_concave(jobs: list[Job], horizon: int, acc: Vector | N
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    classes: dict[int, list[int]] = {}
-    for job in jobs:
-        if job.p <= horizon:  # longer jobs can never fit
-            classes.setdefault(job.p, []).append(job.w)
-    order = sorted(classes)
+    weights: dict[int, list[int]] = {}  # p -> the weights of its jobs
+    for (_, p, w), c in classes:
+        if p <= horizon:  # longer jobs can never fit
+            weights.setdefault(p, []).extend([w] * c)
+    order = sorted(weights)
     if acc is None:
         if not order:
             return np.zeros(horizon + 1)
         first = order.pop(0)
-        acc = step_concave_class_vector(classes[first], first, horizon)
+        acc = step_concave_class_vector(weights[first], first, horizon)
     else:
         (acc,) = _operands(acc)
         acc = acc[np.minimum(np.arange(horizon + 1), len(acc) - 1)]
     for p in order:
-        reach = min(horizon, len(classes[p]) * p)
-        acc = convolve_sstep_concave(acc, step_concave_class_vector(classes[p], p, reach), p)
+        reach = min(horizon, len(weights[p]) * p)
+        acc = convolve_sstep_concave(acc, step_concave_class_vector(weights[p], p, reach), p)
     return acc
 
 
@@ -163,20 +155,21 @@ def step_convex_class_vector(processing_times: list[int], w: int) -> Vector:
     return sums[(np.arange(len(processing_times) * w + 1) + w - 1) // w]
 
 
-def build_inverse_solution_vector(jobs: list[Job], acc: Vector = (0,)) -> Vector:
+def build_inverse_solution_vector(classes: tuple[JobClass, ...], acc: Vector = (0,)) -> Vector:
     """Inverse vector of a group: entry k = min total p with weight >= k.
 
-    Built by folding the per-weight class vectors with the (min,+) step
+    Built by folding the per-weight class vectors, each from the processing
+    times ``[p] * c`` of the classes of its weight, with the (min,+) step
     engine into ``acc``.  By default ``acc`` is ``[0]`` and the horizon is
-    the group's total weight; given the inverse vector of other jobs (a
+    the classes' total weight; given the inverse vector of other jobs (a
     merged prefix), the result is its (min,+)-convolution with this group's
     vector and spans their summed weights.  No due date applies here;
     solvers trim the weight targets it puts out of reach afterwards.
     """
-    classes: dict[int, list[int]] = {}
-    for job in jobs:
-        classes.setdefault(job.w, []).append(job.p)
+    times: dict[int, list[int]] = {}  # w -> the processing times of its jobs
+    for (_, p, w), c in classes:
+        times.setdefault(w, []).extend([p] * c)
     (acc,) = _operands(acc)
-    for w in sorted(classes):
-        acc = minplus_convolve(acc, step_convex_class_vector(classes[w], w), w)
+    for w in sorted(times):
+        acc = minplus_convolve(acc, step_convex_class_vector(times[w], w), w)
     return acc

@@ -1,6 +1,7 @@
 """Command-line interface: solve, generate, and benchmark.
 
-Exit codes: 0 on success, 1 on input/validation errors, 2 on internal
+Exit codes: 0 on success, 1 on input/validation errors and on instances
+whose tables would not fit in memory, 2 on internal
 inconsistencies (a solver raises on a parsed instance, its optimum disagrees
 with ``--verify``'s check, or the witness of ``--reconstruct`` disagrees
 with it or fails its check).
@@ -147,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     except BenchDisagreement as exc:
         print(f"INTERNAL INCONSISTENCY: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,7 +39,9 @@ Vector = np.ndarray
 
 
 #: A class of interchangeable jobs, ``((d, p, w), c)``: c jobs with due date
-#: d, processing time p and weight w.
+#: d, processing time p and weight w.  ``Instance.classes`` holds them once
+#: per instance, and every DP, builder and merge chain reads them from there;
+#: a builder takes one due date's slice of that table.
 JobClass = tuple[tuple[int, int, int], int]
 
 

@@ -7,12 +7,12 @@ Two families:
   baseline and as the reconstruction backend.  It runs over the
   instance's (d, p, w) job classes, each split into O(log c) bundles of
   interchangeable jobs.
-* the due-date merge -- partition jobs by due date, build a solution
-  vector per group, and merge the groups in due-date order with
-  (max,+)-convolutions.  After merging group i the accumulator entry k
-  holds the best early weight achievable from the first i groups within
-  processing budget k, so the last entry of the final accumulator is the
-  optimum.  Merge i spans budgets 0..h_i, h_i = min(d_i, P<=i) with P<=i
+* the due-date merge -- take the due-date slices of the class table as
+  groups, build a solution vector per group, and merge them in due-date
+  order with (max,+)-convolutions.  After merging group i the accumulator
+  entry k holds the best early weight achievable from the first i groups
+  within processing budget k, so the last entry of the final accumulator is
+  the optimum.  Merge i spans budgets 0..h_i, h_i = min(d_i, P<=i) with P<=i
   the total processing time of the first i groups: no set of them
   finishes later, so a larger budget would only repeat the last entry.
   The policy picks how each merge is computed:
@@ -42,7 +42,7 @@ fallbacks, runs the policy and reports which policy ran.
 AUTO's estimate for a candidate is ``a * calls + b * units + c * n`` ms,
 counted in what the candidate's loops touch (d_i is the due date of group i);
 the per-job term is the Python pass over the jobs that every candidate makes
-first (the class table, or the due-date groups and their class lists):
+first, building the class table:
 
 * Lawler-Moore: one numpy row update per bundle of t copies of a (d, p, w)
   class with t * p <= d, over min(d, H) - t * p + 1 cells each;
@@ -62,14 +62,16 @@ constants ``(a, b, c)`` are configuration, ``DEFAULT_CALIBRATION``, fitted by
 ``scripts/fit_auto.py`` to the per-policy medians in ``BENCH_auto_grid.json``.
 :func:`auto_estimates` returns the estimates and :func:`auto_select` the
 choice.  All three counts are projections of the instance's class table,
-``Instance.classes``, which the instance builds once for AUTO, the
-Lawler-Moore DP and the witness alike.
+``Instance.classes``, which the instance builds once for AUTO, every
+policy's chain and the witness alike; only PREDICTION also groups the jobs
+themselves, for its fractional vectors.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from enum import Enum
+from itertools import groupby
 from math import log
 from typing import Iterator
 
@@ -79,18 +81,10 @@ from .builders import (
     build_inverse_solution_vector,
     build_solution_vector_concave,
     build_solution_vector_dp,
-    bundled_knapsack,
 )
-from .core import (
-    DueDateGrouping,
-    Instance,
-    Job,
-    SolveResult,
-    Vector,
-    group_by_due_date,
-)
+from .core import Instance, Job, JobClass, SolveResult, Vector, group_by_due_date
 from .fractional import fractional_solution_vector
-from .maxplus import _FEW_STEPS, bundle_sizes, convolve_naive, convolve_with_ranges, vector_dtype
+from .maxplus import _FEW_STEPS, bundle_sizes, convolve_naive, convolve_with_ranges
 from .oracle import edd_feasible
 from .prediction import compute_range_intervals
 
@@ -115,28 +109,18 @@ class SolverPolicy(Enum):
     AUTO = "auto"
 
 
-def _lawler_moore_dp(instance: Instance, taken: list | None = None) -> np.ndarray:
-    """The Lawler-Moore table: entry k = best weight of a set of jobs that,
-    run back to back in EDD order and finishing at time k, are all early.
-
-    The table starts at zero (the empty set finishes anywhere), so its
-    maximum is the optimum.  It spans ``instance.horizon``: no set of jobs
-    runs past their total processing time, so a larger d_max adds nothing.
-    It runs over ``instance.classes`` in due-date order, one row update per
-    bundle of interchangeable jobs; see
-    :func:`~tardyjobs.builders.bundled_knapsack`, which also fills
-    ``taken``.  A bundle can join the set only while its completion time
-    stays within its due date, so states above d never gain it.
-    """
-    return bundled_knapsack(instance.classes, instance.horizon, vector_dtype(instance.w_total), taken)
+def _due_date(job_class: JobClass) -> int:
+    return job_class[0][0]
 
 
 def lawler_moore(instance: Instance) -> SolveResult:
     """Baseline DP over jobs in due-date order, state = exact early time.
 
-    O(b * H) for b bundles, at most n of them, H = ``instance.horizon``.
+    :func:`~tardyjobs.builders.build_solution_vector_dp` over
+    ``instance.classes`` and ``instance.horizon``: O(b * H) for b bundles,
+    at most n of them, H = ``instance.horizon``.
     """
-    best = int(_lawler_moore_dp(instance).max())
+    best = int(build_solution_vector_dp(instance.classes, instance.horizon).max())
     return SolveResult(instance.w_total - best, best, policy=SolverPolicy.LAWLER_MOORE)
 
 
@@ -146,51 +130,54 @@ _MERGE_POLICIES = (SolverPolicy.MAXPLUS_NAIVE, SolverPolicy.PREDICTION, SolverPo
 def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[int, Vector]]:
     """Yield (i, accumulator) after merging each due-date group.
 
-    The accumulator after iteration i is a ``Vector`` spanning budgets
-    0..h_i, h_i = min(d^(i), P<=i), the best early weight of the first i
-    groups per budget; P<=i, their total processing time, comes from
-    ``instance.classes``.  Every vector of merge i, the group's and under
+    Group i is the i-th due-date slice of ``instance.classes``, handed to
+    its builder as it is.  The accumulator after iteration i is a ``Vector``
+    spanning budgets 0..h_i, h_i = min(d^(i), P<=i), the best early weight
+    of the first i groups per budget; P<=i, their total processing time, is
+    summed from the slices.  Every vector of merge i, the group's and under
     PREDICTION the fractional vectors of the group and the union, spans the
-    same budgets.  Introspection surface for tests and demos; :func:`solve`
-    consumes it.  Raises ``ValueError`` for a policy that does not run the
-    forward merge.
+    same budgets; those fractional vectors alone need the jobs, from
+    :func:`~tardyjobs.core.group_by_due_date`.  Introspection surface for
+    tests and demos; :func:`solve` consumes it.  Raises ``ValueError`` for a
+    policy that does not run the forward merge.
     """
     if policy not in _MERGE_POLICIES:
         raise ValueError(f"forward merge does not apply to policy {policy}")
-    grouping = group_by_due_date(instance)
-    time_by_date: defaultdict[int, int] = defaultdict(int)  # due date -> total processing time of its jobs
-    for (d, p, _), c in instance.classes:
-        time_by_date[d] += p * c
+    groups = group_by_due_date(instance).groups if policy is SolverPolicy.PREDICTION else ()
     acc: Vector | None = None
-    prefix: tuple[Job, ...] = ()
+    prefix: tuple[Job, ...] = ()  # PREDICTION's jobs of the first i - 1 groups
     prefix_frac = None
     total = 0  # P<=i, the total processing time of the first i groups
-    for i, (d_i, grp) in enumerate(zip(grouping.due_dates, grouping.groups), start=1):
-        total += time_by_date[d_i]
+    for i, (d_i, run) in enumerate(groupby(instance.classes, _due_date), start=1):
+        classes = tuple(run)
+        total += sum(p * c for (_, p, _), c in classes)
         h = min(d_i, total)
         if policy is SolverPolicy.CONCAVE_BY_P:
-            acc = build_solution_vector_concave(list(grp), h, acc)
+            acc = build_solution_vector_concave(classes, h, acc)
         elif acc is None:
-            acc = build_solution_vector_dp(list(grp), h)
+            acc = build_solution_vector_dp(classes, h)
         elif policy is SolverPolicy.MAXPLUS_NAIVE:
-            acc = convolve_naive(acc, build_solution_vector_dp(list(grp), h))
+            acc = convolve_naive(acc, build_solution_vector_dp(classes, h))
         else:  # PREDICTION
+            grp = groups[i - 1]
             if prefix_frac is None:
                 prefix_frac = fractional_solution_vector(Instance(prefix), len(acc) - 1)
             b_frac = fractional_solution_vector(Instance(grp), h)
             c_frac = fractional_solution_vector(Instance(prefix + grp), h)
             ranges = compute_range_intervals(prefix_frac, b_frac, c_frac, i, instance.w_max)
-            acc = convolve_with_ranges(acc, build_solution_vector_dp(list(grp), h), ranges)
+            acc = convolve_with_ranges(acc, build_solution_vector_dp(classes, h), ranges)
             prefix_frac = c_frac  # the union is the next merge's prefix
-        prefix += grp
+        if groups:
+            prefix += groups[i - 1]
         yield i, acc
 
 
-def _solve_inverse(grouping: DueDateGrouping) -> int:
-    """Weight-indexed (min,+) mirror of the merge chain; the best early weight."""
+def _solve_inverse(instance: Instance) -> int:
+    """Weight-indexed (min,+) mirror of the merge chain over the due-date
+    slices of ``instance.classes``; the best early weight."""
     acc: Vector = np.zeros(1)
-    for d_i, grp in zip(grouping.due_dates, grouping.groups):
-        acc = build_inverse_solution_vector(list(grp), acc)
+    for d_i, run in groupby(instance.classes, _due_date):
+        acc = build_inverse_solution_vector(tuple(run), acc)
         # targets needing more time than this due date are out of reach from
         # here on; the vector is non-decreasing, so the rest is a prefix
         acc = acc[: np.count_nonzero(acc <= d_i)]
@@ -287,6 +274,11 @@ def auto_select(instance: Instance) -> SolverPolicy:
     return min(estimates, key=estimates.get)
 
 
+# The most entries of a table over budgets: past it, its size in bytes (8 an
+# entry) overflows the platform's index type.
+_MAX_TABLE = np.iinfo(np.intp).max // 8
+
+
 def solve(
     instance: Instance,
     policy: SolverPolicy = SolverPolicy.AUTO,
@@ -299,11 +291,17 @@ def solve(
     the ``INVERSE_BY_W`` fallbacks to Lawler-Moore described above; the
     result's ``policy`` names the policy that ran.  A Lawler-Moore witness
     solve runs the DP once, inside :func:`reconstruct_schedule`.
+
+    Every policy but inverse-w without a witness fills tables over budgets
+    up to ``instance.horizon``; if such a table would have more entries
+    than this platform can address, it raises ``MemoryError`` first.
     """
     if policy is SolverPolicy.AUTO:
         policy = auto_select(instance)
     if policy is SolverPolicy.INVERSE_BY_W and _inverse_falls_back(instance):
         policy = SolverPolicy.LAWLER_MOORE
+    if (reconstruct or policy is not SolverPolicy.INVERSE_BY_W) and instance.horizon + 1 > _MAX_TABLE:
+        raise MemoryError(f"a table over the horizon {instance.horizon} has more entries than memory can address")
     early = None
     if policy is SolverPolicy.LAWLER_MOORE and reconstruct:
         early = tuple(reconstruct_schedule(instance))
@@ -312,7 +310,7 @@ def solve(
     elif policy is SolverPolicy.LAWLER_MOORE:
         best = lawler_moore(instance).max_early_weight
     elif policy is SolverPolicy.INVERSE_BY_W:
-        best = _solve_inverse(group_by_due_date(instance))
+        best = _solve_inverse(instance)
     else:
         for _, acc in forward_states(instance, policy):
             pass
@@ -340,7 +338,7 @@ def reconstruct_schedule(instance: Instance, target_weight: int | None = None) -
     for job in instance.jobs:
         members.setdefault((job.d, job.p, job.w), []).append(job)
     taken: list = []
-    f = _lawler_moore_dp(instance, taken)
+    f = build_solution_vector_dp(instance.classes, instance.horizon, taken)
     best = int(f.max())
     if target_weight is None:
         target_weight = best

@@ -30,6 +30,11 @@ ALL_POLICIES = [
 ]
 
 
+def job_classes(jobs) -> tuple:
+    """``Instance(jobs).classes``, the builders' input, or () for no jobs."""
+    return Instance(tuple(jobs)).classes if jobs else ()
+
+
 def random_small_instance(rng: SplitMix64, seed: int, *, n_max=12, d_max_max=30, p_max=10, w_max=10):
     """One seeded instance with parameters drawn from the given rng."""
     n = 1 + rng.next_u64() % n_max

@@ -34,7 +34,7 @@ from tardyjobs import (
 from tardyjobs.bench import run_bench
 from tardyjobs.generate import SplitMix64
 
-from conftest import ALL_POLICIES, brute_force_permutations, inverse_to_direct
+from conftest import ALL_POLICIES, brute_force_permutations, inverse_to_direct, job_classes
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -142,11 +142,11 @@ def test_criterion_2_engine_equivalence(monkeypatch):
         )
         grouping = group_by_due_date(inst)
         dates, groups = grouping.due_dates, grouping.groups
-        acc = build_solution_vector_dp(list(groups[0]), dates[0])
+        acc = build_solution_vector_dp(job_classes(groups[0]), dates[0])
         prefix = list(groups[0])
         for i in range(2, len(dates) + 1):
             grp = groups[i - 1]
-            b_vec = build_solution_vector_dp(list(grp), dates[i - 1])
+            b_vec = build_solution_vector_dp(job_classes(grp), dates[i - 1])
             a_frac = fractional_solution_vector(Instance(tuple(prefix)))
             b_frac = fractional_solution_vector(Instance(tuple(grp)))
             prefix = prefix + list(grp)
@@ -218,11 +218,11 @@ def test_criterion_4_range_interval_conditions():
         )
         grouping = group_by_due_date(inst)
         dates, groups = grouping.due_dates, grouping.groups
-        acc = build_solution_vector_dp(list(groups[0]), dates[0])
+        acc = build_solution_vector_dp(job_classes(groups[0]), dates[0])
         prefix = list(groups[0])
         for i in range(2, len(dates) + 1):
             grp = groups[i - 1]
-            b_vec = build_solution_vector_dp(list(grp), dates[i - 1])
+            b_vec = build_solution_vector_dp(job_classes(grp), dates[i - 1])
             a_frac = fractional_solution_vector(Instance(tuple(prefix)))
             b_frac = fractional_solution_vector(Instance(tuple(grp)))
             prefix = prefix + list(grp)
@@ -333,9 +333,9 @@ def test_criterion_7_builder_equivalence():
         jobs = [
             Job(id=i, p=rng.randint(1, 10), w=rng.randint(1, 8), d=d) for i in range(n)
         ]
-        dp = build_solution_vector_dp(jobs, d)
-        concave = build_solution_vector_concave(jobs, d)
-        inverse = inverse_to_direct(build_inverse_solution_vector(jobs), d)
+        dp = build_solution_vector_dp(job_classes(jobs), d)
+        concave = build_solution_vector_concave(job_classes(jobs), d)
+        inverse = inverse_to_direct(build_inverse_solution_vector(job_classes(jobs)), d)
         if not (dp.tolist() == concave.tolist() == inverse):
             failures.append(trial)
     ok = not failures

@@ -16,7 +16,7 @@ from tardyjobs import (
 )
 from tardyjobs.builders import step_concave_class_vector, step_convex_class_vector
 
-from conftest import inverse_to_direct
+from conftest import inverse_to_direct, job_classes
 
 
 def group(specs, d):
@@ -31,22 +31,24 @@ def random_group(rng, n_max=20, d_max=40, p_max=10, w_max=8):
 
 class TestDpBuilder:
     def test_single_item(self):
-        assert build_solution_vector_dp(group([(2, 3)], 3), 3).tolist() == [0, 0, 3, 3]
+        assert build_solution_vector_dp(job_classes(group([(2, 3)], 3)), 3).tolist() == [0, 0, 3, 3]
 
     def test_two_items(self):
-        assert build_solution_vector_dp(group([(1, 1), (1, 2)], 2), 2).tolist() == [0, 2, 3]
+        assert build_solution_vector_dp(job_classes(group([(1, 1), (1, 2)], 2)), 2).tolist() == [0, 2, 3]
 
     def test_empty(self):
-        assert build_solution_vector_dp([], 2).tolist() == [0, 0, 0]
+        assert build_solution_vector_dp((), 2).tolist() == [0, 0, 0]
 
     def test_negative_horizon_errors(self):
         with pytest.raises(ValueError):
-            build_solution_vector_dp([], -1)
+            build_solution_vector_dp((), -1)
 
     def test_numpy_and_python_paths_agree(self):
         rng = random.Random(41)
         jobs, d = random_group(rng, n_max=60, d_max=200)
-        big = build_solution_vector_dp(jobs, 200)  # numpy path
+        # the reference knapsack reads no due dates: the builder gets the same jobs due at the horizon
+        due_at_horizon = group([(j.p, j.w) for j in jobs], 200)
+        big = build_solution_vector_dp(job_classes(due_at_horizon), 200)  # numpy path
         small = [0] * 201
         for job in jobs:  # reference 0/1 knapsack
             for k in range(200, job.p - 1, -1):
@@ -57,17 +59,17 @@ class TestDpBuilder:
     def test_huge_weights_stay_exact(self):
         jobs = group([(1, 2**62)] * 3, 2000)
         want = [0, 2**62, 2**63, 3 * 2**62] + [3 * 2**62] * 1997
-        assert build_solution_vector_dp(jobs, 2000).tolist() == want
+        assert build_solution_vector_dp(job_classes(jobs), 2000).tolist() == want
 
 
 class TestConcaveBuilder:
     def test_single_class(self):
         jobs = group([(2, 5), (2, 1)], 4)
         assert step_concave_class_vector([5, 1], 2, 4).tolist() == [0, 0, 5, 5, 6]
-        assert build_solution_vector_concave(jobs, 4).tolist() == [0, 0, 5, 5, 6]
+        assert build_solution_vector_concave(job_classes(jobs), 4).tolist() == [0, 0, 5, 5, 6]
 
     def test_empty(self):
-        assert build_solution_vector_concave([], 3).tolist() == [0, 0, 0, 0]
+        assert build_solution_vector_concave((), 3).tolist() == [0, 0, 0, 0]
 
     def test_negative_horizon_errors(self):
         with pytest.raises(ValueError, match="horizon must be >= 0, got -1$"):
@@ -101,9 +103,13 @@ class TestConcaveBuilder:
         real = builders.convolve_sstep_concave
         monkeypatch.setattr(builders, "convolve_sstep_concave", lambda *a: calls.append(a) or real(*a))
         jobs = group([(1, 4), (2, 5), (2, 1), (3, 2)], 6)
-        assert np.array_equal(build_solution_vector_concave(jobs, 6), build_solution_vector_dp(jobs, 6))
+        assert np.array_equal(
+            build_solution_vector_concave(job_classes(jobs), 6),
+            build_solution_vector_dp(job_classes(jobs), 6),
+        )
         assert len(calls) == 2  # three processing-time classes
-        assert build_solution_vector_concave(group([(2, 5), (2, 1)], 4), 4).tolist() == [0, 0, 5, 5, 6]
+        single = job_classes(group([(2, 5), (2, 1)], 4))
+        assert build_solution_vector_concave(single, 4).tolist() == [0, 0, 5, 5, 6]
         assert len(calls) == 2
 
     def test_acc_matches_naive_merge(self):
@@ -111,10 +117,10 @@ class TestConcaveBuilder:
         for _ in range(150):
             jobs, d = random_group(rng)
             prefix, d0 = random_group(rng, d_max=d)
-            acc = build_solution_vector_dp(prefix, d0)
-            want = convolve_naive(acc, build_solution_vector_dp(jobs, d))
-            assert np.array_equal(build_solution_vector_concave(jobs, d, acc), want)
-        assert build_solution_vector_concave([], 3, [0, 2]).tolist() == [0, 2, 2, 2]
+            acc = build_solution_vector_dp(job_classes(prefix), d0)
+            want = convolve_naive(acc, build_solution_vector_dp(job_classes(jobs), d))
+            assert np.array_equal(build_solution_vector_concave(job_classes(jobs), d, acc), want)
+        assert build_solution_vector_concave((), 3, [0, 2]).tolist() == [0, 2, 2, 2]
 
     def test_classes_far_shorter_than_the_horizon(self, forced_structured_engines, monkeypatch):
         # every class vector stops at its reach c*p, far below the horizon;
@@ -133,14 +139,17 @@ class TestConcaveBuilder:
             specs = [(p, rng.randint(1, w_max)) for p in range(1, 13) for _ in range(rng.randint(1, 3))]
             jobs = group(specs, d)
             prefix = group([(rng.randint(1, 12), rng.randint(1, 9)) for _ in range(rng.randint(1, 6))], d)
-            assert np.array_equal(build_solution_vector_concave(jobs, d), build_solution_vector_dp(jobs, d))
-            acc = build_solution_vector_dp(prefix, d)
-            want = build_solution_vector_dp(prefix + jobs, d)
-            assert np.array_equal(build_solution_vector_concave(jobs, d, acc), want)
+            assert np.array_equal(
+                build_solution_vector_concave(job_classes(jobs), d),
+                build_solution_vector_dp(job_classes(jobs), d),
+            )
+            acc = build_solution_vector_dp(job_classes(prefix), d)
+            want = build_solution_vector_dp(job_classes(prefix) + job_classes(jobs), d)
+            assert np.array_equal(build_solution_vector_concave(job_classes(jobs), d, acc), want)
             d0 = rng.randint(1, d - 1)  # an acc shorter than the horizon is padded flat to it
-            acc = build_solution_vector_dp(prefix, d0)
-            want = convolve_naive(acc, build_solution_vector_dp(jobs, d))
-            assert np.array_equal(build_solution_vector_concave(jobs, d, acc), want)
+            acc = build_solution_vector_dp(job_classes(prefix), d0)
+            want = convolve_naive(acc, build_solution_vector_dp(job_classes(jobs), d))
+            assert np.array_equal(build_solution_vector_concave(job_classes(jobs), d, acc), want)
         assert max(lengths) <= 3 * 12 + 1
 
     def test_classes_past_the_few_step_branch(self):
@@ -151,24 +160,30 @@ class TestConcaveBuilder:
         rng = random.Random(59)
         jobs = group([(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(2000)], 3000)
         assert min(Counter(job.p for job in jobs).values()) > _FEW_STEPS
-        assert np.array_equal(build_solution_vector_concave(jobs, 3000), build_solution_vector_dp(jobs, 3000))
+        assert np.array_equal(
+            build_solution_vector_concave(job_classes(jobs), 3000),
+            build_solution_vector_dp(job_classes(jobs), 3000),
+        )
 
     def test_matches_dp(self):
         rng = random.Random(47)
         for _ in range(200):
             jobs, d = random_group(rng)
-            assert np.array_equal(build_solution_vector_concave(jobs, d), build_solution_vector_dp(jobs, d))
+            assert np.array_equal(
+                build_solution_vector_concave(job_classes(jobs), d),
+                build_solution_vector_dp(job_classes(jobs), d),
+            )
 
 
 class TestInverseBuilder:
     def test_single_job(self):
-        assert build_inverse_solution_vector(group([(2, 3)], 5)).tolist() == [0, 2, 2, 2]
+        assert build_inverse_solution_vector(job_classes(group([(2, 3)], 5))).tolist() == [0, 2, 2, 2]
 
     def test_two_unit_weights(self):
-        assert build_inverse_solution_vector(group([(1, 1), (4, 1)], 5)).tolist() == [0, 1, 5]
+        assert build_inverse_solution_vector(job_classes(group([(1, 1), (4, 1)], 5))).tolist() == [0, 1, 5]
 
     def test_empty(self):
-        assert build_inverse_solution_vector([]).tolist() == [0]
+        assert build_inverse_solution_vector(()).tolist() == [0]
 
     def test_class_vectors_are_step_convex(self):
         rng = random.Random(53)
@@ -193,15 +208,15 @@ class TestInverseBuilder:
             jobs, d = random_group(rng)
             prefix, d0 = random_group(rng)
             # a trimmed prefix, as the solvers pass it: the weight targets its due date reaches
-            full = build_inverse_solution_vector(prefix)
+            full = build_inverse_solution_vector(job_classes(prefix))
             acc = full[: np.count_nonzero(full <= d0)]
-            want = minplus_convolve(acc, build_inverse_solution_vector(jobs))
-            assert np.array_equal(build_inverse_solution_vector(jobs, acc), want)
-        assert build_inverse_solution_vector([], [0, 4]).tolist() == [0, 4]
+            want = minplus_convolve(acc, build_inverse_solution_vector(job_classes(jobs)))
+            assert np.array_equal(build_inverse_solution_vector(job_classes(jobs), acc), want)
+        assert build_inverse_solution_vector((), [0, 4]).tolist() == [0, 4]
 
     def test_horizon_is_group_weight(self):
         jobs = group([(1, 3), (2, 4)], 9)
-        assert len(build_inverse_solution_vector(jobs)) == 8
+        assert len(build_inverse_solution_vector(job_classes(jobs))) == 8
 
 
 class TestInverseToDirect:
@@ -215,14 +230,14 @@ class TestInverseToDirect:
         rng = random.Random(59)
         for _ in range(200):
             jobs, d = random_group(rng)
-            inv = build_inverse_solution_vector(jobs)
-            assert inverse_to_direct(inv, d) == build_solution_vector_dp(jobs, d).tolist()
+            inv = build_inverse_solution_vector(job_classes(jobs))
+            assert inverse_to_direct(inv, d) == build_solution_vector_dp(job_classes(jobs), d).tolist()
 
 
 def test_three_builders_agree():
     rng = random.Random(61)
     for _ in range(300):
         jobs, d = random_group(rng, n_max=32, d_max=64)
-        dp = build_solution_vector_dp(jobs, d)
-        assert np.array_equal(build_solution_vector_concave(jobs, d), dp)
-        assert inverse_to_direct(build_inverse_solution_vector(jobs), d) == dp.tolist()
+        dp = build_solution_vector_dp(job_classes(jobs), d)
+        assert np.array_equal(build_solution_vector_concave(job_classes(jobs), d), dp)
+        assert inverse_to_direct(build_inverse_solution_vector(job_classes(jobs)), d) == dp.tolist()

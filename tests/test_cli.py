@@ -246,8 +246,8 @@ class TestCli:
         import tardyjobs.solvers as solvers
 
         calls = []
-        real = solvers._lawler_moore_dp
-        monkeypatch.setattr(solvers, "_lawler_moore_dp", lambda *args: calls.append(args) or real(*args))
+        real = solvers.build_solution_vector_dp
+        monkeypatch.setattr(solvers, "build_solution_vector_dp", lambda *args: calls.append(args) or real(*args))
         inst = generate_instance(seed=1, n=200, d_hash=16, d_max=2000)  # AUTO picks Lawler-Moore
         path = tmp_path / "inst.json"
         path.write_text(serialize_instance(inst, "json"))
@@ -266,6 +266,22 @@ class TestCli:
 
     def test_missing_file_exits_1(self, capsys):
         assert main(["solve", "/nonexistent/nope.json"]) == 1
+
+    @pytest.mark.parametrize("horizon", [2**70, 2**62])
+    @pytest.mark.parametrize("algo", ["lawler-moore", "naive", "prediction", "concave-p", "inverse-w", "auto"])
+    def test_huge_horizon_exits_1_unless_weight_indexed(self, tmp_path, capsys, algo, horizon):
+        # one job as long as its due date: no table over budgets up to the horizon fits in memory
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"jobs": [{"p": horizon, "w": 1, "d": horizon}, {"p": 1, "w": 1, "d": 1}]}))
+        if algo == "inverse-w":  # its vectors are indexed by weight, which is 2 in all
+            assert main(["solve", str(path), "--algo", algo]) == 0
+            assert json.loads(capsys.readouterr().out)["min_tardy_weight"] == 1
+        runs = [["--reconstruct"]] if algo == "inverse-w" else [[], ["--reconstruct"]]
+        for extra in runs:  # a witness needs the Lawler-Moore table under every policy
+            assert main(["solve", str(path), "--algo", algo, *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:") and str(horizon) in captured.err
+            assert "Traceback" not in captured.err
 
     def test_gen_round_trips(self, tmp_path, capsys):
         out_path = tmp_path / "gen.json"

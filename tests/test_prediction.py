@@ -18,7 +18,7 @@ from tardyjobs import (
 from tardyjobs.builders import build_solution_vector_dp
 from tardyjobs.fractional import FractionalSolutionVector
 
-from conftest import delta
+from conftest import delta, job_classes
 
 
 def fsv(values, scale=1):
@@ -61,11 +61,11 @@ def iteration_fixtures(seed_base, trials, rng_seed, *, n_max=10, d_max_max=25):
         )
         grouping = group_by_due_date(inst)
         dates, groups = grouping.due_dates, grouping.groups
-        acc = build_solution_vector_dp(list(groups[0]), dates[0])
+        acc = build_solution_vector_dp(job_classes(groups[0]), dates[0])
         prefix = list(groups[0])
         for i in range(2, len(dates) + 1):
             grp = groups[i - 1]
-            b_vec = build_solution_vector_dp(list(grp), dates[i - 1])
+            b_vec = build_solution_vector_dp(job_classes(grp), dates[i - 1])
             a_frac = fractional_solution_vector(Instance(tuple(prefix)))
             b_frac = fractional_solution_vector(Instance(tuple(grp)))
             prefix = prefix + list(grp)
@@ -147,8 +147,8 @@ class TestComputeRangeIntervals:
         r = compute_range_intervals(af, bf, cf, i=2, w_max=9)
         assert any(iv is None for iv in r.intervals)
         # flagged-empty indices never matter: range-guided stays exact
-        a_vec = build_solution_vector_dp(left, 60)
-        b_vec = build_solution_vector_dp(right, 200)
+        a_vec = build_solution_vector_dp(job_classes(left), 60)
+        b_vec = build_solution_vector_dp(job_classes(right), 200)
         assert validate_range_intervals(a_vec, b_vec, r) == []
         assert np.array_equal(convolve_with_ranges(a_vec, b_vec, r), convolve_naive(a_vec, b_vec))
 

@@ -29,7 +29,7 @@ from tardyjobs import (
 )
 from tardyjobs.generate import SplitMix64
 
-from conftest import ALL_POLICIES, prefix_vector_semantics_check, random_small_instance
+from conftest import ALL_POLICIES, job_classes, prefix_vector_semantics_check, random_small_instance
 
 
 def J(i, p, w, d):
@@ -101,11 +101,9 @@ class TestHorizonPastTotalTime:
     @given(slack_horizon_instances())
     @settings(max_examples=80, deadline=None)
     def test_table_and_witness_match_the_oracle(self, inst):
-        from tardyjobs.solvers import _lawler_moore_dp
-
         P = sum(j.p for j in inst.jobs)
         taken = []
-        assert len(_lawler_moore_dp(inst, taken)) == min(inst.d_max, P) + 1
+        assert len(build_solution_vector_dp(inst.classes, inst.horizon, taken)) == min(inst.d_max, P) + 1
         assert all(len(mask) <= min(inst.d_max, P) + 1 for _, _, mask in taken)
         want = brute_force(inst).max_early_weight
         assert lawler_moore(inst).max_early_weight == want
@@ -158,7 +156,7 @@ class TestSolveMaxplus:
     def test_single_due_date_is_knapsack(self):
         jobs = tuple(J(i, p, w, 7) for i, (p, w) in enumerate([(3, 4), (2, 3), (4, 6), (5, 2)]))
         inst = Instance(jobs)
-        knap = build_solution_vector_dp(list(jobs), 7)[7]
+        knap = build_solution_vector_dp(job_classes(jobs), 7)[7]
         for policy in ALL_POLICIES:
             res = solve(inst, policy)
             assert res.max_early_weight == knap
@@ -283,7 +281,7 @@ class TestPrefixSemantics:
         states = dict(forward_states(inst, SolverPolicy.MAXPLUS_NAIVE))
         grouping = group_by_due_date(inst)
         # the first group's jobs take P = 3 < d = 4: its vector stops there
-        assert np.array_equal(states[1], build_solution_vector_dp(list(grouping.groups[0]), 3))
+        assert np.array_equal(states[1], build_solution_vector_dp(job_classes(grouping.groups[0]), 3))
         assert prefix_vector_semantics_check(inst, 1, states[1])
 
     def test_mid_iterations(self):
@@ -333,9 +331,9 @@ class TestInverseChain:
         seen = []
         real = solvers.build_inverse_solution_vector
 
-        def spy(jobs, acc):
+        def spy(classes, acc):
             seen.append(acc)
-            return real(jobs, acc)
+            return real(classes, acc)
 
         monkeypatch.setattr(solvers, "build_inverse_solution_vector", spy)
         rng = SplitMix64(909)
@@ -346,7 +344,7 @@ class TestInverseChain:
             grouping = group_by_due_date(inst)
             groups = grouping.groups
             seen.clear()
-            best = solvers._solve_inverse(grouping)
+            best = solvers._solve_inverse(inst)
             assert len(seen) == len(groups)
             for i, acc in enumerate(seen):  # the accumulator after merging groups[:i]
                 assert np.isfinite(acc.astype(np.float64)).all() and (np.diff(acc) >= 0).all()
@@ -354,6 +352,33 @@ class TestInverseChain:
                     prefix = Instance(tuple(job for grp in groups[:i] for job in grp))
                     assert len(acc) - 1 == lawler_moore(prefix).max_early_weight
             assert best == lawler_moore(inst).max_early_weight
+
+
+class TestClassTable:
+    @pytest.mark.parametrize("reconstruct", [False, True])
+    def test_only_prediction_groups_the_jobs(self, monkeypatch, reconstruct):
+        # every chain and the witness read the due-date slices of Instance.classes;
+        # PREDICTION alone groups the jobs, for its fractional vectors
+        import sys
+
+        calls = []
+
+        def spy(instance):
+            calls.append(instance)
+            return group_by_due_date(instance)
+
+        for name, module in list(sys.modules.items()):  # every binding inside the package
+            if name == "tardyjobs" or name.startswith("tardyjobs."):
+                for attr in [a for a, v in vars(module).items() if v is group_by_due_date]:
+                    monkeypatch.setattr(module, attr, spy)
+        inst = generate_instance(seed=5, n=60, d_hash=6, d_max=300)
+        want = lawler_moore(inst).max_early_weight
+        for policy in (p for p in ALL_POLICIES if p is not SolverPolicy.PREDICTION):
+            res = solve(inst, policy, reconstruct=reconstruct)
+            assert res.policy is policy and res.max_early_weight == want
+        assert calls == []
+        assert solve(inst, SolverPolicy.PREDICTION, reconstruct=reconstruct).max_early_weight == want
+        assert calls == [inst]
 
 
 class TestReconstruct:
@@ -413,8 +438,8 @@ class TestReconstruct:
         import tardyjobs.solvers as solvers
 
         calls = []
-        real = solvers._lawler_moore_dp
-        monkeypatch.setattr(solvers, "_lawler_moore_dp", lambda *args: calls.append(args) or real(*args))
+        real = solvers.build_solution_vector_dp
+        monkeypatch.setattr(solvers, "build_solution_vector_dp", lambda *args: calls.append(args) or real(*args))
         inst = generate_instance(seed=1, **shape)
         res = solve(inst, policy, reconstruct=True)
         assert res.policy is SolverPolicy.LAWLER_MOORE
@@ -422,7 +447,7 @@ class TestReconstruct:
         by_id = {j.id: j for j in inst.jobs}
         chosen = [by_id[i] for i in res.early_set]
         assert sum(j.w for j in chosen) == res.max_early_weight == inst.w_total - res.min_tardy_weight
-        assert res.max_early_weight == int(real(inst).max())
+        assert res.max_early_weight == int(real(inst.classes, inst.horizon).max())
         assert edd_feasible(chosen)
 
     def test_witness_always_verifies(self):
