@@ -26,7 +26,6 @@ from .fractional import (
     FractionalSolutionVector,
     fractional_gap_check,
     fractional_solution_vector,
-    wspt_sort,
 )
 from .generate import SplitMix64, generate_instance
 from .instance_io import parse_instance, serialize_instance
@@ -101,5 +100,4 @@ __all__ = [
     "solve",
     "validate_range_intervals",
     "validate_solution_vector",
-    "wspt_sort",
 ]

@@ -9,6 +9,8 @@ integral solution vector entry-wise, and the gap is at most
 ``d_hash * w_max`` because at most one job per due date ends up fractional
 (see :func:`fractional_gap_check`).  The prediction module uses these
 vectors as a cheap predictor of where near-optimal convolution splits lie.
+The greedy runs over the instance's (d, p, w) class table, one take per
+class, so a vector costs O(classes * d_hash + horizon).
 
 Entries are exact rationals stored as integers scaled by the lcm of the
 processing times; floating point never enters any comparison.
@@ -20,12 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 
-from .core import Instance, Job
+from .core import Instance
 
 __all__ = [
     "FractionalSolutionVector",
-    "wspt_sort",
     "fractional_solution_vector",
     "fractional_gap_check",
 ]
@@ -37,15 +39,11 @@ class FractionalSolutionVector:
 
     ``scaled[k] / scale`` is the exact value at budget k; ``scale`` is the
     lcm of the instance's processing times so every entry is integral after
-    scaling.  ``units`` maps job id to the number of unit slices the greedy
-    schedule took from that job (``units[j] / p_j`` is the implicit
-    fractional assignment ``x_j``); :func:`fractional_solution_vector`
-    always sets it.
+    scaling.
     """
 
     scaled: tuple[int, ...]
     scale: int
-    units: dict[int, int] | None = None
 
     def __len__(self) -> int:
         return len(self.scaled)
@@ -57,52 +55,51 @@ class FractionalSolutionVector:
         return [Fraction(v, self.scale) for v in self.scaled]
 
 
-def wspt_sort(jobs: list[Job]) -> list[Job]:
-    """Sort jobs by non-increasing weight-to-processing-time ratio.
-
-    Ratios are compared exactly as the integers ``w * (L // p)``, where L is
-    the lcm of the processing times; ties keep id order.
-    """
-    lcm = math.lcm(*(j.p for j in jobs))
-    return sorted(jobs, key=lambda j: (-j.w * (lcm // j.p), j.id))
-
-
 def fractional_solution_vector(instance: Instance, horizon: int | None = None) -> FractionalSolutionVector:
     """Greedy fractional solution vector over budgets 0..``horizon``, by
     default 0..d_max.
 
-    Jobs are taken in WSPT order, each as many unit slices as fit at once:
-    with ``room[t]`` the due date t minus the units already placed against
-    due dates <= t, job j takes ``min(p_j, min(room[i:]))`` units, where i
-    indexes its own due date, and the take is subtracted from ``room[i:]``.
-    Each unit adds the job's rate ``w_j / p_j``, so the vector is the prefix
-    sums of the rates in take order, flat once jobs run out.  At most
-    min(d_max, P) units are taken, P the total processing time, so a
+    The (d, p, w) classes of ``instance.classes`` are taken in WSPT order,
+    by their exact scaled rates ``w * (scale // p)``, each as many unit
+    slices as fit at once: with ``room[t]`` the due date t minus the units
+    already placed against due dates <= t, a class of c jobs takes
+    ``min(p * c, min(room[i:]))`` units, i its due date's index, which is
+    what c takes of one job each would add up to; the take is subtracted
+    from ``room[i:]``.  Each unit adds the class's rate, so the vector is
+    the prefix sums of the rates in take order, flat once jobs run out.  At
+    most min(d_max, P) units are taken, P the total processing time, so a
     horizon at or past that only adds flat entries, and a shorter one cuts
     the vector.  A solver passes its merge's horizon, so that no vector
-    outgrows the integral ones.
+    outgrows the integral ones.  O(classes * d_hash + horizon).
     """
     if horizon is None:
         horizon = instance.d_max
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    dates = sorted({j.d for j in instance.jobs})
-    date_index = {d: i for i, d in enumerate(dates)}
-    room = list(dates)
-    scale = math.lcm(*(j.p for j in instance.jobs))
-    rates: list[int] = []  # w_j/p_j scaled, once per unit taken
-    units: dict[int, int] = {}
-    for job in wspt_sort(list(instance.jobs)):
-        i = date_index[job.d]
-        take = min(job.p, *room[i:])
+    classes = instance.classes
+    room = list(dict.fromkeys(d for (d, _, _), _ in classes))  # the due dates, ascending
+    date_index = {d: i for i, d in enumerate(room)}
+    scale = math.lcm(*{p for (_, p, _), _ in classes})
+    # The constraints are nested due-date prefixes, a polymatroid: after each
+    # block of equal rate the greedy has taken the same total units in any
+    # order inside the block, and every unit of a block adds the same rate,
+    # so the order of ties does not change the vector.
+    by_rate = sorted(
+        ((w * (scale // p), d, p * c) for (d, p, w), c in classes), key=itemgetter(0), reverse=True
+    )
+    rates: list[int] = []  # the scaled rate, once per unit taken
+    for rate, d, units in by_rate:
+        i = date_index[d]
+        take = min(units, *room[i:])
         for t in range(i, len(room)):
             room[t] -= take
-        rates += [job.w * (scale // job.p)] * take
-        units[job.id] = take
+        rates += [rate] * take
+        if len(rates) >= horizon:
+            break
     scaled = list(accumulate(rates, initial=0))
     del scaled[horizon + 1 :]
     scaled += [scaled[-1]] * (horizon + 1 - len(scaled))
-    return FractionalSolutionVector(scaled=tuple(scaled), scale=scale, units=units)
+    return FractionalSolutionVector(scaled=tuple(scaled), scale=scale)
 
 
 def fractional_gap_check(

@@ -215,8 +215,11 @@ def _sliding_max(a: np.ndarray, width: int, length: int) -> np.ndarray:
 
     Van Herk/Gil-Werman: cut the padded input into blocks of ``width``; a
     window spans at most two blocks, so it is the maximum of one block
-    suffix and one block prefix.  O(length) at any width.
+    suffix and one block prefix.  O(length) at any width; a window of one
+    entry is a copy of a.
     """
+    if width == 1:
+        return np.concatenate((a[:length], np.full(max(length - len(a), 0), NEG_INF, dtype=a.dtype)))
     n_blocks = -(-(length + width - 1) // width)
     x = np.full(n_blocks * width, NEG_INF, dtype=a.dtype)
     x[width - 1 : width - 1 + min(len(a), length)] = a[:length]

@@ -136,10 +136,11 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
     of the first i groups per budget; P<=i, their total processing time, is
     summed from the slices.  Every vector of merge i, the group's and under
     PREDICTION the fractional vectors of the group and the union, spans the
-    same budgets; those fractional vectors alone need the jobs, from
-    :func:`~tardyjobs.core.group_by_due_date`.  Introspection surface for
-    tests and demos; :func:`solve` consumes it.  Raises ``ValueError`` for a
-    policy that does not run the forward merge.
+    same budgets.  The fractional vectors run the greedy over the class
+    tables of instances built from the jobs of
+    :func:`~tardyjobs.core.group_by_due_date`, one take per class.
+    Introspection surface for tests and demos; :func:`solve` consumes it.
+    Raises ``ValueError`` for a policy that does not run the forward merge.
     """
     if policy not in _MERGE_POLICIES:
         raise ValueError(f"forward merge does not apply to policy {policy}")

@@ -70,13 +70,15 @@ def delta(a_frac, b_frac, c_frac, k: int, l: int) -> Fraction:
     return c_frac.value(k + l) - a_frac.value(k) - b_frac.value(l)
 
 
-def fractional_by_units(instance: Instance) -> FractionalSolutionVector:
+def fractional_by_units(instance: Instance) -> tuple[FractionalSolutionVector, dict[int, int]]:
     """Reference fractional solution vector: the WSPT greedy, one unit at a time.
 
     Jobs are sorted by exact ``Fraction`` ratios.  Each budget step admits one
     unit of the current job while it has processing time left and no due date
     at or after its own is full; otherwise the scan moves on to the next job
     and retries the same budget.  Once jobs run out the entries repeat.
+    Returns the vector and, per job id, the units taken from that job
+    (``units[j] / p_j`` is the implicit fractional assignment ``x_j``).
     """
     dates = sorted({j.d for j in instance.jobs})
     date_index = {d: i for i, d in enumerate(dates)}
@@ -108,7 +110,7 @@ def fractional_by_units(instance: Instance) -> FractionalSolutionVector:
         for t in range(date_index[cur.d], m):
             load[t] += 1
         units[cur.id] += 1
-    return FractionalSolutionVector(scaled=tuple(scaled), scale=scale, units=units)
+    return FractionalSolutionVector(scaled=tuple(scaled), scale=scale), units
 
 
 def inverse_to_direct(inv: list, horizon: int) -> list:

@@ -10,35 +10,10 @@ from tardyjobs import (
     fractional_gap_check,
     fractional_solution_vector,
     generate_instance,
-    wspt_sort,
 )
 from tardyjobs.fractional import FractionalSolutionVector
 
 from conftest import fractional_by_units
-
-
-def J(i, p, w, d=10):
-    return Job(id=i, p=p, w=w, d=d)
-
-
-class TestWsptSort:
-    def test_already_sorted(self):
-        jobs = [J(0, 1, 3), J(1, 2, 2)]
-        assert wspt_sort(jobs) == jobs
-
-    def test_swaps(self):
-        jobs = [J(0, 2, 2), J(1, 1, 3)]
-        assert [j.id for j in wspt_sort(jobs)] == [1, 0]
-
-    def test_equal_ratios_keep_id_order(self):
-        jobs = [J(1, 2, 4), J(0, 1, 2)]
-        assert [j.id for j in wspt_sort(jobs)] == [0, 1]
-
-    def test_no_floating_point_collisions(self):
-        # ratios 10000000001/10000000000 vs 1: distinct under exact compare
-        a = J(0, 10_000_000_000, 10_000_000_001, 10)
-        b = J(1, 1, 1, 10)
-        assert [j.id for j in wspt_sort([b, a])] == [0, 1]
 
 
 class TestFractionalVector:
@@ -69,6 +44,14 @@ class TestFractionalVector:
         with pytest.raises(ValueError, match=f"horizon must be >= 0, got {horizon}$"):
             fractional_solution_vector(inst, horizon)
 
+    def test_ratios_compared_exactly(self):
+        # 10000000001/10000000000 against 1: the larger rate fills the due date
+        # first, though the other job's class comes first in the class table
+        slow = Job(id=0, p=1, w=1, d=10)
+        fast = Job(id=1, p=10_000_000_000, w=10_000_000_001, d=10)
+        rate = Fraction(10_000_000_001, 10_000_000_000)
+        assert fractional_solution_vector(Instance((slow, fast))).values() == [k * rate for k in range(11)]
+
     def test_values_independent_of_equal_ratio_tie_order(self):
         a = Instance((Job(id=0, p=1, w=2, d=4), Job(id=1, p=2, w=4, d=4)))
         b = Instance((Job(id=0, p=2, w=4, d=4), Job(id=1, p=1, w=2, d=4)))
@@ -95,11 +78,11 @@ class TestFractionalVector:
                 seed=trial + 500, n=n, d_hash=rng.randint(1, min(n, d_max)),
                 d_max=d_max, p_max=7, w_max=7,
             )
-            frac = fractional_solution_vector(inst)
+            # the vector equals the reference's (test_matches_unit_by_unit_reference),
+            # whose per-job units show the assignment
+            _, units = fractional_by_units(inst)
             by_p = {j.id: j.p for j in inst.jobs}
-            fractional_jobs = [
-                jid for jid, u in frac.units.items() if 0 < u < by_p[jid]
-            ]
+            fractional_jobs = [jid for jid, u in units.items() if 0 < u < by_p[jid]]
             assert len(fractional_jobs) <= inst.d_hash
 
     def test_diffs_are_job_rates(self):
@@ -112,7 +95,7 @@ class TestFractionalVector:
 
 
 def test_matches_unit_by_unit_reference():
-    # the per-job greedy against the one-unit-per-budget simulation; the
+    # the per-class greedy against the one-unit-per-budget simulation; the
     # draws cover p > d, weights past 2^64 and a processing-time lcm past 2^63
     rng = random.Random(71)
     edges = set()
@@ -126,8 +109,8 @@ def test_matches_unit_by_unit_reference():
             Job(id=i, p=rng.randint(1, p_max), w=rng.randint(1, w_max), d=rng.choice(dates))
             for i in range(n)
         ))
-        got, want = fractional_solution_vector(inst), fractional_by_units(inst)
-        assert (got.scaled, got.scale, got.units) == (want.scaled, want.scale, want.units)
+        got, (want, _) = fractional_solution_vector(inst), fractional_by_units(inst)
+        assert (got.scaled, got.scale) == (want.scaled, want.scale)
         if any(j.p > j.d for j in inst.jobs):
             edges.add("p > d")
         if inst.w_max >= 2**64:
@@ -135,6 +118,35 @@ def test_matches_unit_by_unit_reference():
         if got.scale > 2**63:
             edges.add("lcm > 2^63")
     assert edges == {"p > d", "w >= 2^64", "lcm > 2^63"}
+
+
+def test_duplicate_classes_match_unit_by_unit_reference():
+    # classes of two or more equal jobs, and equal rates w/p across due dates
+    # and processing times: one take per class fills what its jobs would, in
+    # any order of the tied classes; horizons fall below and past the reach
+    rng = random.Random(72)
+    tied_across_dates = 0
+    for _ in range(400):
+        dates = rng.sample(range(1, 60), rng.randint(1, 4))
+        rates = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(2)]  # (w, p) per unit of t
+        jobs = []
+        for _ in range(rng.randint(1, 6)):
+            (w, p), t = rng.choice(rates), rng.randint(1, 5)
+            d = rng.choice(dates)
+            jobs += [(p * t, w * t, d)] * rng.randint(2, 6)
+        rng.shuffle(jobs)
+        inst = Instance(tuple(Job(id=i, p=p, w=w, d=d) for i, (p, w, d) in enumerate(jobs)))
+        want, _ = fractional_by_units(inst)
+        ratio_dates = {}
+        for (d, p, w), _ in inst.classes:
+            ratio_dates.setdefault(Fraction(w, p), set()).add(d)
+        tied_across_dates += any(len(ds) > 1 for ds in ratio_dates.values())
+        for horizon in (rng.randint(0, inst.d_max), inst.d_max, inst.d_max + rng.randint(1, 9)):
+            got = fractional_solution_vector(inst, horizon)
+            cut = want.scaled[: horizon + 1]
+            assert got.scale == want.scale
+            assert got.scaled == cut + (cut[-1],) * (horizon + 1 - len(cut))
+    assert tied_across_dates >= 100
 
 
 class TestGapCheck:

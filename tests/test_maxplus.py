@@ -139,6 +139,20 @@ class TestSStepConcave:
         assert np.array_equal(convolve_sstep_concave(a, b, 3), convolve_naive(a, b))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, object])
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_sliding_max_matches_definition(width, dtype):
+    # the one-entry window is the final step of every class vector stopped at
+    # its reach; lengths run past len(a), where the windows empty out
+    rng = random.Random(width)
+    for n_a in (1, 4, 9):
+        a = np.array([rng.randint(-50, 50) for _ in range(n_a)], dtype=dtype)
+        for length in (1, n_a, n_a + width + 3):
+            got = mp._sliding_max(a, width, length)
+            assert got.dtype == a.dtype
+            assert got.tolist() == [max(a[max(0, m - width + 1) : m + 1], default=NEG_INF) for m in range(length)]
+
+
 def sstep_convex(n_steps, s, rng):
     """Random s-step convex vector with n_steps steps after its first entry."""
     core = [rng.randint(0, 3)]
