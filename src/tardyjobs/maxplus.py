@@ -21,8 +21,8 @@ precondition on the operands holds:
                                  O(log L) passes for all classes.
 * ``convolve_with_ranges``    -- guided by per-index ranges ``[x_k, y_k]``
                                  certifying where optimal split witnesses
-                                 lie; cost proportional to the total range
-                                 width.
+                                 lie; cost the total range width plus one
+                                 pass per index of the left operand.
 
 The (min,+) mirror ``minplus_convolve`` has no step assembly of its own: its
 step-convex engine is the concave engine run on the negated operands.
@@ -388,8 +388,9 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
     ``l-k`` inside ``R.intervals[k]``.  When the ranges certify a split
     witness for every output index (the contract under which solvers call
     this), the result equals ``convolve_naive(A, B)`` exactly; an output
-    index that no range reaches holds ``NEG_INF``.  Cost is proportional to
-    the total width of the ranges.
+    index that no range reaches holds ``NEG_INF``.  Cost is the total
+    width of the ranges plus one numpy pass per index of ``A``, so a
+    caller puts the operand of shorter span on the left.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")

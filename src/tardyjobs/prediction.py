@@ -82,7 +82,9 @@ def compute_range_intervals(
     threshold is ``2*i*w_max`` and the certified error is ``4*i*w_max``.
     Both pointers only ever move forward, and in row ``k`` both stop at
     ``min(|B'|, |C'| - k)``: a budget ``l`` with ``k + l`` past the horizon
-    of ``C'`` is never in range.
+    of ``C'`` is never in range.  There is one row per entry of ``A'``, and
+    the range-guided convolution makes one pass per row, so a caller puts
+    the vector of shorter span on the left.
 
     A left index whose gap exceeds the threshold at every budget (which
     happens when the left side's jobs saturate far below its horizon while

@@ -20,7 +20,10 @@ Two families:
   - ``MAXPLUS_NAIVE``: quadratic convolution per merge.
   - ``PREDICTION``: per merge, build fractional solution vectors for the
     merged prefix, the incoming group, and their union; derive range
-    intervals from them and run the range-guided convolution.
+    intervals from them and run the range-guided convolution.  The group's
+    vectors stop at its reach, min(h_i, P_i) for its own processing time
+    P_i, and the operand of shorter span, group or prefix, goes on the
+    left, one row of range intervals per budget.
   - ``CONCAVE_BY_P``: split each group by processing time and fold the
     step-concave per-class vectors.
   - ``INVERSE_BY_W``: run the whole merge chain in the weight-indexed
@@ -83,7 +86,7 @@ from .builders import (
     build_solution_vector_dp,
 )
 from .core import Instance, Job, JobClass, SolveResult, Vector, group_by_due_date
-from .fractional import fractional_solution_vector
+from .fractional import FractionalSolutionVector, fractional_solution_vector
 from .maxplus import _FEW_STEPS, bundle_sizes, convolve_naive, convolve_with_ranges
 from .oracle import edd_feasible
 from .prediction import compute_range_intervals
@@ -134,10 +137,17 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
     its builder as it is.  The accumulator after iteration i is a ``Vector``
     spanning budgets 0..h_i, h_i = min(d^(i), P<=i), the best early weight
     of the first i groups per budget; P<=i, their total processing time, is
-    summed from the slices.  Every vector of merge i, the group's and under
-    PREDICTION the fractional vectors of the group and the union, spans the
-    same budgets.  The fractional vectors run the greedy over the class
-    tables of instances built from the jobs of
+    summed from the slices.  Merge i's group vector spans the same budgets,
+    except under PREDICTION.  There the group's integral and fractional
+    vectors stop at its reach min(h_i, P_i), P_i its own total processing
+    time, past which they are flat.  The operand of shorter span, group or
+    prefix, goes on the left, one row of range intervals per budget; the
+    other is held at its last entries up to h_i, both its vectors.  The
+    union's fractional vector, the next merge's prefix, spans h_i.  A split
+    past the left operand's reach r is matched by the split at r, no worse
+    and with no larger fractional gap, so the rows 0..r hold every witness.
+    The fractional vectors run the greedy over the class tables of
+    instances built from the jobs of
     :func:`~tardyjobs.core.group_by_due_date`, one take per class.
     Introspection surface for tests and demos; :func:`solve` consumes it.
     Raises ``ValueError`` for a policy that does not run the forward merge.
@@ -149,9 +159,9 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
     prefix: tuple[Job, ...] = ()  # PREDICTION's jobs of the first i - 1 groups
     prefix_frac = None
     total = 0  # P<=i, the total processing time of the first i groups
-    for i, (d_i, run) in enumerate(groupby(instance.classes, _due_date), start=1):
-        classes = tuple(run)
-        total += sum(p * c for (_, p, _), c in classes)
+    for i, (d_i, classes) in enumerate(_due_date_slices(instance.classes), start=1):
+        work = sum(p * c for (_, p, _), c in classes)  # the group's total processing time
+        total += work
         h = min(d_i, total)
         if policy is SolverPolicy.CONCAVE_BY_P:
             acc = build_solution_vector_concave(classes, h, acc)
@@ -163,22 +173,44 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
             grp = groups[i - 1]
             if prefix_frac is None:
                 prefix_frac = fractional_solution_vector(Instance(prefix), len(acc) - 1)
-            b_frac = fractional_solution_vector(Instance(grp), h)
+            reach = min(h, work)  # the group's vectors are flat past it
+            left = (acc, prefix_frac)
+            right = (build_solution_vector_dp(classes, reach), fractional_solution_vector(Instance(grp), reach))
             c_frac = fractional_solution_vector(Instance(prefix + grp), h)
-            ranges = compute_range_intervals(prefix_frac, b_frac, c_frac, i, instance.w_max)
-            acc = convolve_with_ranges(acc, build_solution_vector_dp(classes, h), ranges)
+            if len(right[0]) < len(acc):  # the operand of shorter span is the rows' side; a tie keeps the prefix
+                left, right = right, left
+            (a, a_frac), (b, b_frac) = left, _held_to(h, *right)
+            ranges = compute_range_intervals(a_frac, b_frac, c_frac, i, instance.w_max)
+            acc = convolve_with_ranges(a, b, ranges)
             prefix_frac = c_frac  # the union is the next merge's prefix
         if groups:
             prefix += groups[i - 1]
         yield i, acc
 
 
+def _due_date_slices(classes: tuple[JobClass, ...]) -> Iterator[tuple[int, tuple[JobClass, ...]]]:
+    """(d, the classes of due date d) per due date of a class table, in
+    order, each an exact-size slice of the table."""
+    start = 0
+    for d, run in groupby(classes, _due_date):
+        end = start + sum(1 for _ in run)
+        yield d, classes[start:end]
+        start = end
+
+
+def _held_to(horizon: int, vec: Vector, frac: FractionalSolutionVector) -> tuple[Vector, FractionalSolutionVector]:
+    """A solution vector and its fractional vector, both flat past their
+    last budget, extended with their last entries to span 0..``horizon``."""
+    held = FractionalSolutionVector(frac.scaled + frac.scaled[-1:] * (horizon + 1 - len(vec)), frac.scale)
+    return vec[np.minimum(np.arange(horizon + 1), len(vec) - 1)], held
+
+
 def _solve_inverse(instance: Instance) -> int:
     """Weight-indexed (min,+) mirror of the merge chain over the due-date
     slices of ``instance.classes``; the best early weight."""
     acc: Vector = np.zeros(1)
-    for d_i, run in groupby(instance.classes, _due_date):
-        acc = build_inverse_solution_vector(tuple(run), acc)
+    for d_i, classes in _due_date_slices(instance.classes):
+        acc = build_inverse_solution_vector(classes, acc)
         # targets needing more time than this due date are out of reach from
         # here on; the vector is non-decreasing, so the rest is a prefix
         acc = acc[: np.count_nonzero(acc <= d_i)]

@@ -25,6 +25,7 @@ from tardyjobs import (
     lawler_moore,
     reconstruct_schedule,
     solve,
+    validate_range_intervals,
     validate_solution_vector,
 )
 from tardyjobs.generate import SplitMix64
@@ -48,6 +49,13 @@ def merge_horizons(inst):
     grouping = group_by_due_date(inst)
     totals = accumulate(sum(j.p for j in grp) for grp in grouping.groups)
     return [min(d, total) for d, total in zip(grouping.due_dates, totals)]
+
+
+def group_reaches(inst):
+    """Per due-date group i, min(d_i, P<=i, P_i) with P_i its own total
+    processing time: the budgets past which its vectors are flat."""
+    works = [sum(j.p for j in grp) for grp in group_by_due_date(inst).groups]
+    return [min(h, work) for h, work in zip(merge_horizons(inst), works)]
 
 
 class TestLawlerMoore:
@@ -318,10 +326,47 @@ class TestPrefixSemantics:
         inst = generate_instance(seed=7, n=80, d_hash=16, d_max=400)
         states = list(forward_states(inst, SolverPolicy.PREDICTION))
         assert len(calls) == 2 * 16 - 1  # the first prefix, then group and union per merge
-        # the prefix spans the accumulator, the group and the union merge i's horizon
+        # the prefix spans the accumulator, the group its reach and the union merge i's horizon
         h = merge_horizons(inst)
-        assert calls == [h[0]] + [h[i] for i in range(1, 16) for _ in range(2)]
+        reach = group_reaches(inst)
+        assert calls == [h[0]] + [x for i in range(1, 16) for x in (reach[i], h[i])]
+        assert any(r < x for r, x in zip(reach, h))  # some group stops short of its merge
         assert states[-1][1][-1] == lawler_moore(inst).max_early_weight
+
+    def test_prediction_puts_the_shorter_operand_on_the_left(self, monkeypatch):
+        import tardyjobs.solvers as solvers
+
+        merges = []
+        real = solvers.convolve_with_ranges
+
+        def spy(A, B, R):
+            merges.append((A, B, validate_range_intervals(A, B, R)))
+            return real(A, B, R)
+
+        monkeypatch.setattr(solvers, "convolve_with_ranges", spy)
+        rng = SplitMix64(4242)
+        instances = [random_small_instance(rng, seed=trial + 700) for trial in range(150)]
+        # many due dates and few jobs each: the groups reach less than the prefix
+        instances += [generate_instance(seed=s, n=30, d_hash=10, d_max=120, p_max=5) for s in range(10)]
+        shorter = Counter()
+        for inst in instances:
+            merges.clear()
+            states = [acc for _, acc in forward_states(inst, SolverPolicy.PREDICTION)]
+            classes = [job_classes(grp) for grp in group_by_due_date(inst).groups]
+            h, reach = merge_horizons(inst), group_reaches(inst)
+            assert len(merges) == len(states) - 1
+            for i, (A, B, violations) in enumerate(merges, start=1):
+                assert violations == []
+                prefix, group = states[i - 1], build_solution_vector_dp(classes[i], reach[i])
+                assert len(A) == min(len(prefix), len(group)) and len(B) == h[i] + 1
+                if len(group) < len(prefix):
+                    assert np.array_equal(A, group)
+                    shorter["group"] += 1
+                else:  # a tie keeps the prefix on the left
+                    assert np.array_equal(A, prefix)
+                    shorter["prefix" if len(prefix) < len(group) else "tie"] += 1
+            assert states[-1][-1] == lawler_moore(inst).max_early_weight
+        assert shorter["group"] >= 20 and shorter["prefix"] >= 20, shorter
 
 
 class TestInverseChain:
