@@ -10,7 +10,6 @@ ranges keeps it exact while skipping most of the split space.
 import numpy as np
 
 from tardyjobs import (
-    Instance,
     brute_force_vector,
     compute_range_intervals,
     convolve_naive,
@@ -26,7 +25,7 @@ from tardyjobs.builders import build_solution_vector_dp
 inst = generate_instance(seed=7, n=12, d_hash=3, d_max=24, p_max=6, w_max=6)
 print("instance: n=12, 3 distinct due dates, d_max=24")
 
-frac = fractional_solution_vector(inst)
+frac = fractional_solution_vector(inst.classes)
 integral = brute_force_vector(list(inst.jobs), inst.d_max)
 print("fractional vector (first 8):", [str(v) for v in frac.values()[:8]])
 print("integral vector   (first 8):", integral[:8])
@@ -35,20 +34,21 @@ print(
     fractional_gap_check(frac, integral, inst.d_hash, inst.w_max),
 )
 
-# Reproduce one merge of the due-date chain with range guidance.
+# Reproduce one merge of the due-date chain with range guidance.  The groups
+# are due-date slices of the class table; the fractional vectors take the
+# prefix before a group, the group, and the prefix through it.
 grouping = group_by_due_date(inst)
 dates, groups = grouping.due_dates, grouping.groups
-# the DP builder takes a group's class table; the fractional vectors take its jobs
-acc = build_solution_vector_dp(Instance(groups[0]).classes, dates[0])
-prefix = list(groups[0])
+acc = build_solution_vector_dp(groups[0], dates[0])
+end = len(groups[0])
 
 for i in range(2, len(dates) + 1):
     grp = groups[i - 1]
-    b_vec = build_solution_vector_dp(Instance(grp).classes, dates[i - 1])
-    a_frac = fractional_solution_vector(Instance(tuple(prefix)))
-    b_frac = fractional_solution_vector(Instance(tuple(grp)))
-    prefix = prefix + list(grp)
-    c_frac = fractional_solution_vector(Instance(tuple(prefix)))
+    b_vec = build_solution_vector_dp(grp, dates[i - 1])
+    a_frac = fractional_solution_vector(inst.classes[:end])
+    b_frac = fractional_solution_vector(grp)
+    end += len(grp)
+    c_frac = fractional_solution_vector(inst.classes[:end])
 
     ranges = compute_range_intervals(a_frac, b_frac, c_frac, i, inst.w_max)
     widths = [y - x + 1 for iv in ranges.intervals if iv is not None for x, y in (iv,)]

@@ -41,7 +41,8 @@ Vector = np.ndarray
 #: A class of interchangeable jobs, ``((d, p, w), c)``: c jobs with due date
 #: d, processing time p and weight w.  ``Instance.classes`` holds them once
 #: per instance, and every DP, builder and merge chain reads them from there;
-#: a builder takes one due date's slice of that table.
+#: a builder takes one due date's slice of that table, as
+#: :func:`group_by_due_date` cuts it.
 JobClass = tuple[tuple[int, int, int], int]
 
 
@@ -118,15 +119,14 @@ class Instance:
 
 @dataclass(frozen=True)
 class DueDateGrouping:
-    """Jobs partitioned by due date, groups ordered by increasing due date.
+    """The class table partitioned by due date, groups by increasing due date.
 
-    ``groups[i]`` holds every job whose due date is ``due_dates[i]``, in
-    id order (the tie order within a group is not semantically relevant;
-    id order is fixed for reproducibility).
+    ``groups[i]`` is the exact-size slice of ``Instance.classes`` whose
+    classes have due date ``due_dates[i]``, in the table's (p, w) order.
     """
 
     due_dates: tuple[int, ...]
-    groups: tuple[tuple[Job, ...], ...]
+    groups: tuple[tuple[JobClass, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,12 @@ class SolveResult:
 
 
 def group_by_due_date(instance: Instance) -> DueDateGrouping:
-    """Partition the instance's jobs by due date, groups sorted by due date."""
-    buckets: dict[int, list[Job]] = {}
-    for job in instance.jobs:
-        buckets.setdefault(job.d, []).append(job)
-    due_dates = sorted(buckets)
-    groups = tuple(tuple(sorted(buckets[d], key=lambda j: j.id)) for d in due_dates)
-    return DueDateGrouping(due_dates=tuple(due_dates), groups=groups)
+    """The due-date slices of ``instance.classes``, in order: the package's
+    one due-date partition, which every merge chain reads its groups from."""
+    classes = instance.classes
+    starts = [i for i, ((d, _, _), _) in enumerate(classes) if i == 0 or d != classes[i - 1][0][0]]
+    bounds = zip(starts, starts[1:] + [len(classes)])
+    return DueDateGrouping(tuple(classes[i][0][0] for i in starts), tuple(classes[i:j] for i, j in bounds))
 
 
 def validate_solution_vector(v: Sequence) -> list[str]:

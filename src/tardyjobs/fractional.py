@@ -9,8 +9,9 @@ integral solution vector entry-wise, and the gap is at most
 ``d_hash * w_max`` because at most one job per due date ends up fractional
 (see :func:`fractional_gap_check`).  The prediction module uses these
 vectors as a cheap predictor of where near-optimal convolution splits lie.
-The greedy runs over the instance's (d, p, w) class table, one take per
-class, so a vector costs O(classes * d_hash + horizon).
+The greedy runs over a slice of an instance's (d, p, w) class table, one
+take per class, so a vector costs O(classes * d_hash + horizon); a solver
+passes a due-date prefix of ``Instance.classes`` or one due date's slice.
 
 Entries are exact rationals stored as integers scaled by the lcm of the
 processing times; floating point never enters any comparison.
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
 
-from .core import Instance
+from .core import JobClass
 
 __all__ = [
     "FractionalSolutionVector",
@@ -38,7 +39,7 @@ class FractionalSolutionVector:
     """Fractional early-weight optima per processing-time budget.
 
     ``scaled[k] / scale`` is the exact value at budget k; ``scale`` is the
-    lcm of the instance's processing times so every entry is integral after
+    lcm of the classes' processing times so every entry is integral after
     scaling.
     """
 
@@ -55,28 +56,30 @@ class FractionalSolutionVector:
         return [Fraction(v, self.scale) for v in self.scaled]
 
 
-def fractional_solution_vector(instance: Instance, horizon: int | None = None) -> FractionalSolutionVector:
-    """Greedy fractional solution vector over budgets 0..``horizon``, by
-    default 0..d_max.
+def fractional_solution_vector(classes: tuple[JobClass, ...], horizon: int | None = None) -> FractionalSolutionVector:
+    """Greedy fractional solution vector of the jobs of a class-table slice
+    over budgets 0..``horizon``, by default 0..its largest due date.
 
-    The (d, p, w) classes of ``instance.classes`` are taken in WSPT order,
-    by their exact scaled rates ``w * (scale // p)``, each as many unit
-    slices as fit at once: with ``room[t]`` the due date t minus the units
-    already placed against due dates <= t, a class of c jobs takes
-    ``min(p * c, min(room[i:]))`` units, i its due date's index, which is
-    what c takes of one job each would add up to; the take is subtracted
-    from ``room[i:]``.  Each unit adds the class's rate, so the vector is
+    The (d, p, w) classes are taken in WSPT order, by their exact scaled
+    rates ``w * (scale // p)``, each as many unit slices as fit at once:
+    with ``room[t]`` the due date t minus the units already placed against
+    due dates <= t, a class of c jobs takes ``min(p * c, min(room[i:]))``
+    units, i its due date's index, which is what c takes of one job each
+    would add up to; the take is subtracted from ``room[i:]``.  Each unit adds the class's rate, so the vector is
     the prefix sums of the rates in take order, flat once jobs run out.  At
     most min(d_max, P) units are taken, P the total processing time, so a
     horizon at or past that only adds flat entries, and a shorter one cuts
     the vector.  A solver passes its merge's horizon, so that no vector
     outgrows the integral ones.  O(classes * d_hash + horizon).
+    Raises ``ValueError`` for a negative horizon, and for an empty slice
+    without one.
     """
     if horizon is None:
-        horizon = instance.d_max
+        if not classes:
+            raise ValueError("an empty class slice needs a horizon")
+        horizon = classes[-1][0][0]
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    classes = instance.classes
     room = list(dict.fromkeys(d for (d, _, _), _ in classes))  # the due dates, ascending
     date_index = {d: i for i, d in enumerate(room)}
     scale = math.lcm(*{p for (_, p, _), _ in classes})

@@ -7,9 +7,10 @@ Two families:
   baseline and as the reconstruction backend.  It runs over the
   instance's (d, p, w) job classes, each split into O(log c) bundles of
   interchangeable jobs.
-* the due-date merge -- take the due-date slices of the class table as
-  groups, build a solution vector per group, and merge them in due-date
-  order with (max,+)-convolutions.  After merging group i the accumulator
+* the due-date merge -- take the due-date slices of the class table that
+  :func:`~tardyjobs.core.group_by_due_date` cuts as groups, build a
+  solution vector per group, and merge them in due-date order with
+  (max,+)-convolutions.  After merging group i the accumulator
   entry k holds the best early weight achievable from the first i groups
   within processing budget k, so the last entry of the final accumulator is
   the optimum.  Merge i spans budgets 0..h_i, h_i = min(d_i, P<=i) with P<=i
@@ -36,7 +37,9 @@ Two families:
     candidates are the three policies that are fastest on some shape of the
     committed timing grid: Lawler-Moore, concave-p and inverse-w.  Naive and
     prediction build every group with the knapsack DP, as much work as the
-    whole Lawler-Moore table, so they run only when asked for.
+    whole Lawler-Moore table, so they run only when asked for.  On a
+    horizon past the largest table memory can address, AUTO runs inverse-w
+    when no witness is asked for and inverse-w would not fall back.
 
 Every policy returns the exact optimum; they differ only in running time.
 :func:`solve` is the entry point: it resolves ``AUTO``, applies the
@@ -66,15 +69,13 @@ constants ``(a, b, c)`` are configuration, ``DEFAULT_CALIBRATION``, fitted by
 :func:`auto_estimates` returns the estimates and :func:`auto_select` the
 choice.  All three counts are projections of the instance's class table,
 ``Instance.classes``, which the instance builds once for AUTO, every
-policy's chain and the witness alike; only PREDICTION also groups the jobs
-themselves, for its fractional vectors.
+policy's chain, PREDICTION's fractional vectors and the witness alike.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from enum import Enum
-from itertools import groupby
 from math import log
 from typing import Iterator
 
@@ -85,7 +86,7 @@ from .builders import (
     build_solution_vector_concave,
     build_solution_vector_dp,
 )
-from .core import Instance, Job, JobClass, SolveResult, Vector, group_by_due_date
+from .core import Instance, Job, SolveResult, Vector, group_by_due_date
 from .fractional import FractionalSolutionVector, fractional_solution_vector
 from .maxplus import _FEW_STEPS, bundle_sizes, convolve_naive, convolve_with_ranges
 from .oracle import edd_feasible
@@ -112,10 +113,6 @@ class SolverPolicy(Enum):
     AUTO = "auto"
 
 
-def _due_date(job_class: JobClass) -> int:
-    return job_class[0][0]
-
-
 def lawler_moore(instance: Instance) -> SolveResult:
     """Baseline DP over jobs in due-date order, state = exact early time.
 
@@ -133,9 +130,10 @@ _MERGE_POLICIES = (SolverPolicy.MAXPLUS_NAIVE, SolverPolicy.PREDICTION, SolverPo
 def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[int, Vector]]:
     """Yield (i, accumulator) after merging each due-date group.
 
-    Group i is the i-th due-date slice of ``instance.classes``, handed to
-    its builder as it is.  The accumulator after iteration i is a ``Vector``
-    spanning budgets 0..h_i, h_i = min(d^(i), P<=i), the best early weight
+    Group i is the i-th due-date slice of ``instance.classes`` that
+    :func:`~tardyjobs.core.group_by_due_date` cuts, handed to its builder as
+    it is.  The accumulator after iteration i is a ``Vector`` spanning
+    budgets 0..h_i, h_i = min(d^(i), P<=i), the best early weight
     of the first i groups per budget; P<=i, their total processing time, is
     summed from the slices.  Merge i's group vector spans the same budgets,
     except under PREDICTION.  There the group's integral and fractional
@@ -146,20 +144,20 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
     union's fractional vector, the next merge's prefix, spans h_i.  A split
     past the left operand's reach r is matched by the split at r, no worse
     and with no larger fractional gap, so the rows 0..r hold every witness.
-    The fractional vectors run the greedy over the class tables of
-    instances built from the jobs of
-    :func:`~tardyjobs.core.group_by_due_date`, one take per class.
+    The fractional vectors run their greedy over slices of
+    ``instance.classes``: the group's slice and the prefix through it.
     Introspection surface for tests and demos; :func:`solve` consumes it.
     Raises ``ValueError`` for a policy that does not run the forward merge.
     """
     if policy not in _MERGE_POLICIES:
         raise ValueError(f"forward merge does not apply to policy {policy}")
-    groups = group_by_due_date(instance).groups if policy is SolverPolicy.PREDICTION else ()
+    grouping = group_by_due_date(instance)
     acc: Vector | None = None
-    prefix: tuple[Job, ...] = ()  # PREDICTION's jobs of the first i - 1 groups
     prefix_frac = None
     total = 0  # P<=i, the total processing time of the first i groups
-    for i, (d_i, classes) in enumerate(_due_date_slices(instance.classes), start=1):
+    end = 0  # the first i groups are instance.classes[:end]
+    for i, (d_i, classes) in enumerate(zip(grouping.due_dates, grouping.groups), start=1):
+        end += len(classes)
         work = sum(p * c for (_, p, _), c in classes)  # the group's total processing time
         total += work
         h = min(d_i, total)
@@ -170,32 +168,19 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
         elif policy is SolverPolicy.MAXPLUS_NAIVE:
             acc = convolve_naive(acc, build_solution_vector_dp(classes, h))
         else:  # PREDICTION
-            grp = groups[i - 1]
-            if prefix_frac is None:
-                prefix_frac = fractional_solution_vector(Instance(prefix), len(acc) - 1)
+            if prefix_frac is None:  # the first merge's prefix is the first group
+                prefix_frac = fractional_solution_vector(grouping.groups[0], len(acc) - 1)
             reach = min(h, work)  # the group's vectors are flat past it
             left = (acc, prefix_frac)
-            right = (build_solution_vector_dp(classes, reach), fractional_solution_vector(Instance(grp), reach))
-            c_frac = fractional_solution_vector(Instance(prefix + grp), h)
+            right = (build_solution_vector_dp(classes, reach), fractional_solution_vector(classes, reach))
+            c_frac = fractional_solution_vector(instance.classes[:end], h)
             if len(right[0]) < len(acc):  # the operand of shorter span is the rows' side; a tie keeps the prefix
                 left, right = right, left
             (a, a_frac), (b, b_frac) = left, _held_to(h, *right)
             ranges = compute_range_intervals(a_frac, b_frac, c_frac, i, instance.w_max)
             acc = convolve_with_ranges(a, b, ranges)
             prefix_frac = c_frac  # the union is the next merge's prefix
-        if groups:
-            prefix += groups[i - 1]
         yield i, acc
-
-
-def _due_date_slices(classes: tuple[JobClass, ...]) -> Iterator[tuple[int, tuple[JobClass, ...]]]:
-    """(d, the classes of due date d) per due date of a class table, in
-    order, each an exact-size slice of the table."""
-    start = 0
-    for d, run in groupby(classes, _due_date):
-        end = start + sum(1 for _ in run)
-        yield d, classes[start:end]
-        start = end
 
 
 def _held_to(horizon: int, vec: Vector, frac: FractionalSolutionVector) -> tuple[Vector, FractionalSolutionVector]:
@@ -208,8 +193,9 @@ def _held_to(horizon: int, vec: Vector, frac: FractionalSolutionVector) -> tuple
 def _solve_inverse(instance: Instance) -> int:
     """Weight-indexed (min,+) mirror of the merge chain over the due-date
     slices of ``instance.classes``; the best early weight."""
+    grouping = group_by_due_date(instance)
     acc: Vector = np.zeros(1)
-    for d_i, classes in _due_date_slices(instance.classes):
+    for d_i, classes in zip(grouping.due_dates, grouping.groups):
         acc = build_inverse_solution_vector(classes, acc)
         # targets needing more time than this due date are out of reach from
         # here on; the vector is non-decreasing, so the rest is a prefix
@@ -329,11 +315,13 @@ def solve(
     up to ``instance.horizon``; if such a table would have more entries
     than this platform can address, it raises ``MemoryError`` first.
     """
+    unaddressable = instance.horizon + 1 > _MAX_TABLE
     if policy is SolverPolicy.AUTO:
-        policy = auto_select(instance)
+        weight_indexed = unaddressable and not reconstruct and not _inverse_falls_back(instance)
+        policy = SolverPolicy.INVERSE_BY_W if weight_indexed else auto_select(instance)
     if policy is SolverPolicy.INVERSE_BY_W and _inverse_falls_back(instance):
         policy = SolverPolicy.LAWLER_MOORE
-    if (reconstruct or policy is not SolverPolicy.INVERSE_BY_W) and instance.horizon + 1 > _MAX_TABLE:
+    if (reconstruct or policy is not SolverPolicy.INVERSE_BY_W) and unaddressable:
         raise MemoryError(f"a table over the horizon {instance.horizon} has more entries than memory can address")
     early = None
     if policy is SolverPolicy.LAWLER_MOORE and reconstruct:

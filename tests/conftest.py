@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ import pytest
 from tardyjobs import (
     FractionalSolutionVector,
     Instance,
+    Job,
     SolveResult,
     SolverPolicy,
     brute_force_vector,
     generate_instance,
-    group_by_due_date,
 )
 from tardyjobs.generate import SplitMix64
 
@@ -33,6 +34,22 @@ ALL_POLICIES = [
 def job_classes(jobs) -> tuple:
     """``Instance(jobs).classes``, the builders' input, or () for no jobs."""
     return Instance(tuple(jobs)).classes if jobs else ()
+
+
+class JobGrouping(NamedTuple):
+    due_dates: tuple[int, ...]
+    groups: tuple[tuple[Job, ...], ...]
+
+
+def group_jobs_by_due_date(instance: Instance) -> JobGrouping:
+    """The instance's jobs by due date, groups by increasing due date and
+    each in id order: the jobs whose class tables are the slices of
+    ``group_by_due_date(instance).groups``."""
+    buckets: dict[int, list[Job]] = {}
+    for job in sorted(instance.jobs, key=lambda j: j.id):
+        buckets.setdefault(job.d, []).append(job)
+    due_dates = tuple(sorted(buckets))
+    return JobGrouping(due_dates, tuple(tuple(buckets[d]) for d in due_dates))
 
 
 def random_small_instance(rng: SplitMix64, seed: int, *, n_max=12, d_max_max=30, p_max=10, w_max=10):
@@ -59,7 +76,7 @@ def prefix_vector_semantics_check(instance: Instance, i: int, acc: list) -> bool
     entry, the exhaustive optimum over the union of the first i due-date
     groups at each budget.
     """
-    prefix = [job for g in group_by_due_date(instance).groups[:i] for job in g]
+    prefix = [job for g in group_jobs_by_due_date(instance).groups[:i] for job in g]
     return list(acc) == brute_force_vector(prefix, len(acc) - 1)
 
 

@@ -11,7 +11,6 @@ import pytest
 
 import tardyjobs.maxplus as mp
 from tardyjobs import (
-    Instance,
     RangeIntervals,
     SolverPolicy,
     brute_force,
@@ -27,14 +26,13 @@ from tardyjobs import (
     fractional_gap_check,
     fractional_solution_vector,
     generate_instance,
-    group_by_due_date,
     solve,
     validate_range_intervals,
 )
 from tardyjobs.bench import run_bench
 from tardyjobs.generate import SplitMix64
 
-from conftest import ALL_POLICIES, brute_force_permutations, inverse_to_direct, job_classes
+from conftest import ALL_POLICIES, brute_force_permutations, group_jobs_by_due_date, inverse_to_direct, job_classes
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -140,17 +138,17 @@ def test_criterion_2_engine_equivalence(monkeypatch):
         inst = generate_instance(
             seed=trial, n=n, d_hash=d_hash, d_max=d_max, p_max=10, w_max=10
         )
-        grouping = group_by_due_date(inst)
+        grouping = group_jobs_by_due_date(inst)
         dates, groups = grouping.due_dates, grouping.groups
         acc = build_solution_vector_dp(job_classes(groups[0]), dates[0])
         prefix = list(groups[0])
         for i in range(2, len(dates) + 1):
             grp = groups[i - 1]
             b_vec = build_solution_vector_dp(job_classes(grp), dates[i - 1])
-            a_frac = fractional_solution_vector(Instance(tuple(prefix)))
-            b_frac = fractional_solution_vector(Instance(tuple(grp)))
+            a_frac = fractional_solution_vector(job_classes(prefix))
+            b_frac = fractional_solution_vector(job_classes(grp))
             prefix = prefix + list(grp)
-            c_frac = fractional_solution_vector(Instance(tuple(prefix)))
+            c_frac = fractional_solution_vector(job_classes(prefix))
             ranges = compute_range_intervals(a_frac, b_frac, c_frac, i, inst.w_max)
             want = convolve_naive(acc, b_vec)
             if not np.array_equal(convolve_with_ranges(acc, b_vec, ranges), want):
@@ -185,7 +183,7 @@ def test_criterion_3_fractional_gap_bound():
         inst = generate_instance(
             seed=trial + 77, n=n, d_hash=d_hash, d_max=d_max, p_max=9, w_max=9
         )
-        frac = fractional_solution_vector(inst)
+        frac = fractional_solution_vector(inst.classes)
         integral = brute_force_vector(list(inst.jobs), inst.d_max)
         if not fractional_gap_check(frac, integral, inst.d_hash, inst.w_max):
             failures.append(trial)
@@ -216,17 +214,17 @@ def test_criterion_4_range_interval_conditions():
         inst = generate_instance(
             seed=trial + 999, n=n, d_hash=d_hash, d_max=d_max, p_max=9, w_max=9
         )
-        grouping = group_by_due_date(inst)
+        grouping = group_jobs_by_due_date(inst)
         dates, groups = grouping.due_dates, grouping.groups
         acc = build_solution_vector_dp(job_classes(groups[0]), dates[0])
         prefix = list(groups[0])
         for i in range(2, len(dates) + 1):
             grp = groups[i - 1]
             b_vec = build_solution_vector_dp(job_classes(grp), dates[i - 1])
-            a_frac = fractional_solution_vector(Instance(tuple(prefix)))
-            b_frac = fractional_solution_vector(Instance(tuple(grp)))
+            a_frac = fractional_solution_vector(job_classes(prefix))
+            b_frac = fractional_solution_vector(job_classes(grp))
             prefix = prefix + list(grp)
-            c_frac = fractional_solution_vector(Instance(tuple(prefix)))
+            c_frac = fractional_solution_vector(job_classes(prefix))
             ranges = compute_range_intervals(a_frac, b_frac, c_frac, i, inst.w_max)
             assert ranges.error == 4 * i * inst.w_max
             violations = validate_range_intervals(acc, b_vec, ranges)

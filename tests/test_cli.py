@@ -273,10 +273,12 @@ class TestCli:
         # one job as long as its due date: no table over budgets up to the horizon fits in memory
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"jobs": [{"p": horizon, "w": 1, "d": horizon}, {"p": 1, "w": 1, "d": 1}]}))
-        if algo == "inverse-w":  # its vectors are indexed by weight, which is 2 in all
+        weight_indexed = algo in ("inverse-w", "auto")
+        if weight_indexed:  # its vectors are indexed by weight, which is 2 in all; AUTO runs it
             assert main(["solve", str(path), "--algo", algo]) == 0
-            assert json.loads(capsys.readouterr().out)["min_tardy_weight"] == 1
-        runs = [["--reconstruct"]] if algo == "inverse-w" else [[], ["--reconstruct"]]
+            out = json.loads(capsys.readouterr().out)
+            assert (out["policy"], out["min_tardy_weight"]) == ("inverse-w", 1)
+        runs = [["--reconstruct"]] if weight_indexed else [[], ["--reconstruct"]]
         for extra in runs:  # a witness needs the Lawler-Moore table under every policy
             assert main(["solve", str(path), "--algo", algo, *extra]) == 1
             captured = capsys.readouterr()

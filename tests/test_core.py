@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import tardyjobs.core
-from tardyjobs import Instance, Job, SolverPolicy, group_by_due_date, solve, validate_solution_vector
+from tardyjobs import Instance, Job, SolverPolicy, generate_instance, group_by_due_date, solve, validate_solution_vector
 
 
 def J(i, p, w, d):
@@ -89,32 +89,39 @@ class TestClassTable:
 
 
 class TestGroupByDueDate:
+    @staticmethod
+    def check(inst):
+        """The slices concatenate to the class table, each holds the classes
+        of one due date, and the due dates ascend."""
+        g = group_by_due_date(inst)
+        assert sum(g.groups, ()) == inst.classes
+        assert len(g.due_dates) == len(g.groups) == inst.d_hash
+        for date, grp in zip(g.due_dates, g.groups):
+            assert grp and all(d == date for (d, _, _), _ in grp)
+        assert list(g.due_dates) == sorted(set(g.due_dates))
+        return g
+
     def test_mixed_dates(self):
         inst = Instance((J(0, 1, 1, 3), J(1, 1, 1, 1), J(2, 1, 1, 3)))
-        g = group_by_due_date(inst)
+        g = self.check(inst)
         assert g.due_dates == (1, 3)
-        assert [[j.id for j in grp] for grp in g.groups] == [[1], [0, 2]]
+        assert g.groups == ((((1, 1, 1), 1),), (((3, 1, 1), 2),))
 
     def test_single_date(self):
-        inst = Instance(tuple(J(i, 1, 1, 4) for i in range(5)))
-        g = group_by_due_date(inst)
+        inst = Instance(tuple(J(i, 1 + i % 2, 1, 4) for i in range(5)))
+        g = self.check(inst)
         assert g.due_dates == (4,)
-        assert [[j.id for j in grp] for grp in g.groups] == [[0, 1, 2, 3, 4]]
+        assert g.groups == (inst.classes,)
 
     def test_all_distinct(self):
         inst = Instance(tuple(J(i, 1, 1, i + 1) for i in range(6)))
-        g = group_by_due_date(inst)
+        g = self.check(inst)
         assert g.due_dates == tuple(range(1, 7))
         assert all(len(grp) == 1 for grp in g.groups)
 
     def test_partition(self):
-        inst = Instance(tuple(J(i, 1 + i % 3, 1, 1 + i % 4) for i in range(11)))
-        g = group_by_due_date(inst)
-        regrouped = sorted(j.id for grp in g.groups for j in grp)
-        assert regrouped == sorted(j.id for j in inst.jobs)
-        for date, grp in zip(g.due_dates, g.groups):
-            assert all(j.d == date for j in grp)
-        assert list(g.due_dates) == sorted(set(g.due_dates))
+        for seed in range(20):
+            self.check(generate_instance(seed=seed, n=40, d_hash=1 + seed % 8, d_max=60, p_max=4, w_max=3))
 
 
 class TestValidateSolutionVector:

@@ -10,6 +10,7 @@ from tardyjobs import (
     fractional_gap_check,
     fractional_solution_vector,
     generate_instance,
+    group_by_due_date,
 )
 from tardyjobs.fractional import FractionalSolutionVector
 
@@ -19,16 +20,16 @@ from conftest import fractional_by_units
 class TestFractionalVector:
     def test_single_job(self):
         inst = Instance((Job(id=0, p=2, w=4, d=2),))
-        assert fractional_solution_vector(inst).values() == [0, 2, 4]
+        assert fractional_solution_vector(inst.classes).values() == [0, 2, 4]
 
     def test_two_jobs_one_date(self):
         inst = Instance((Job(id=0, p=1, w=3, d=3), Job(id=1, p=2, w=2, d=3)))
-        assert fractional_solution_vector(inst).values() == [0, 3, 4, 5]
+        assert fractional_solution_vector(inst.classes).values() == [0, 3, 4, 5]
 
     def test_p_exceeds_due_date_still_sliced(self):
         # slices are admitted until the due date saturates
         inst = Instance((Job(id=0, p=5, w=9, d=2),))
-        assert fractional_solution_vector(inst).values() == [
+        assert fractional_solution_vector(inst.classes).values() == [
             Fraction(0),
             Fraction(9, 5),
             Fraction(18, 5),
@@ -36,13 +37,18 @@ class TestFractionalVector:
 
     def test_entries_flat_once_jobs_exhausted(self):
         inst = Instance((Job(id=0, p=1, w=5, d=4),))
-        assert fractional_solution_vector(inst).values() == [0, 5, 5, 5, 5]
+        assert fractional_solution_vector(inst.classes).values() == [0, 5, 5, 5, 5]
+
+    def test_empty_slice_needs_a_horizon(self):
+        with pytest.raises(ValueError, match="empty class slice needs a horizon"):
+            fractional_solution_vector(())
+        assert fractional_solution_vector((), 3).values() == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("horizon", [-1, -5])
     def test_negative_horizon_errors(self, horizon):
         inst = generate_instance(seed=1, n=10, d_hash=2, d_max=50)
         with pytest.raises(ValueError, match=f"horizon must be >= 0, got {horizon}$"):
-            fractional_solution_vector(inst, horizon)
+            fractional_solution_vector(inst.classes, horizon)
 
     def test_ratios_compared_exactly(self):
         # 10000000001/10000000000 against 1: the larger rate fills the due date
@@ -50,12 +56,12 @@ class TestFractionalVector:
         slow = Job(id=0, p=1, w=1, d=10)
         fast = Job(id=1, p=10_000_000_000, w=10_000_000_001, d=10)
         rate = Fraction(10_000_000_001, 10_000_000_000)
-        assert fractional_solution_vector(Instance((slow, fast))).values() == [k * rate for k in range(11)]
+        assert fractional_solution_vector(Instance((slow, fast)).classes).values() == [k * rate for k in range(11)]
 
     def test_values_independent_of_equal_ratio_tie_order(self):
         a = Instance((Job(id=0, p=1, w=2, d=4), Job(id=1, p=2, w=4, d=4)))
         b = Instance((Job(id=0, p=2, w=4, d=4), Job(id=1, p=1, w=2, d=4)))
-        assert fractional_solution_vector(a).values() == fractional_solution_vector(b).values()
+        assert fractional_solution_vector(a.classes).values() == fractional_solution_vector(b.classes).values()
 
     def test_dominates_integral_vector(self):
         rng = random.Random(5)
@@ -65,7 +71,7 @@ class TestFractionalVector:
             inst = generate_instance(
                 seed=trial, n=n, d_hash=rng.randint(1, min(n, d_max)), d_max=d_max, p_max=7, w_max=7
             )
-            frac = fractional_solution_vector(inst)
+            frac = fractional_solution_vector(inst.classes)
             integral = brute_force_vector(list(inst.jobs), inst.d_max)
             assert fractional_gap_check(frac, integral, inst.d_hash, inst.w_max)
 
@@ -87,7 +93,7 @@ class TestFractionalVector:
 
     def test_diffs_are_job_rates(self):
         inst = generate_instance(seed=99, n=6, d_hash=3, d_max=15, p_max=6, w_max=6)
-        frac = fractional_solution_vector(inst)
+        frac = fractional_solution_vector(inst.classes)
         rates = {Fraction(0)} | {Fraction(j.w, j.p) for j in inst.jobs}
         vals = frac.values()
         for k in range(1, len(vals)):
@@ -95,8 +101,9 @@ class TestFractionalVector:
 
 
 def test_matches_unit_by_unit_reference():
-    # the per-class greedy against the one-unit-per-budget simulation; the
-    # draws cover p > d, weights past 2^64 and a processing-time lcm past 2^63
+    # the per-class greedy against the one-unit-per-budget simulation, on the
+    # whole class table and on each of its due-date prefixes; the draws cover
+    # p > d, weights past 2^64 and a processing-time lcm past 2^63
     rng = random.Random(71)
     edges = set()
     for _ in range(1000):
@@ -109,8 +116,15 @@ def test_matches_unit_by_unit_reference():
             Job(id=i, p=rng.randint(1, p_max), w=rng.randint(1, w_max), d=rng.choice(dates))
             for i in range(n)
         ))
-        got, (want, _) = fractional_solution_vector(inst), fractional_by_units(inst)
+        got, (want, _) = fractional_solution_vector(inst.classes), fractional_by_units(inst)
         assert (got.scaled, got.scale) == (want.scaled, want.scale)
+        grouping = group_by_due_date(inst)
+        end = 0
+        for d, group in zip(grouping.due_dates[:-1], grouping.groups):
+            end += len(group)
+            sub = Instance(tuple(j for j in inst.jobs if j.d <= d))
+            got, (want, _) = fractional_solution_vector(inst.classes[:end], d), fractional_by_units(sub)
+            assert (got.scaled, got.scale) == (want.scaled, want.scale)
         if any(j.p > j.d for j in inst.jobs):
             edges.add("p > d")
         if inst.w_max >= 2**64:
@@ -142,7 +156,7 @@ def test_duplicate_classes_match_unit_by_unit_reference():
             ratio_dates.setdefault(Fraction(w, p), set()).add(d)
         tied_across_dates += any(len(ds) > 1 for ds in ratio_dates.values())
         for horizon in (rng.randint(0, inst.d_max), inst.d_max, inst.d_max + rng.randint(1, 9)):
-            got = fractional_solution_vector(inst, horizon)
+            got = fractional_solution_vector(inst.classes, horizon)
             cut = want.scaled[: horizon + 1]
             assert got.scale == want.scale
             assert got.scaled == cut + (cut[-1],) * (horizon + 1 - len(cut))

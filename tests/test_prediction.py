@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 from tardyjobs import (
-    Instance,
     RangeIntervals,
     compute_range_intervals,
     convolve_naive,
     fractional_solution_vector,
     generate_instance,
-    group_by_due_date,
     validate_range_intervals,
 )
 from tardyjobs.builders import build_solution_vector_dp
 from tardyjobs.fractional import FractionalSolutionVector
 
-from conftest import delta, job_classes
+from conftest import delta, group_jobs_by_due_date, job_classes
 
 
 def fsv(values, scale=1):
@@ -59,17 +57,17 @@ def iteration_fixtures(seed_base, trials, rng_seed, *, n_max=10, d_max_max=25):
         inst = generate_instance(
             seed=seed_base + trial, n=n, d_hash=d_hash, d_max=d_max, p_max=8, w_max=8
         )
-        grouping = group_by_due_date(inst)
+        grouping = group_jobs_by_due_date(inst)
         dates, groups = grouping.due_dates, grouping.groups
         acc = build_solution_vector_dp(job_classes(groups[0]), dates[0])
         prefix = list(groups[0])
         for i in range(2, len(dates) + 1):
             grp = groups[i - 1]
             b_vec = build_solution_vector_dp(job_classes(grp), dates[i - 1])
-            a_frac = fractional_solution_vector(Instance(tuple(prefix)))
-            b_frac = fractional_solution_vector(Instance(tuple(grp)))
+            a_frac = fractional_solution_vector(job_classes(prefix))
+            b_frac = fractional_solution_vector(job_classes(grp))
             prefix = prefix + list(grp)
-            c_frac = fractional_solution_vector(Instance(tuple(prefix)))
+            c_frac = fractional_solution_vector(job_classes(prefix))
             yield i, acc, b_vec, a_frac, b_frac, c_frac, inst.w_max
             acc = convolve_naive(acc, b_vec)
 
@@ -136,14 +134,14 @@ class TestComputeRangeIntervals:
         # one short job against a huge horizon: the left vector flattens at
         # budget 1 while the union keeps packing right-side work, so far-out
         # left indices admit no budget at all
-        from tardyjobs import Instance, Job, convolve_naive, convolve_with_ranges
+        from tardyjobs import Job, convolve_naive, convolve_with_ranges
         from tardyjobs.builders import build_solution_vector_dp
 
         left = [Job(id=0, p=1, w=1, d=60)]
         right = [Job(id=i, p=1, w=9, d=200) for i in range(1, 150)]
-        af = fractional_solution_vector(Instance(tuple(left)))
-        bf = fractional_solution_vector(Instance(tuple(right)))
-        cf = fractional_solution_vector(Instance(tuple(left + right)))
+        af = fractional_solution_vector(job_classes(left))
+        bf = fractional_solution_vector(job_classes(right))
+        cf = fractional_solution_vector(job_classes(left + right))
         r = compute_range_intervals(af, bf, cf, i=2, w_max=9)
         assert any(iv is None for iv in r.intervals)
         # flagged-empty indices never matter: range-guided stays exact

@@ -30,7 +30,13 @@ from tardyjobs import (
 )
 from tardyjobs.generate import SplitMix64
 
-from conftest import ALL_POLICIES, job_classes, prefix_vector_semantics_check, random_small_instance
+from conftest import (
+    ALL_POLICIES,
+    group_jobs_by_due_date,
+    job_classes,
+    prefix_vector_semantics_check,
+    random_small_instance,
+)
 
 
 def J(i, p, w, d):
@@ -46,7 +52,7 @@ MERGE_POLICIES = (SolverPolicy.MAXPLUS_NAIVE, SolverPolicy.PREDICTION, SolverPol
 
 def merge_horizons(inst):
     """Per due-date group i, min(d_i, P<=i): the budgets its merge spans."""
-    grouping = group_by_due_date(inst)
+    grouping = group_jobs_by_due_date(inst)
     totals = accumulate(sum(j.p for j in grp) for grp in grouping.groups)
     return [min(d, total) for d, total in zip(grouping.due_dates, totals)]
 
@@ -54,7 +60,7 @@ def merge_horizons(inst):
 def group_reaches(inst):
     """Per due-date group i, min(d_i, P<=i, P_i) with P_i its own total
     processing time: the budgets past which its vectors are flat."""
-    works = [sum(j.p for j in grp) for grp in group_by_due_date(inst).groups]
+    works = [sum(j.p for j in grp) for grp in group_jobs_by_due_date(inst).groups]
     return [min(h, work) for h, work in zip(merge_horizons(inst), works)]
 
 
@@ -287,7 +293,7 @@ class TestPrefixSemantics:
     def test_first_iteration_is_group_vector(self):
         inst = Instance((J(0, 2, 3, 4), J(1, 1, 1, 4), J(2, 2, 2, 9)))
         states = dict(forward_states(inst, SolverPolicy.MAXPLUS_NAIVE))
-        grouping = group_by_due_date(inst)
+        grouping = group_jobs_by_due_date(inst)
         # the first group's jobs take P = 3 < d = 4: its vector stops there
         assert np.array_equal(states[1], build_solution_vector_dp(job_classes(grouping.groups[0]), 3))
         assert prefix_vector_semantics_check(inst, 1, states[1])
@@ -318,9 +324,9 @@ class TestPrefixSemantics:
         calls = []
         real = solvers.fractional_solution_vector
 
-        def spy(inst, horizon):
+        def spy(classes, horizon):
             calls.append(horizon)
-            return real(inst, horizon)
+            return real(classes, horizon)
 
         monkeypatch.setattr(solvers, "fractional_solution_vector", spy)
         inst = generate_instance(seed=7, n=80, d_hash=16, d_max=400)
@@ -352,7 +358,7 @@ class TestPrefixSemantics:
         for inst in instances:
             merges.clear()
             states = [acc for _, acc in forward_states(inst, SolverPolicy.PREDICTION)]
-            classes = [job_classes(grp) for grp in group_by_due_date(inst).groups]
+            classes = group_by_due_date(inst).groups
             h, reach = merge_horizons(inst), group_reaches(inst)
             assert len(merges) == len(states) - 1
             for i, (A, B, violations) in enumerate(merges, start=1):
@@ -386,7 +392,7 @@ class TestInverseChain:
         # due dates well below the total processing time: most weight targets are out of reach
         instances += [generate_instance(seed=s, n=40, d_hash=5, d_max=60, p_max=10) for s in range(5)]
         for inst in instances:
-            grouping = group_by_due_date(inst)
+            grouping = group_jobs_by_due_date(inst)
             groups = grouping.groups
             seen.clear()
             best = solvers._solve_inverse(inst)
@@ -401,29 +407,24 @@ class TestInverseChain:
 
 class TestClassTable:
     @pytest.mark.parametrize("reconstruct", [False, True])
-    def test_only_prediction_groups_the_jobs(self, monkeypatch, reconstruct):
-        # every chain and the witness read the due-date slices of Instance.classes;
-        # PREDICTION alone groups the jobs, for its fractional vectors
-        import sys
+    def test_no_solve_builds_an_instance(self, monkeypatch, reconstruct):
+        # every chain, PREDICTION's fractional vectors and the witness read
+        # slices of the solved instance's class table; none rebuilds an Instance
+        built = []
+        real = Instance.__post_init__
 
-        calls = []
+        def spy(self):
+            built.append(self)
+            real(self)
 
-        def spy(instance):
-            calls.append(instance)
-            return group_by_due_date(instance)
-
-        for name, module in list(sys.modules.items()):  # every binding inside the package
-            if name == "tardyjobs" or name.startswith("tardyjobs."):
-                for attr in [a for a, v in vars(module).items() if v is group_by_due_date]:
-                    monkeypatch.setattr(module, attr, spy)
         inst = generate_instance(seed=5, n=60, d_hash=6, d_max=300)
         want = lawler_moore(inst).max_early_weight
-        for policy in (p for p in ALL_POLICIES if p is not SolverPolicy.PREDICTION):
+        monkeypatch.setattr(Instance, "__post_init__", spy)
+        for policy in [*ALL_POLICIES, SolverPolicy.AUTO]:
             res = solve(inst, policy, reconstruct=reconstruct)
-            assert res.policy is policy and res.max_early_weight == want
-        assert calls == []
-        assert solve(inst, SolverPolicy.PREDICTION, reconstruct=reconstruct).max_early_weight == want
-        assert calls == [inst]
+            assert res.max_early_weight == want
+            assert built == [], policy
+        assert Instance((J(0, 1, 1, 1),)) and len(built) == 1  # the spy sees a build
 
 
 class TestReconstruct:
@@ -616,7 +617,7 @@ class TestAutoSelect:
         live = 0
         for trial in range(100):
             inst = random_small_instance(rng, seed=trial + 6000, w_max=10 if trial % 2 else 2**70)
-            grouping = group_by_due_date(inst)
+            grouping = group_jobs_by_due_date(inst)
             p_classes = [len({j.p for j in g if j.p <= d}) for d, g in zip(grouping.due_dates, grouping.groups)]
             w_classes = [len({j.w for j in g}) for g in grouping.groups]
             # one pass per step of each weight class, up to the kernel's few-step threshold
