@@ -14,11 +14,10 @@ from tardyjobs import (
     compute_range_intervals,
     convolve_naive,
     convolve_with_ranges,
-    fractional_gap_check,
     fractional_solution_vector,
+    fractional_union,
     generate_instance,
     group_by_due_date,
-    validate_range_intervals,
 )
 from tardyjobs.builders import build_solution_vector_dp
 
@@ -29,26 +28,24 @@ frac = fractional_solution_vector(inst.classes)
 integral = brute_force_vector(list(inst.jobs), inst.d_max)
 print("fractional vector (first 8):", [str(v) for v in frac.values()[:8]])
 print("integral vector   (first 8):", integral[:8])
-print(
-    "gap bound 0 <= frac-integral <= d_hash*w_max holds:",
-    fractional_gap_check(frac, integral, inst.d_hash, inst.w_max),
-)
+bound = inst.d_hash * inst.w_max
+gap_ok = all(0 <= frac.value(k) - integral[k] <= bound for k in range(len(integral)))
+print("gap bound 0 <= frac-integral <= d_hash*w_max holds:", gap_ok)
 
-# Reproduce one merge of the due-date chain with range guidance.  The groups
-# are due-date slices of the class table; the fractional vectors take the
-# prefix before a group, the group, and the prefix through it.
+# Reproduce the due-date chain with range guidance.  The groups are due-date
+# slices of the class table; the fractional vectors are the prefix before a
+# group, the group, and their union: the merge of the two by rate, which is
+# the next prefix.
 grouping = group_by_due_date(inst)
 dates, groups = grouping.due_dates, grouping.groups
 acc = build_solution_vector_dp(groups[0], dates[0])
-end = len(groups[0])
+a_frac = fractional_solution_vector(groups[0])
 
 for i in range(2, len(dates) + 1):
     grp = groups[i - 1]
     b_vec = build_solution_vector_dp(grp, dates[i - 1])
-    a_frac = fractional_solution_vector(inst.classes[:end])
     b_frac = fractional_solution_vector(grp)
-    end += len(grp)
-    c_frac = fractional_solution_vector(inst.classes[:end])
+    c_frac = fractional_union(a_frac, b_frac, dates[i - 1])
 
     ranges = compute_range_intervals(a_frac, b_frac, c_frac, i, inst.w_max)
     widths = [y - x + 1 for iv in ranges.intervals if iv is not None for x, y in (iv,)]
@@ -57,11 +54,10 @@ for i in range(2, len(dates) + 1):
         f"\nmerge {i}: certified error {ranges.error}, "
         f"explored {sum(widths)} of {full} splits ({sum(widths) / full:.0%})"
     )
-    print("  all range conditions hold:", validate_range_intervals(acc, b_vec, ranges) == [])
 
     guided = convolve_with_ranges(acc, b_vec, ranges)
     assert np.array_equal(guided, convolve_naive(acc, b_vec))
     print("  range-guided output equals the naive engine")
-    acc = guided
+    acc, a_frac = guided, c_frac
 
 print("\noptimal early weight:", int(acc[-1]))

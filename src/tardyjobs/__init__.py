@@ -24,8 +24,8 @@ from .core import (
 )
 from .fractional import (
     FractionalSolutionVector,
-    fractional_gap_check,
     fractional_solution_vector,
+    fractional_union,
 )
 from .generate import SplitMix64, generate_instance
 from .instance_io import parse_instance, serialize_instance
@@ -43,7 +43,6 @@ from .oracle import brute_force, brute_force_vector, edd_feasible
 from .prediction import (
     RangeIntervals,
     compute_range_intervals,
-    validate_range_intervals,
 )
 from .solvers import (
     DEFAULT_CALIBRATION,
@@ -84,8 +83,8 @@ __all__ = [
     "convolve_with_ranges",
     "edd_feasible",
     "forward_states",
-    "fractional_gap_check",
     "fractional_solution_vector",
+    "fractional_union",
     "generate_instance",
     "group_by_due_date",
     "is_sstep_concave",
@@ -98,6 +97,5 @@ __all__ = [
     "run_bench",
     "serialize_instance",
     "solve",
-    "validate_range_intervals",
     "validate_solution_vector",
 ]

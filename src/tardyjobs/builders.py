@@ -42,8 +42,10 @@ __all__ = [
 
 
 def _prefix_sums(values: list[int]) -> Vector:
-    """0 and the running sums of ``values``."""
-    return np.cumsum([0, *values], dtype=vector_dtype(sum(values)))
+    """0 and the running sums of ``values``.  The array takes its dtype
+    before the sums: numpy would read a list with an entry in [2^63, 2^64)
+    as uint64 and cast it to float64."""
+    return np.array([0, *values], dtype=vector_dtype(sum(values))).cumsum()
 
 
 def build_solution_vector_dp(classes: tuple[JobClass, ...], horizon: int, taken: list | None = None) -> Vector:

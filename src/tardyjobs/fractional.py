@@ -6,12 +6,15 @@ In the relaxation each job may be scheduled to an arbitrary fraction
 solution vector* maps each processing-time budget ``k`` to the maximum
 fractional early weight achievable within budget ``k``.  It dominates the
 integral solution vector entry-wise, and the gap is at most
-``d_hash * w_max`` because at most one job per due date ends up fractional
-(see :func:`fractional_gap_check`).  The prediction module uses these
-vectors as a cheap predictor of where near-optimal convolution splits lie.
-The greedy runs over a slice of an instance's (d, p, w) class table, one
-take per class, so a vector costs O(classes * d_hash + horizon); a solver
-passes a due-date prefix of ``Instance.classes`` or one due date's slice.
+``d_hash * w_max`` because at most one job per due date ends up fractional.
+The prediction module uses these vectors as a cheap predictor of where
+near-optimal convolution splits lie.
+
+The greedy takes units by non-increasing rate w/p, so a vector is concave,
+the prefix sums of runs ``(rate, units)``, one per (d, p, w) class at most.
+:func:`fractional_union` merges two vectors' runs by rate, their
+(max,+)-convolution (Axiotis & Tzamos), in O(runs + horizon), and
+:func:`fractional_solution_vector` folds it over a slice's due dates.
 
 Entries are exact rationals stored as integers scaled by the lcm of the
 processing times; floating point never enters any comparison.
@@ -20,17 +23,16 @@ processing times; floating point never enters any comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, chain, groupby, repeat
 
 from .core import JobClass
 
 __all__ = [
     "FractionalSolutionVector",
     "fractional_solution_vector",
-    "fractional_gap_check",
+    "fractional_union",
 ]
 
 
@@ -40,11 +42,14 @@ class FractionalSolutionVector:
 
     ``scaled[k] / scale`` is the exact value at budget k; ``scale`` is the
     lcm of the classes' processing times so every entry is integral after
-    scaling.
+    scaling.  ``runs`` are the (rate, units) slopes, by non-increasing rate
+    and scaled alike, whose prefix sums ``scaled`` holds, flat past the
+    last; a vector built from its entries alone has none.
     """
 
     scaled: tuple[int, ...]
     scale: int
+    runs: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.scaled)
@@ -56,21 +61,53 @@ class FractionalSolutionVector:
         return [Fraction(v, self.scale) for v in self.scaled]
 
 
+def _cut(runs: list[tuple[int, int]], units: int) -> list[tuple[int, int]]:
+    """The first ``units`` units of ``runs`` taken by non-increasing rate."""
+    out = []
+    for rate, length in sorted(runs, reverse=True):
+        if units <= 0:
+            break
+        out.append((rate, min(length, units)))
+        units -= length
+    return out
+
+
+def _vector(runs: list[tuple[int, int]], scale: int, horizon: int) -> FractionalSolutionVector:
+    """The vector over budgets 0..``horizon`` of ``runs`` cut at ``horizon`` units."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    runs = tuple(_cut(runs, horizon))
+    scaled = list(accumulate(chain.from_iterable(repeat(rate, units) for rate, units in runs), initial=0))
+    scaled += [scaled[-1]] * (horizon + 1 - len(scaled))
+    return FractionalSolutionVector(tuple(scaled), scale, runs)
+
+
+def fractional_union(a: FractionalSolutionVector, b: FractionalSolutionVector, horizon: int) -> FractionalSolutionVector:
+    """The (max,+)-convolution of two fractional vectors over budgets
+    0..``horizon``: their runs, rescaled to lcm(a.scale, b.scale), merged by
+    rate and cut at ``horizon`` units.  When b's due dates are at or past
+    a's, d the latest, and ``horizon`` <= min(d, P), P the total processing
+    time of both, it is the fractional vector of their union: its early sets
+    split into early sets of both sides, and any two of those with k + l <=
+    ``horizon`` units are early together.  Raises ``ValueError`` for a
+    vector without runs or a negative horizon.
+    """
+    if a.runs is None or b.runs is None:
+        raise ValueError("a fractional vector built from its entries alone has no runs")
+    scale = math.lcm(a.scale, b.scale)
+    return _vector([(rate * (scale // v.scale), units) for v in (a, b) for rate, units in v.runs], scale, horizon)
+
+
 def fractional_solution_vector(classes: tuple[JobClass, ...], horizon: int | None = None) -> FractionalSolutionVector:
     """Greedy fractional solution vector of the jobs of a class-table slice
     over budgets 0..``horizon``, by default 0..its largest due date.
 
-    The (d, p, w) classes are taken in WSPT order, by their exact scaled
-    rates ``w * (scale // p)``, each as many unit slices as fit at once:
-    with ``room[t]`` the due date t minus the units already placed against
-    due dates <= t, a class of c jobs takes ``min(p * c, min(room[i:]))``
-    units, i its due date's index, which is what c takes of one job each
-    would add up to; the take is subtracted from ``room[i:]``.  Each unit adds the class's rate, so the vector is
-    the prefix sums of the rates in take order, flat once jobs run out.  At
-    most min(d_max, P) units are taken, P the total processing time, so a
-    horizon at or past that only adds flat entries, and a shorter one cuts
-    the vector.  A solver passes its merge's horizon, so that no vector
-    outgrows the integral ones.  O(classes * d_hash + horizon).
+    The fold of :func:`fractional_union` over the slice's due dates: each
+    date adds a run per class, p * c units of rate ``w * (scale // p)``,
+    and cuts the runs so far at the date.  A horizon at or past min(d_max,
+    P), P the total processing time, only adds flat entries, and a shorter
+    one cuts the vector; a solver passes its merge's horizon, so that no
+    vector outgrows the integral ones.  O(classes * d_hash + horizon).
     Raises ``ValueError`` for a negative horizon, and for an empty slice
     without one.
     """
@@ -78,46 +115,8 @@ def fractional_solution_vector(classes: tuple[JobClass, ...], horizon: int | Non
         if not classes:
             raise ValueError("an empty class slice needs a horizon")
         horizon = classes[-1][0][0]
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    room = list(dict.fromkeys(d for (d, _, _), _ in classes))  # the due dates, ascending
-    date_index = {d: i for i, d in enumerate(room)}
     scale = math.lcm(*{p for (_, p, _), _ in classes})
-    # The constraints are nested due-date prefixes, a polymatroid: after each
-    # block of equal rate the greedy has taken the same total units in any
-    # order inside the block, and every unit of a block adds the same rate,
-    # so the order of ties does not change the vector.
-    by_rate = sorted(
-        ((w * (scale // p), d, p * c) for (d, p, w), c in classes), key=itemgetter(0), reverse=True
-    )
-    rates: list[int] = []  # the scaled rate, once per unit taken
-    for rate, d, units in by_rate:
-        i = date_index[d]
-        take = min(units, *room[i:])
-        for t in range(i, len(room)):
-            room[t] -= take
-        rates += [rate] * take
-        if len(rates) >= horizon:
-            break
-    scaled = list(accumulate(rates, initial=0))
-    del scaled[horizon + 1 :]
-    scaled += [scaled[-1]] * (horizon + 1 - len(scaled))
-    return FractionalSolutionVector(scaled=tuple(scaled), scale=scale)
-
-
-def fractional_gap_check(
-    frac: FractionalSolutionVector, integral, d_hash: int, w_max: int
-) -> bool:
-    """True iff ``0 <= frac[k] - integral[k] <= d_hash * w_max`` for all k.
-
-    ``integral`` is a plain solution vector on the same horizon; comparisons
-    are exact via the scaled representation.
-    """
-    if len(frac) != len(integral):
-        raise ValueError(f"length mismatch: fractional {len(frac)} vs integral {len(integral)}")
-    bound = d_hash * w_max * frac.scale
-    for k in range(len(integral)):
-        gap = frac.scaled[k] - integral[k] * frac.scale
-        if gap < 0 or gap > bound:
-            return False
-    return True
+    runs: list[tuple[int, int]] = []
+    for d, group in groupby(classes, key=lambda cls: cls[0][0]):
+        runs = _cut(runs + [(w * (scale // p), p * c) for (_, p, w), c in group], d)
+    return _vector(runs, scale, horizon)

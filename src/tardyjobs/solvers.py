@@ -19,12 +19,13 @@ Two families:
   The policy picks how each merge is computed:
 
   - ``MAXPLUS_NAIVE``: quadratic convolution per merge.
-  - ``PREDICTION``: per merge, build fractional solution vectors for the
-    merged prefix, the incoming group, and their union; derive range
-    intervals from them and run the range-guided convolution.  The group's
-    vectors stop at its reach, min(h_i, P_i) for its own processing time
-    P_i, and the operand of shorter span, group or prefix, goes on the
-    left, one row of range intervals per budget.
+  - ``PREDICTION``: per merge, build the incoming group's fractional
+    solution vector and union it with the merged prefix's, a merge of their
+    rate runs, which is the next prefix; derive range intervals from the
+    three and run the range-guided convolution.  The group's vectors stop
+    at its reach, min(h_i, P_i) for its own processing time P_i, and the
+    operand of shorter span, group or prefix, goes on the left, one row of
+    range intervals per budget.
   - ``CONCAVE_BY_P``: split each group by processing time and fold the
     step-concave per-class vectors.
   - ``INVERSE_BY_W``: run the whole merge chain in the weight-indexed
@@ -87,7 +88,7 @@ from .builders import (
     build_solution_vector_dp,
 )
 from .core import Instance, Job, SolveResult, Vector, group_by_due_date
-from .fractional import FractionalSolutionVector, fractional_solution_vector
+from .fractional import FractionalSolutionVector, fractional_solution_vector, fractional_union
 from .maxplus import _FEW_STEPS, bundle_sizes, convolve_naive, convolve_with_ranges
 from .oracle import edd_feasible
 from .prediction import compute_range_intervals
@@ -144,8 +145,8 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
     union's fractional vector, the next merge's prefix, spans h_i.  A split
     past the left operand's reach r is matched by the split at r, no worse
     and with no larger fractional gap, so the rows 0..r hold every witness.
-    The fractional vectors run their greedy over slices of
-    ``instance.classes``: the group's slice and the prefix through it.
+    The union's fractional vector is the merge of the prefix's and the
+    group's rate runs, :func:`~tardyjobs.fractional.fractional_union`.
     Introspection surface for tests and demos; :func:`solve` consumes it.
     Raises ``ValueError`` for a policy that does not run the forward merge.
     """
@@ -155,9 +156,7 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
     acc: Vector | None = None
     prefix_frac = None
     total = 0  # P<=i, the total processing time of the first i groups
-    end = 0  # the first i groups are instance.classes[:end]
     for i, (d_i, classes) in enumerate(zip(grouping.due_dates, grouping.groups), start=1):
-        end += len(classes)
         work = sum(p * c for (_, p, _), c in classes)  # the group's total processing time
         total += work
         h = min(d_i, total)
@@ -173,7 +172,7 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
             reach = min(h, work)  # the group's vectors are flat past it
             left = (acc, prefix_frac)
             right = (build_solution_vector_dp(classes, reach), fractional_solution_vector(classes, reach))
-            c_frac = fractional_solution_vector(instance.classes[:end], h)
+            c_frac = fractional_union(prefix_frac, right[1], h)
             if len(right[0]) < len(acc):  # the operand of shorter span is the rows' side; a tie keeps the prefix
                 left, right = right, left
             (a, a_frac), (b, b_frac) = left, _held_to(h, *right)

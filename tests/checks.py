@@ -1,0 +1,87 @@
+"""Checkers the test suite runs against the solver's vectors and ranges."""
+
+from __future__ import annotations
+
+from tardyjobs import FractionalSolutionVector, RangeIntervals, convolve_naive
+from tardyjobs.core import Vector
+
+
+def fractional_gap_check(
+    frac: FractionalSolutionVector, integral, d_hash: int, w_max: int
+) -> bool:
+    """True iff ``0 <= frac[k] - integral[k] <= d_hash * w_max`` for all k.
+
+    ``integral`` is a plain solution vector on the same horizon; comparisons
+    are exact via the scaled representation.
+    """
+    if len(frac) != len(integral):
+        raise ValueError(f"length mismatch: fractional {len(frac)} vs integral {len(integral)}")
+    bound = d_hash * w_max * frac.scale
+    for k in range(len(integral)):
+        gap = frac.scaled[k] - integral[k] * frac.scale
+        if gap < 0 or gap > bound:
+            return False
+    return True
+
+
+def validate_range_intervals(A: Vector, B: Vector, R: RangeIntervals) -> list[str]:
+    """Check the three range-interval conditions literally; violations are data.
+
+    Computes the naive convolution C and verifies, with e = R.error:
+    (1) in-range splits are within e of C, (2) every output index has an
+    exactly-optimal in-range split, (3) endpoints are monotone.  Structural
+    problems (wrong count, out-of-bounds endpoints) are reported the same
+    way rather than raised.
+    """
+    violations: list[str] = []
+    intervals = list(R.intervals)
+    if len(intervals) != len(A):
+        return [f"expected {len(A)} intervals, got {len(intervals)}"]
+    for k, iv in enumerate(intervals):
+        if iv is None:  # flagged empty: inert everywhere
+            continue
+        x, y = iv
+        if not (0 <= x <= y <= len(B) - 1):
+            violations.append(f"interval {k} out of bounds: [{x}, {y}]")
+    if violations:
+        return violations
+
+    e = R.error
+    C = convolve_naive(A, B)
+
+    for k, iv in enumerate(intervals):
+        if iv is None:
+            continue
+        x, y = iv
+        for l in range(x, y + 1):
+            kl = k + l
+            if kl >= len(C):
+                continue
+            if A[k] + B[l] < C[kl] - e:
+                violations.append(
+                    f"condition-1 violation at k={k}, l={l}: "
+                    f"{A[k]}+{B[l]} < {C[kl]}-{e}"
+                )
+    for l in range(len(C)):
+        found = False
+        for k in range(min(l, len(A) - 1), -1, -1):
+            j = l - k
+            if j >= len(B):
+                break
+            iv = intervals[k]
+            if iv is None:
+                continue
+            x, y = iv
+            if x <= j <= y and A[k] + B[j] == C[l]:
+                found = True
+                break
+        if not found:
+            violations.append(f"condition-2 violation at l={l}: no in-range optimal split")
+    prev = None
+    for k, iv in enumerate(intervals):
+        if iv is None:
+            continue
+        if prev is not None and (iv[0] < prev[0] or iv[1] < prev[1]):
+            violations.append(f"condition-3 violation at k={k}: endpoints not monotone")
+        prev = iv
+    return violations

@@ -23,15 +23,14 @@ from tardyjobs import (
     convolve_sstep_concave,
     convolve_with_ranges,
     edd_feasible,
-    fractional_gap_check,
     fractional_solution_vector,
     generate_instance,
     solve,
-    validate_range_intervals,
 )
 from tardyjobs.bench import run_bench
 from tardyjobs.generate import SplitMix64
 
+from checks import fractional_gap_check, validate_range_intervals
 from conftest import ALL_POLICIES, brute_force_permutations, group_jobs_by_due_date, inverse_to_direct, job_classes
 
 

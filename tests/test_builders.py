@@ -96,6 +96,12 @@ class TestConcaveBuilder:
                 ref.append(acc)
             assert step_concave_class_vector(ws, p, horizon).tolist() == ref
 
+    def test_weights_in_the_uint64_band_stay_exact(self):
+        # numpy reads a list holding an int in [2**63, 2**64) as uint64, and
+        # an object cumsum over it goes through float64
+        got = step_concave_class_vector([2**63 + 1, 2**64 - 1], 2, 4).tolist()
+        assert got == [0, 0, 2**64 - 1, 2**64 - 1, 2**64 + 2**63]
+
     def test_folds_from_the_first_class(self, monkeypatch):
         import tardyjobs.builders as builders
 
@@ -201,6 +207,10 @@ class TestInverseBuilder:
             for t in range(len(ps)):
                 ref += [sum(ps[: t + 1])] * w
             assert step_convex_class_vector(ps[::-1], w).tolist() == ref
+
+    def test_processing_times_in_the_uint64_band_stay_exact(self):
+        got = step_convex_class_vector([2**63 + 1, 3], 2).tolist()
+        assert got == [0, 3, 3, 2**63 + 4, 2**63 + 4]
 
     def test_acc_matches_minplus_merge(self):
         rng = random.Random(55)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,14 +8,15 @@ from tardyjobs import (
     Instance,
     Job,
     brute_force_vector,
-    fractional_gap_check,
     fractional_solution_vector,
+    fractional_union,
     generate_instance,
     group_by_due_date,
 )
 from tardyjobs.fractional import FractionalSolutionVector
 
-from conftest import fractional_by_units
+from checks import fractional_gap_check
+from conftest import fractional_by_units, job_classes
 
 
 class TestFractionalVector:
@@ -161,6 +163,47 @@ def test_duplicate_classes_match_unit_by_unit_reference():
             assert got.scale == want.scale
             assert got.scaled == cut + (cut[-1],) * (horizon + 1 - len(cut))
     assert tied_across_dates >= 100
+
+
+def test_union_is_the_maxplus_convolution():
+    # fractional_union against max over k + l = b of A'[k] + B'[l], held at
+    # its last entry and cut at the horizon, on pairs of greedy vectors; the
+    # draws cover weights past 2^64 and a common scale past 2^63
+    rng = random.Random(73)
+
+    def draw(p_max, w_max):
+        jobs = [Job(id=i, p=rng.randint(1, p_max), w=rng.randint(1, w_max), d=rng.randint(1, 40)) for i in range(25)]
+        return fractional_solution_vector(job_classes(jobs[: rng.randint(1, 25)]), rng.randint(0, 45))
+
+    edges = set()
+    for _ in range(300):
+        p_max, w_max = rng.choice((3, 12, 100)), rng.choice((6, 2**70))
+        a, b = draw(p_max, w_max), draw(p_max, w_max)
+        horizon = rng.randint(0, len(a) + len(b))
+        scale = math.lcm(a.scale, b.scale)
+        av, bv = ([x * (scale // v.scale) for x in v.scaled] for v in (a, b))
+        conv = [
+            max(av[k] + bv[t - k] for k in range(len(av)) if 0 <= t - k < len(bv))
+            for t in range(len(av) + len(bv) - 1)
+        ]
+        want = conv[: horizon + 1] + conv[-1:] * (horizon + 1 - len(conv))
+        got = fractional_union(a, b, horizon)
+        assert (got.scaled, got.scale) == (tuple(want), scale)
+        if max(conv) >= 2**64 * scale:
+            edges.add("w >= 2^64")
+        if scale > 2**63:
+            edges.add("lcm > 2^63")
+    assert edges == {"w >= 2^64", "lcm > 2^63"}
+
+
+def test_union_refuses_a_vector_built_from_entries():
+    # entries alone do not say whether the vector is concave, so they give no runs
+    built = fractional_solution_vector(Instance((Job(id=0, p=2, w=3, d=4),)).classes)
+    bare = FractionalSolutionVector(scaled=(0, 1, 2), scale=1)
+    for a, b in ((bare, built), (built, bare)):
+        with pytest.raises(ValueError, match="no runs"):
+            fractional_union(a, b, 3)
+    assert fractional_union(built, built, 3).values() == [0, Fraction(3, 2), 3, Fraction(9, 2)]
 
 
 class TestGapCheck:

@@ -11,11 +11,11 @@ from tardyjobs import (
     convolve_naive,
     fractional_solution_vector,
     generate_instance,
-    validate_range_intervals,
 )
 from tardyjobs.builders import build_solution_vector_dp
 from tardyjobs.fractional import FractionalSolutionVector
 
+from checks import validate_range_intervals
 from conftest import delta, group_jobs_by_due_date, job_classes
 
 

@@ -20,16 +20,17 @@ from tardyjobs import (
     build_solution_vector_dp,
     edd_feasible,
     forward_states,
+    fractional_solution_vector,
     generate_instance,
     group_by_due_date,
     lawler_moore,
     reconstruct_schedule,
     solve,
-    validate_range_intervals,
     validate_solution_vector,
 )
 from tardyjobs.generate import SplitMix64
 
+from checks import validate_range_intervals
 from conftest import (
     ALL_POLICIES,
     group_jobs_by_due_date,
@@ -255,6 +256,26 @@ class TestSolveMaxplus:
         for policy in [*ALL_POLICIES, SolverPolicy.AUTO]:
             assert solve(inst, policy).min_tardy_weight == want, policy
 
+    def test_weights_in_the_uint64_band_under_every_policy(self):
+        # weights in [2**63, 2**64): on one due date AUTO picks concave-p, and
+        # on sixteen every chain merges exact object vectors
+        one_date = generate_instance(seed=1, n=150, d_hash=1, d_max=600, p_max=3, w_max=2**64 - 1)
+        assert solve(one_date).policy is SolverPolicy.CONCAVE_BY_P
+        sixteen = generate_instance(seed=1, n=300, d_hash=16, d_max=3000, p_max=10, w_max=2**70)
+        assert lawler_moore(sixteen).min_tardy_weight == 78804417908669454230
+        for inst in (one_date, sixteen):
+            want = lawler_moore(inst).min_tardy_weight
+            for policy in [*ALL_POLICIES, SolverPolicy.AUTO]:
+                assert solve(inst, policy).min_tardy_weight == want, policy
+
+    def test_processing_time_in_the_uint64_band_under_inverse_w(self):
+        # one unit too long for its due date: tardy
+        inst = Instance((J(0, 2**63 + 1, 1, 2**63),))
+        assert brute_force(inst).min_tardy_weight == 1
+        for policy in (SolverPolicy.INVERSE_BY_W, SolverPolicy.AUTO):
+            got = solve(inst, policy)
+            assert (got.policy, got.min_tardy_weight) == (SolverPolicy.INVERSE_BY_W, 1)
+
     @pytest.mark.parametrize("reconstruct", [False, True], ids=["optimum", "witness"])
     @pytest.mark.parametrize("heavy_last", [True, False], ids=["heavy-last", "heavy-first"])
     def test_mixed_magnitudes_under_every_policy(self, heavy_last, reconstruct):
@@ -321,22 +342,39 @@ class TestPrefixSemantics:
     def test_prediction_carries_the_union_vector_forward(self, monkeypatch):
         import tardyjobs.solvers as solvers
 
-        calls = []
-        real = solvers.fractional_solution_vector
+        built, unions = [], []
+        real_vector, real_union = solvers.fractional_solution_vector, solvers.fractional_union
 
-        def spy(classes, horizon):
-            calls.append(horizon)
-            return real(classes, horizon)
+        def vector_spy(classes, horizon):
+            built.append((classes, horizon, real_vector(classes, horizon)))
+            return built[-1][2]
 
-        monkeypatch.setattr(solvers, "fractional_solution_vector", spy)
+        def union_spy(a, b, horizon):
+            unions.append((a, b, horizon, real_union(a, b, horizon)))
+            return unions[-1][3]
+
+        monkeypatch.setattr(solvers, "fractional_solution_vector", vector_spy)
+        monkeypatch.setattr(solvers, "fractional_union", union_spy)
         inst = generate_instance(seed=7, n=80, d_hash=16, d_max=400)
         states = list(forward_states(inst, SolverPolicy.PREDICTION))
-        assert len(calls) == 2 * 16 - 1  # the first prefix, then group and union per merge
-        # the prefix spans the accumulator, the group its reach and the union merge i's horizon
-        h = merge_horizons(inst)
-        reach = group_reaches(inst)
-        assert calls == [h[0]] + [x for i in range(1, 16) for x in (reach[i], h[i])]
+        groups = group_by_due_date(inst).groups
+        h, reach = merge_horizons(inst), group_reaches(inst)
+        # the first prefix spans the accumulator and each later group its reach,
+        # each built from a single due date's slice of the class table
+        assert [(classes, horizon) for classes, horizon, _ in built] == (
+            [(groups[0], h[0])] + [(groups[i], reach[i]) for i in range(1, 16)]
+        )
         assert any(r < x for r, x in zip(reach, h))  # some group stops short of its merge
+        # one union per merge, at its horizon, of the prefix and the group: the
+        # greedy's vector of the prefix through the group, and the next prefix
+        assert [horizon for _, _, horizon, _ in unions] == h[1:]
+        prefix, end = built[0][2], len(groups[0])
+        for i, (a, b, horizon, union) in enumerate(unions, start=1):
+            assert a is prefix and b is built[i][2]
+            end += len(groups[i])
+            greedy = fractional_solution_vector(inst.classes[:end], horizon)
+            assert (union.scaled, union.scale) == (greedy.scaled, greedy.scale)
+            prefix = union
         assert states[-1][1][-1] == lawler_moore(inst).max_early_weight
 
     def test_prediction_puts_the_shorter_operand_on_the_left(self, monkeypatch):
