@@ -14,7 +14,6 @@ from tardyjobs import (
     build_solution_vector_dp,
     convolve_naive,
     convolve_sstep_concave,
-    is_sstep_concave,
     minplus_convolve,
     validate_solution_vector,
 )
@@ -40,7 +39,11 @@ print("best early weight within budget 10:", int(merged[10]))
 # vector, convolvable in near-linear time.
 bp = step_concave_class_vector([6, 3], 2, 10)
 print("\nclass vector (two p=2 jobs, weights 6 and 3):", bp)
-print("is 2-step concave:", is_sstep_concave(bp, 2))
+# 2-step concave: the rises between step starts never grow, and every
+# other entry copies its step's start.
+stride = bp[::2]
+rises = np.diff(stride)
+print("is 2-step concave:", bool((rises[1:] <= rises[:-1]).all() and (bp == stride[np.arange(len(bp)) // 2]).all()))
 assert np.array_equal(convolve_sstep_concave(A, bp, 2), convolve_naive(A, bp))
 print("step-concave engine output equals the naive engine")
 

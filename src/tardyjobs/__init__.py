@@ -35,8 +35,6 @@ from .maxplus import (
     convolve_naive,
     convolve_sstep_concave,
     convolve_with_ranges,
-    is_sstep_concave,
-    is_sstep_convex,
     minplus_convolve,
 )
 from .oracle import brute_force, brute_force_vector, edd_feasible
@@ -87,8 +85,6 @@ __all__ = [
     "fractional_union",
     "generate_instance",
     "group_by_due_date",
-    "is_sstep_concave",
-    "is_sstep_convex",
     "lawler_moore",
     "minplus_convolve",
     "parse_instance",

@@ -23,6 +23,7 @@ processing times; floating point never enters any comparison.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, groupby, repeat
@@ -63,13 +64,15 @@ class FractionalSolutionVector:
 
 def _cut(runs: list[tuple[int, int]], units: int) -> list[tuple[int, int]]:
     """The first ``units`` units of ``runs`` taken by non-increasing rate."""
-    out = []
-    for rate, length in sorted(runs, reverse=True):
-        if units <= 0:
-            break
-        out.append((rate, min(length, units)))
-        units -= length
-    return out
+    if units <= 0:
+        return []
+    runs = sorted(runs, reverse=True)
+    ends = list(accumulate(length for _, length in runs))
+    i = bisect_left(ends, units)  # the run holding the last unit taken
+    if i < len(runs):
+        rate, length = runs[i]
+        runs[i] = (rate, units - ends[i] + length)
+    return runs[: i + 1]
 
 
 def _vector(runs: list[tuple[int, int]], scale: int, horizon: int) -> FractionalSolutionVector:

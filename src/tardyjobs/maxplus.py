@@ -9,16 +9,18 @@ precondition on the operands holds:
 * ``convolve_naive``          -- no precondition, O(|A|*|B|).
 * ``convolve_sstep_concave``  -- right operand is s-step concave; each full
                                  step of B meets a sliding-window maximum of
-                                 A.  Two branches, each counted in O(L)
-                                 numpy passes: while the steps' rises form
-                                 runs of equal value whose binary bundles
-                                 number at most ``_FEW_STEPS``, one shifted
-                                 maximum per bundle (O(log m) for a run of
-                                 m steps); otherwise the row maxima of the
-                                 resulting totally monotone matrices (one
-                                 per residue class modulo s) come from one
-                                 batched divide-and-conquer kernel:
-                                 O(log L) passes for all classes.
+                                 A, taken by doubling: ceil(log2 s) shifted
+                                 maxima over the output.  Two branches,
+                                 each counted in O(L) numpy passes: while
+                                 the steps' rises form runs of equal value
+                                 whose binary bundles number at most
+                                 ``_FEW_STEPS``, one shifted maximum per
+                                 bundle (O(log m) for a run of m steps);
+                                 otherwise the row maxima of the resulting
+                                 totally monotone matrices (one per residue
+                                 class modulo s) come from one batched
+                                 divide-and-conquer kernel: O(log L) passes
+                                 for all classes.
 * ``convolve_with_ranges``    -- guided by per-index ranges ``[x_k, y_k]``
                                  certifying where optimal split witnesses
                                  lie; cost the total range width plus one
@@ -64,8 +66,6 @@ __all__ = [
     "convolve_sstep_concave",
     "convolve_with_ranges",
     "minplus_convolve",
-    "is_sstep_concave",
-    "is_sstep_convex",
 ]
 
 # Below this |A|*|B| product the step engines just run the naive evaluation:
@@ -139,9 +139,13 @@ def convolve_naive(A: Vector, B: Vector) -> Vector:
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
-    if len(A) > len(B):  # loop over the shorter operand
-        A, B = B, A
-    a, b = _operands(A, B)
+    return _maxplus_rows(*_operands(A, B))
+
+
+def _maxplus_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`convolve_naive` on converted operands."""
+    if len(a) > len(b):
+        a, b = b, a
     L = len(b)
     out = np.full(L, NEG_INF, dtype=b.dtype)
     for k, x in enumerate(a.tolist()):
@@ -169,21 +173,17 @@ def _first_sstep_concave_violation(b: np.ndarray, s: int) -> int | None:
 
     Structure: the stride-s subsample B[0], B[s], B[2s], ... has
     non-increasing consecutive differences, and every off-stride entry
-    copies its predecessor.
+    copies its predecessor.  Tested whole in a few passes; the index is
+    located only when that test fails.
     """
+    stride = b[::s]
+    rises = stride[1:] - stride[:-1]
+    if (rises[1:] <= rises[:-1]).all() and (b == stride[np.arange(len(b)) // s]).all():
+        return None
     copies = np.zeros(len(b), dtype=bool)
     copies[1:] = b[1:] != b[:-1]
     rise = b[s:] - b[:-s]  # rise[i] = B[i+s] - B[i]
     return _first_violation(b, copies, rise[s:] > rise[:-s], s)
-
-
-def is_sstep_concave(B: Vector, s: int) -> bool:
-    """True iff the stride-s subsample of B is concave and off-stride
-    entries copy their predecessor."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    (b,) = _operands(B)
-    return _first_sstep_concave_violation(b, s) is None
 
 
 def _first_sstep_convex_violation(b: np.ndarray, s: int) -> int | None:
@@ -192,41 +192,38 @@ def _first_sstep_convex_violation(b: np.ndarray, s: int) -> int | None:
     Structure: the stride-s subsample is convex (non-decreasing consecutive
     differences) and every off-stride entry copies its *successor*, i.e.
     ``B[l] = B[s*ceil(l/s)]``.  This forces the last index to be a multiple
-    of s.
+    of s.  Tested and located like the concave structure.
     """
+    stride = b[::s]
+    rises = stride[1:] - stride[:-1]
+    successors = (len(b) - 1) % s == 0 and (b[1:].reshape(-1, s) == stride[1:, None]).all()
+    if successors and (rises[1:] >= rises[:-1]).all():
+        return None
     copies = np.ones(len(b), dtype=bool)  # the last entry has no successor
     copies[:-1] = b[:-1] != b[1:]
     rise = b[s:] - b[:-s]
     return _first_violation(b, copies, rise[s:] < rise[:-s], s)
 
 
-def is_sstep_convex(B: Vector, s: int) -> bool:
-    """(min,+) mirror of :func:`is_sstep_concave`: convex stride subsample,
-    off-stride entries copy their successor."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    (b,) = _operands(B)
-    return _first_sstep_convex_violation(b, s) is None
-
-
 def _sliding_max(a: np.ndarray, width: int, length: int) -> np.ndarray:
     """out[m] = max(a[m-width+1 .. m] clipped to a's range) for m < length,
     NEG_INF where that window is empty.
 
-    Van Herk/Gil-Werman: cut the padded input into blocks of ``width``; a
-    window spans at most two blocks, so it is the maximum of one block
-    suffix and one block prefix.  O(length) at any width; a window of one
-    entry is a copy of a.
+    By doubling: a[:length], padded with NEG_INF to ``length``, holds the
+    windows of one entry; a pass ``x[step:] = max(x[step:], x[:-step])``
+    with ``step <= span``, reading the previous pass's values, widens every
+    window from ``span`` to ``span + step`` entries.  Steps 1, 2, 4, ...,
+    the last cut to reach ``width`` exactly, make ceil(log2 width) passes
+    of O(length) each; a window of one entry is a copy of a.
     """
-    if width == 1:
-        return np.concatenate((a[:length], np.full(max(length - len(a), 0), NEG_INF, dtype=a.dtype)))
-    n_blocks = -(-(length + width - 1) // width)
-    x = np.full(n_blocks * width, NEG_INF, dtype=a.dtype)
-    x[width - 1 : width - 1 + min(len(a), length)] = a[:length]
-    blocks = x.reshape(n_blocks, width)
-    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
-    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suffix[:length], prefix[width - 1 : width - 1 + length])
+    x = np.full(length, NEG_INF, dtype=a.dtype)
+    x[: len(a)] = a[:length]
+    span = 1
+    while span < width:
+        step = min(span, width - span)
+        np.maximum(x[step:], x[:-step], out=x[step:])  # numpy buffers the overlap
+        span += step
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -348,8 +345,8 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
     class of at most ``_FEW_STEPS`` jobs, or a larger one with few distinct
     weights, takes the first branch.
 
-    At or below ``SMALL_PRODUCT_CUTOFF`` on ``|A|*|B|`` the call is
-    answered by :func:`convolve_naive` instead.
+    At or below ``SMALL_PRODUCT_CUTOFF`` on ``|A|*|B|`` the naive
+    evaluation of :func:`convolve_naive` answers instead.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
@@ -360,7 +357,7 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
     if bad is not None:
         raise ValueError(f"right operand is not {s}-step concave: first violation at index {bad}")
     if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF:
-        return convolve_naive(a, b)
+        return _maxplus_rows(a, b)
     return _sstep_maxplus(a, b, s, max(len(a), len(b)))
 
 
@@ -423,9 +420,13 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
 
 def _minplus_naive(A: Vector, B: Vector) -> Vector:
     """Full-length (min,+)-convolution by direct evaluation."""
-    if len(A) > len(B):
-        A, B = B, A
-    a, b = _operands(A, B)
+    return _minplus_rows(*_operands(A, B))
+
+
+def _minplus_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`_minplus_naive` on converted operands."""
+    if len(a) > len(b):
+        a, b = b, a
     out = np.full(len(a) + len(b) - 1, POS_INF, dtype=b.dtype)
     for k, x in enumerate(a.tolist()):
         np.minimum(out[k : k + len(b)], x + b, out=out[k : k + len(b)])
@@ -458,7 +459,7 @@ def minplus_convolve(A: Vector, B: Vector, s: int | None = None) -> Vector:
     if bad is not None:
         raise ValueError(f"right operand is not {s}-step convex: first violation at index {bad}")
     if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF:
-        return _minplus_naive(a, b)
+        return _minplus_rows(a, b)
     L = len(a) + len(b) - 1
     out = np.full(L, POS_INF, dtype=a.dtype)
     out[: len(a)] = a + b[0]

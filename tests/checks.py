@@ -4,6 +4,25 @@ from __future__ import annotations
 
 from tardyjobs import FractionalSolutionVector, RangeIntervals, convolve_naive
 from tardyjobs.core import Vector
+from tardyjobs.maxplus import _first_sstep_concave_violation, _first_sstep_convex_violation, _operands
+
+
+def is_sstep_concave(B: Vector, s: int) -> bool:
+    """True iff the stride-s subsample of B is concave and off-stride
+    entries copy their predecessor."""
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    (b,) = _operands(B)
+    return _first_sstep_concave_violation(b, s) is None
+
+
+def is_sstep_convex(B: Vector, s: int) -> bool:
+    """(min,+) mirror of :func:`is_sstep_concave`: convex stride subsample,
+    off-stride entries copy their successor."""
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    (b,) = _operands(B)
+    return _first_sstep_convex_violation(b, s) is None
 
 
 def fractional_gap_check(

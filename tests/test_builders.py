@@ -10,12 +10,11 @@ from tardyjobs import (
     build_solution_vector_concave,
     build_solution_vector_dp,
     convolve_naive,
-    is_sstep_concave,
-    is_sstep_convex,
     minplus_convolve,
 )
 from tardyjobs.builders import step_concave_class_vector, step_convex_class_vector
 
+from checks import is_sstep_concave, is_sstep_convex
 from conftest import inverse_to_direct, job_classes
 
 

@@ -14,11 +14,11 @@ from tardyjobs import (
     convolve_naive,
     convolve_sstep_concave,
     convolve_with_ranges,
-    is_sstep_concave,
-    is_sstep_convex,
     minplus_convolve,
 )
 from tardyjobs.builders import step_concave_class_vector, step_convex_class_vector
+
+from checks import is_sstep_concave, is_sstep_convex
 
 vec = st.lists(st.integers(min_value=-20, max_value=50), min_size=1, max_size=24)
 
@@ -140,7 +140,7 @@ class TestSStepConcave:
 
 
 @pytest.mark.parametrize("dtype", [np.float64, object])
-@pytest.mark.parametrize("width", [1, 2, 5])
+@pytest.mark.parametrize("width", [1, 2, 5, 3, 4, 7, 100])
 def test_sliding_max_matches_definition(width, dtype):
     # the one-entry window is the final step of every class vector stopped at
     # its reach; lengths run past len(a), where the windows empty out
@@ -151,6 +151,19 @@ def test_sliding_max_matches_definition(width, dtype):
             got = mp._sliding_max(a, width, length)
             assert got.dtype == a.dtype
             assert got.tolist() == [max(a[max(0, m - width + 1) : m + 1], default=NEG_INF) for m in range(length)]
+
+
+@pytest.mark.parametrize("width", [1, 3, 4, 7, 100])
+def test_sliding_max_on_exact_magnitudes(width):
+    # Python ints near 2**60, where float64 would round; the lengths short of
+    # the width clip every window at a's start
+    rng = random.Random(60 + width)
+    for n_a in (1, 5, 130):
+        a = np.array([2**60 + rng.randint(-50, 50) for _ in range(n_a)], dtype=object)
+        for length in (1, max(width - 1, 1), n_a, n_a + width + 3):
+            got = mp._sliding_max(a, width, length).tolist()
+            assert got == [max(a[max(0, m - width + 1) : m + 1], default=NEG_INF) for m in range(length)]
+            assert all(type(x) is int for x in got[:n_a])
 
 
 def sstep_convex(n_steps, s, rng):
@@ -264,6 +277,80 @@ class TestStepEnginesAtScale:
         b[321] = NEG_INF
         with pytest.raises(ValueError, match="index 321$"):
             convolve_sstep_concave([0] * 400, b, 2)
+
+
+def first_break(b, s, convex):
+    """The first index breaking the s-step structure, by its definition: an
+    off-stride entry that does not copy its predecessor (concave) or its
+    successor (convex; the last entry has none), or a stride entry l >= 2s
+    whose rise B[l] - B[l-s] grows past (concave) or falls below (convex)
+    the rise before it.  None for an s-step vector."""
+    for l in range(len(b)):
+        if l % s:
+            source = l + 1 if convex else l - 1  # the entry it copies
+            if source == len(b) or b[l] != b[source]:
+                return l
+        elif l >= 2 * s:
+            rise, before = b[l] - b[l - s], b[l - s] - b[l - 2 * s]
+            if (rise < before) if convex else (rise > before):
+                return l
+    return None
+
+
+class TestStructureGuard:
+    """The s-step guards accept a whole vector in a few passes and locate a
+    violation only when that test fails."""
+
+    @staticmethod
+    def perturbed(s, convex, rng):
+        """A random s-step vector with at most one defect: a broken
+        off-stride copy, a whole step bent up or down, or (convex) a last
+        index off the stride."""
+        if convex:
+            b = sstep_convex(rng.randint(0, 12), s, rng)
+        else:
+            b = sstep_concave(rng.randint(1, 12 * s), s, rng)
+        kind = rng.choice(["none", "copy", "bend", "tail"] if convex else ["none", "copy", "bend"])
+        delta = rng.choice([-1, 1]) * rng.randint(1, 20)
+        if kind == "copy" and s > 1 and len(b) > 1:
+            b[rng.choice([l for l in range(len(b)) if l % s])] += delta
+        elif kind == "bend":  # step t: the stride entry t*s and its copies
+            t = rng.randint(0, (len(b) - 1) // s)
+            step = range((t - 1) * s + 1, t * s + 1) if convex and t else range(t * s, min(t * s + s, len(b)))
+            for l in step:
+                b[l] += delta
+        elif kind == "tail" and s > 1:
+            cut = rng.randint(1, s - 1)
+            b = b[:-cut] if len(b) > s and rng.random() < 0.5 else b + [b[-1]] * cut
+        return b
+
+    @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
+    @pytest.mark.parametrize("convex", [False, True], ids=["concave", "convex"])
+    def test_locates_only_on_failure(self, convex, shift, monkeypatch):
+        rng = random.Random(900 + convex)
+        guard = mp._first_sstep_convex_violation if convex else mp._first_sstep_concave_violation
+        located = []
+        finder = mp._first_violation
+        monkeypatch.setattr(mp, "_first_violation", lambda *args: located.append(True) or finder(*args))
+        seen = set()
+        for _ in range(600):
+            s = rng.randint(1, 6)
+            b = self.perturbed(s, convex, rng)
+            want = first_break(b, s, convex)
+            seen.add(want is None)
+            located.clear()
+            (arr,) = mp._operands(shifted(b, shift))
+            assert arr.dtype == (object if shift else np.float64)
+            assert guard(arr, s) == want, (b, s)
+            assert located == ([] if want is None else [True]), (b, s)
+            a = [rng.randint(0, 50) for _ in range(rng.randint(1, 30))]
+            kernel = minplus_convolve if convex else convolve_sstep_concave
+            if want is None:
+                kernel(a, shifted(b, shift), s)  # accepted
+            else:
+                with pytest.raises(ValueError, match=f"-step {'convex' if convex else 'concave'}: first violation at index {want}$"):
+                    kernel(a, shifted(b, shift), s)
+        assert seen == {True, False}
 
 
 @pytest.fixture
