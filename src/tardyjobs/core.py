@@ -46,12 +46,13 @@ Vector = np.ndarray
 JobClass = tuple[tuple[int, int, int], int]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Job:
     """One job: integer label, processing time, weight, and due date.
 
     ``p > d`` is allowed; such a job can never be early and its weight is
-    unavoidably tardy, but solvers must accept it.
+    unavoidably tardy, but solvers must accept it.  Slotted, with no
+    per-job ``__dict__``, since an instance may hold many thousands.
     """
 
     id: int

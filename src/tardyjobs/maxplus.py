@@ -6,7 +6,9 @@ operands.  Every engine here computes exactly the same output as the naive
 quadratic evaluation; the structured engines are merely faster when their
 precondition on the operands holds:
 
-* ``convolve_naive``          -- no precondition, O(|A|*|B|).
+* ``convolve_naive``          -- no precondition, O(|A|*|B|) entries in one
+                                 numpy pass per block of ``_BLOCK`` rows of
+                                 the shorter operand.
 * ``convolve_sstep_concave``  -- right operand is s-step concave; each full
                                  step of B meets a sliding-window maximum of
                                  A, taken by doubling: ceil(log2 s) shifted
@@ -23,11 +25,13 @@ precondition on the operands holds:
                                  for all classes.
 * ``convolve_with_ranges``    -- guided by per-index ranges ``[x_k, y_k]``
                                  certifying where optimal split witnesses
-                                 lie; cost the total range width plus one
-                                 pass per index of the left operand.
+                                 lie; cost the union width of each block of
+                                 up to ``_BLOCK`` consecutive ranges times
+                                 its rows, plus one pass per block.
 
 The (min,+) mirror ``minplus_convolve`` has no step assembly of its own: its
-step-convex engine is the concave engine run on the negated operands.
+step-convex engine is the concave engine run on the negated operands, and its
+naive evaluation folds blocks of rows as the (max,+) one does.
 
 This module alone decides what a ``core.Vector`` holds, by one rule for
 every container (list, float64 or object array): each operation's one numpy
@@ -81,12 +85,18 @@ SMALL_PRODUCT_CUTOFF = 4096
 # for 20000 rows, so 128 stays on the cheaper side of both.
 _FEW_STEPS = 128
 
+# The naive and range-guided engines fold this many rows of the left operand
+# per numpy pass (_fold_rows).  Its scratch matrix holds _BLOCK rows of the
+# right operand's span: at 32 rows the naive engine ran faster still, but the
+# merges' peak memory on small instances passed 200 KB.
+_BLOCK = 16
+
 # Sums of finite entries must stay exactly representable in float64; past
 # this bound vectors are exact Python-int object arrays.
 EXACT_FLOAT_BOUND = 2**52
 
 # Fills, never Vector entries: window padding and initial kernel outputs;
-# NEG_INF also marks an output index no range of convolve_with_ranges
+# NEG_INF also marks an output index no block of convolve_with_ranges
 # reaches.  They compare exactly against ints in float64 and object arrays.
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -143,14 +153,41 @@ def convolve_naive(A: Vector, B: Vector) -> Vector:
 
 
 def _maxplus_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`convolve_naive` on converted operands."""
+    """:func:`convolve_naive` on converted operands: one pass per block of
+    ``_BLOCK`` rows of the shorter operand (:func:`_fold_rows`), or one per
+    row while it is shorter than a block."""
     if len(a) > len(b):
         a, b = b, a
     L = len(b)
     out = np.full(L, NEG_INF, dtype=b.dtype)
-    for k, x in enumerate(a.tolist()):
-        np.maximum(out[k:], x + b[: L - k], out=out[k:])
+    if len(a) < _BLOCK:
+        for k, x in enumerate(a.tolist()):
+            np.maximum(out[k:], x + b[: L - k], out=out[k:])
+        return out
+    for k0 in range(0, len(a), _BLOCK):
+        _fold_rows(out, a, b, k0, min(k0 + _BLOCK, len(a)) - 1, 0, L - 1 - k0, np.maximum)
     return out
+
+
+def _fold_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, k0: int, k1: int, x: int, y: int, reduce: np.ufunc) -> None:
+    """out[k + l] = reduce(out[k + l], a[k] + b[l]) for k0 <= k <= k1 and
+    x <= l <= y, where k + l < len(out), in one pass for the r = k1 - k0 + 1
+    rows (r <= ``_BLOCK``).
+
+    Row j of an (r, w + r) matrix holds a[k0 + j] + b[x .. y] in its first
+    w = y - x + 1 columns and ``reduce``'s identity fill in its last r.  Its
+    buffer read as r rows of w + r - 1 entries shifts row j right by j, the
+    fill columns absorbing the shift, so column c of that view collects the
+    sums landing on output k0 + x + c and one reduction over rows folds them
+    all.
+    """
+    r, w = k1 - k0 + 1, y - x + 1
+    m = np.empty((r, w + r), dtype=out.dtype)
+    m[:, w:] = NEG_INF if reduce is np.maximum else POS_INF
+    np.add(b[None, x : y + 1], a[k0 : k1 + 1, None], out=m[:, :w])
+    folded = reduce.reduce(m.ravel()[: r * (w + r - 1)].reshape(r, w + r - 1), axis=0)
+    seg = out[k0 + x : k1 + y + 1]
+    reduce(seg, folded[: len(seg)], out=seg)
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +418,18 @@ def _sstep_maxplus(a: np.ndarray, b: np.ndarray, s: int, L: int) -> np.ndarray:
 def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
     """(max,+)-convolve restricted to per-index candidate ranges.
 
-    ``C[l]`` is the maximum of ``A[k] + B[l-k]`` over splits with
-    ``l-k`` inside ``R.intervals[k]``.  When the ranges certify a split
-    witness for every output index (the contract under which solvers call
-    this), the result equals ``convolve_naive(A, B)`` exactly; an output
-    index that no range reaches holds ``NEG_INF``.  Cost is the total
-    width of the ranges plus one numpy pass per index of ``A``, so a
-    caller puts the operand of shorter span on the left.
+    ``C[l]`` is the maximum of ``A[k] + B[l-k]`` over splits with ``l-k``
+    inside ``R.intervals[k]`` and possibly more: the consecutive indices of
+    ``A`` with non-empty ranges are taken in blocks of up to ``_BLOCK``, and
+    every index of a block pairs with the union of the block's ranges (the
+    first index's ``x`` to the last one's ``y``), all in one pass
+    (:func:`_fold_rows`).  Those extra pairs are splits too, so ``C`` never
+    exceeds ``convolve_naive(A, B)``, and it equals it exactly when the
+    ranges certify a split witness for every output index, the contract
+    under which solvers call this.  An output index that no block reaches
+    holds ``NEG_INF``.  Cost is the blocks' union widths times their rows
+    plus one numpy pass per block, so a caller puts the operand of shorter
+    span on the left.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
@@ -395,9 +437,8 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
         raise ValueError(f"expected {len(A)} intervals (one per left-operand index), got {len(R.intervals)}")
     L = max(len(A), len(B))
     a, b = _operands(A, B)
-    out = np.full(L, NEG_INF, dtype=b.dtype)
     prev_x = prev_y = 0
-    for k, (v, iv) in enumerate(zip(a.tolist(), R.intervals)):
+    for k, iv in enumerate(R.intervals):
         if iv is None:  # flagged empty: the index never holds a witness
             continue
         x, y = iv
@@ -406,10 +447,19 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
         if x < prev_x or y < prev_y:
             raise ValueError(f"interval endpoints not monotone at index {k}")
         prev_x, prev_y = x, y
-        hi = min(y, L - 1 - k)
-        if hi >= x:
-            seg = out[k + x : k + hi + 1]
-            np.maximum(seg, v + b[x : hi + 1], out=seg)
+    out = np.full(L, NEG_INF, dtype=b.dtype)
+    k0 = 0
+    while k0 < len(a):
+        if R.intervals[k0] is None:
+            k0 += 1
+            continue
+        k1 = k0  # the block: k0 .. k1, consecutive non-empty ranges
+        while k1 + 1 < len(a) and k1 + 1 - k0 < _BLOCK and R.intervals[k1 + 1] is not None:
+            k1 += 1
+        x, y = R.intervals[k0][0], min(R.intervals[k1][1], L - 1 - k0)  # row k0 reaches no output past L - 1
+        if y >= x:
+            _fold_rows(out, a, b, k0, k1, x, y, np.maximum)
+        k0 = k1 + 1
     return out
 
 
@@ -424,12 +474,17 @@ def _minplus_naive(A: Vector, B: Vector) -> Vector:
 
 
 def _minplus_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_minplus_naive` on converted operands."""
+    """:func:`_minplus_naive` on converted operands, in blocks of rows as
+    :func:`_maxplus_rows`."""
     if len(a) > len(b):
         a, b = b, a
     out = np.full(len(a) + len(b) - 1, POS_INF, dtype=b.dtype)
-    for k, x in enumerate(a.tolist()):
-        np.minimum(out[k : k + len(b)], x + b, out=out[k : k + len(b)])
+    if len(a) < _BLOCK:
+        for k, x in enumerate(a.tolist()):
+            np.minimum(out[k : k + len(b)], x + b, out=out[k : k + len(b)])
+        return out
+    for k0 in range(0, len(a), _BLOCK):
+        _fold_rows(out, a, b, k0, min(k0 + _BLOCK, len(a)) - 1, 0, len(b) - 1, np.minimum)
     return out
 
 

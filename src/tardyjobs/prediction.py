@@ -8,7 +8,11 @@ index ``k`` the set of ``l`` with a small gap is a contiguous interval
 non-decreasing in ``k``, so a single two-pointer sweep recovers all
 intervals.  It costs O(|A'| + |B'|) pointer moves, plus a scan of each
 flagged-empty row (see :class:`RangeIntervals`) up to the horizon of ``C'``,
-plus O(1) for each row past the point where the left side saturates.
+plus O(1) for each row past the point where the left side saturates.  The y
+pointer gallops: after ``_GALLOP`` single steps in one row it doubles its
+step and then bisects back to the first budget out of range, which the
+budgets in range forming a prefix of ``[x_k, end)`` makes exact, so a row
+that moves y by m costs O(log m) tests past the first ``_GALLOP``.
 
 With the threshold ``2*i*w_max`` (``i`` the merge iteration, ``w_max`` the
 maximum job weight), these intervals are *range intervals* for the integral
@@ -34,6 +38,11 @@ __all__ = [
     "RangeIntervals",
     "compute_range_intervals",
 ]
+
+
+# Single steps of the y pointer in one row before it gallops.  Galloping from
+# the first step made the sweep slower where rows move y by a few budgets.
+_GALLOP = 8
 
 
 @dataclass(frozen=True)
@@ -79,8 +88,8 @@ def compute_range_intervals(
     Both pointers only ever move forward, and in row ``k`` both stop at
     ``min(|B'|, |C'| - k)``: a budget ``l`` with ``k + l`` past the horizon
     of ``C'`` is never in range.  There is one row per entry of ``A'``, and
-    the range-guided convolution makes one pass per row, so a caller puts
-    the vector of shorter span on the left.
+    the sweep and the range-guided convolution's blocks of rows both grow
+    with them, so a caller puts the vector of shorter span on the left.
 
     A left index whose gap exceeds the threshold at every budget (which
     happens when the left side's jobs saturate far below its horizon while
@@ -117,7 +126,22 @@ def compute_range_intervals(
         x = scan
         if y <= x:  # y stays one past the last qualifying index
             y = x + 1
+        stop = y + _GALLOP
         while y < end and cv[k + y] - bv[y] <= bar:
             y += 1
+            if y == stop:  # _GALLOP single steps in range: double the step, then bisect back
+                lo, hi, step = y, y + 1, 2  # every budget below lo is in range
+                while hi < end and cv[k + hi] - bv[hi] <= bar:
+                    lo, step = hi + 1, 2 * step
+                    hi = lo + step - 1
+                hi = min(hi, end)  # the first budget out of range is in [lo, hi]
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if cv[k + mid] - bv[mid] <= bar:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                y = lo
+                break
         intervals.append((x, y - 1))
     return RangeIntervals(intervals=tuple(intervals), error=4 * i * w_max)

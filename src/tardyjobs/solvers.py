@@ -75,8 +75,8 @@ policy's chain, PREDICTION's fractional vectors and the witness alike.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from enum import Enum
+from itertools import groupby
 from math import log
 from typing import Iterator
 
@@ -221,44 +221,42 @@ def _auto_counts(instance: Instance) -> dict[SolverPolicy, tuple[int, float, int
     """Per candidate: (calls, units, n), the counts of the module docstring.
 
     Where inverse-w would fall back, it has no entry.  The counts are
-    projections of ``instance.classes``: Lawler-Moore's bundles, the
-    distinct (d, p) pairs and the (d, w) pairs with their job counts and the
-    total weight per due date.
+    projections of ``instance.classes``, taken in one walk over its due-date
+    slices in their (p, w) order: Lawler-Moore's bundles, a processing-time
+    class each time p changes, and per slice its job counts per weight and
+    the running total weight.
     """
-    bundles = cells = 0
+    inverse = not _inverse_falls_back(instance)
+    bundles = cells = p_calls = w_calls = running = w_units = 0
+    p_units = 0.0
     horizon = instance.horizon
-    dp_pairs = set()
-    dw_jobs: defaultdict[tuple[int, int], int] = defaultdict(int)  # (d, w) -> number of jobs
-    weight: defaultdict[int, int] = defaultdict(int)  # due date -> total weight of its jobs
-    for (d, p, w), c in instance.classes:
-        if p <= d:  # else no bundle of the class can be early
-            dp_pairs.add((d, p))
-            top = (d if d < horizon else horizon) + 1  # the table's states up to d
-            for t in (1,) if c == 1 else bundle_sizes(c):
-                if t * p <= d:
-                    bundles += 1
-                    cells += top - t * p
-        dw_jobs[d, w] += c
-        weight[d] += c * w
-    p_classes = Counter(d for d, _ in dp_pairs)
+    for d, due_slice in groupby(instance.classes, key=lambda e: e[0][0]):
+        top = (d if d < horizon else horizon) + 1  # the table's states up to d
+        last_p = p_classes = 0
+        w_jobs: dict[int, int] = {}  # weight -> number of jobs in this slice
+        for (_, p, w), c in due_slice:
+            if p <= d:  # else no bundle of the class can be early
+                if p != last_p:
+                    last_p, p_classes = p, p_classes + 1
+                for t in (1,) if c == 1 else bundle_sizes(c):
+                    if t * p <= d:
+                        bundles += 1
+                        cells += top - t * p
+            if inverse:
+                w_jobs[w] = w_jobs.get(w, 0) + c
+                running += c * w
+        p_calls += p_classes
+        p_units += p_classes * (d + 1) * log(d + 2)
+        if inverse:
+            w_calls += len(w_jobs)
+            # the passes of c distinct processing times; repeated ones take fewer, at any c
+            w_units += sum(c if c < _FEW_STEPS else _FEW_STEPS for c in w_jobs.values()) * running
     counts = {
         SolverPolicy.LAWLER_MOORE: (bundles, cells, instance.n),
-        SolverPolicy.CONCAVE_BY_P: (
-            len(dp_pairs),
-            sum(c * (d + 1) * log(d + 2) for d, c in p_classes.items()),
-            instance.n,
-        ),
+        SolverPolicy.CONCAVE_BY_P: (p_calls, p_units, instance.n),
     }
-    if not _inverse_falls_back(instance):
-        passes: defaultdict[int, int] = defaultdict(int)  # due date -> step passes of its weight classes
-        for (d, _), c in dw_jobs.items():
-            # the passes of c distinct processing times; repeated ones take fewer, at any c
-            passes[d] += c if c < _FEW_STEPS else _FEW_STEPS
-        running = units = 0
-        for d in sorted(weight):
-            running += weight[d]
-            units += passes[d] * running
-        counts[SolverPolicy.INVERSE_BY_W] = (len(dw_jobs), units, instance.n)
+    if inverse:
+        counts[SolverPolicy.INVERSE_BY_W] = (w_calls, w_units, instance.n)
     return counts
 
 

@@ -735,6 +735,158 @@ class TestConvolveWithRanges:
             convolve_with_ranges([0, 1, 2], [0, 1, 2], RangeIntervals(((0, 2), (1, 2), (1, 1)), 0))
 
 
+def blocked_reference(a, b, intervals, block=16):
+    """convolve_with_ranges by its definition in plain Python: the
+    consecutive indices of a with non-empty ranges, in blocks of up to
+    ``block``, each pair with the union of their block's ranges."""
+    L = max(len(a), len(b))
+    out = [NEG_INF] * L
+    k = 0
+    while k < len(a):
+        if intervals[k] is None:
+            k += 1
+            continue
+        rows = [k]
+        while len(rows) < block and rows[-1] + 1 < len(a) and intervals[rows[-1] + 1] is not None:
+            rows.append(rows[-1] + 1)
+        x, y = intervals[rows[0]][0], intervals[rows[-1]][1]
+        for j in rows:
+            for l in range(x, y + 1):
+                if j + l < L:
+                    out[j + l] = max(out[j + l], a[j] + b[l])
+        k = rows[-1] + 1
+    return out
+
+
+def witness_ranges(a, b, rng):
+    """Monotone ranges holding a split witness of every output index of the
+    (max,+)-convolution, widened at random; rows that hold no witness are
+    flagged empty unless widening reaches them."""
+    L = max(len(a), len(b))
+    need = [[] for _ in a]
+    for l in range(L):
+        splits = range(max(0, l - len(b) + 1), min(l, len(a) - 1) + 1)
+        best = max(a[k] + b[l - k] for k in splits)
+        k = rng.choice([k for k in splits if a[k] + b[l - k] == best])
+        need[k].append(l - k)
+    xs, ys = [min(v) if v else None for v in need], [max(v) if v else None for v in need]
+    for k in range(len(a)):
+        if xs[k] is None and rng.random() < 0.3:
+            xs[k] = ys[k] = rng.randrange(len(b))
+        elif xs[k] is not None:
+            xs[k] = max(0, xs[k] - rng.randrange(3))
+            ys[k] = min(len(b) - 1, ys[k] + rng.randrange(3))
+    lo = len(b) - 1
+    for k in reversed(range(len(a))):  # x a suffix minimum, y a prefix maximum: both monotone
+        if xs[k] is not None:
+            lo = xs[k] = min(xs[k], lo)
+    hi = 0
+    for k in range(len(a)):
+        if ys[k] is not None:
+            hi = ys[k] = max(ys[k], hi)
+    return tuple(None if x is None else (x, y) for x, y in zip(xs, ys))
+
+
+class TestRowBlocks:
+    """The naive and range-guided engines fold up to ``mp._BLOCK`` rows of
+    the left operand per pass; every block boundary must give the
+    definition's answer, in float64 and in exact object arithmetic."""
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        calls = []
+        fold = mp._fold_rows
+
+        def counted(out, a, b, k0, k1, *rest):
+            calls.append(k1 - k0 + 1)
+            return fold(out, a, b, k0, k1, *rest)
+
+        monkeypatch.setattr(mp, "_fold_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("shift", [0, 2**60])
+    @pytest.mark.parametrize("right", [-1, 9], ids=["shorter", "longer"])
+    @pytest.mark.parametrize("left", [15, 16, 17, 32, 33])
+    def test_naive_engines_match_reference(self, left, right, shift, folds):
+        rng = random.Random(left * 100 + right)
+        a = shifted([rng.randint(-50, 50) for _ in range(left)], shift)
+        b = shifted([rng.randint(-50, 50) for _ in range(left + right)], shift)
+        got = convolve_naive(a, b)
+        assert got.tolist() == reference(a, b, max(len(a), len(b)))
+        assert got.dtype == (object if shift else np.float64)
+        assert minplus_convolve(a, b).tolist() == reference(a, b, len(a) + len(b) - 1, best=min)
+        # one fold per block of the shorter operand's rows, in both engines
+        rows = min(len(a), len(b))
+        blocks = [min(16, rows - k0) for k0 in range(0, rows, 16)] if rows >= 16 else []
+        assert folds == 2 * blocks
+
+    @pytest.mark.parametrize("shift", [0, 2**60])
+    @pytest.mark.parametrize("right", [-1, 9], ids=["shorter", "longer"])
+    @pytest.mark.parametrize("left", [15, 16, 17, 32, 33])
+    def test_ranges_match_reference(self, left, right, shift):
+        rng = random.Random(left * 100 + right + 7)
+        for _ in range(20):
+            a = shifted([rng.randint(-50, 50) for _ in range(left)], shift)
+            b = shifted([rng.randint(-50, 50) for _ in range(left + right)], shift)
+            intervals = witness_ranges(a, b, rng)
+            got = convolve_with_ranges(a, b, RangeIntervals(intervals, error=0)).tolist()
+            assert got == blocked_reference(a, b, intervals)
+            assert got == reference(a, b, max(len(a), len(b)))  # the ranges hold a witness of every index
+
+    @pytest.mark.parametrize("shift", [0, 2**60])
+    def test_ranges_that_hold_no_witness_stay_below_the_convolution(self, shift):
+        rng = random.Random(41)
+        for _ in range(200):
+            n_a, n_b = rng.randint(1, 40), rng.randint(1, 40)
+            a = shifted([rng.randint(-50, 50) for _ in range(n_a)], shift)
+            b = shifted([rng.randint(-50, 50) for _ in range(n_b)], shift)
+            intervals, x, y = [], 0, 0
+            for _ in range(n_a):
+                if rng.random() < 0.2:
+                    intervals.append(None)
+                    continue
+                x = min(n_b - 1, x + rng.randint(0, 3))
+                y = min(n_b - 1, max(x, y + rng.randint(0, 4)))
+                intervals.append((x, y))
+            got = convolve_with_ranges(a, b, RangeIntervals(tuple(intervals), error=0)).tolist()
+            assert got == blocked_reference(a, b, intervals)
+            full = reference(a, b, max(n_a, n_b))
+            ranged = [
+                max((a[k] + b[l - k] for k, iv in enumerate(intervals) if iv and iv[0] <= l - k <= iv[1]), default=NEG_INF)
+                for l in range(len(full))
+            ]
+            assert all(r <= g <= f for r, g, f in zip(ranged, got, full))
+
+    def test_flagged_empty_row_splits_a_run(self):
+        a, b = list(range(20)), [0] * 20
+        intervals = [(0, 0)] * 20
+        intervals[5] = None
+        got = convolve_with_ranges(a, b, RangeIntervals(tuple(intervals), error=0)).tolist()
+        # row 5 adds nothing, and no block spans it: output 5 is reached by no range
+        assert got == [NEG_INF if l == 5 else l for l in range(20)]
+        assert got == blocked_reference(a, b, intervals)
+
+    def test_rows_that_start_past_the_output(self):
+        # from row 4 on, k + x passes the output's last index 19
+        a, b = [0] * 20, list(range(20))
+        intervals = tuple((min(16, 2 * k), 19) for k in range(20))
+        got = convolve_with_ranges(a, b, RangeIntervals(intervals, error=0)).tolist()
+        assert got == blocked_reference(a, b, intervals) == list(range(20))
+        # one block of rows 4..19, each from budget 16: the whole block starts past the output
+        intervals = ((0, 0),) + (None,) * 3 + ((16, 19),) * 16
+        got = convolve_with_ranges(a, b, RangeIntervals(intervals, error=0)).tolist()
+        assert got == blocked_reference(a, b, intervals) == [0] + [NEG_INF] * 19
+
+    def test_a_block_takes_the_union_of_its_ranges(self):
+        # row k's own range is the one budget k // 4, but every row of the
+        # block pairs with budgets 0..3, the union from row 0's x to row 15's y
+        a, b = [0] * 16, list(range(20))
+        intervals = tuple((k // 4, k // 4) for k in range(16))
+        got = convolve_with_ranges(a, b, RangeIntervals(intervals, error=0)).tolist()
+        assert got == blocked_reference(a, b, intervals) == [min(l, 3) for l in range(19)] + [NEG_INF]
+        assert got != blocked_reference(a, b, intervals, block=1)
+
+
 class TestMinPlus:
     def test_pos_inf_in_either_operand_raises(self):
         with pytest.raises(ValueError, match="^operand entry inf is not finite at index 1$"):

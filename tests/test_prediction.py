@@ -122,6 +122,44 @@ class TestComputeRangeIntervals:
                     assert list(got.intervals) == defining_intervals(af, bf, cf, 1, w_max)
                     assert set(got.intervals[cut:]) == {None} and got.intervals[0] is not None
 
+    @pytest.mark.parametrize(
+        "sa, sb, longest",
+        [
+            ([9] * 3 + [6] * 3 + [2] * 5, [7] * 150 + [4] * 150 + [1] * 50, 100),
+            ([10, 8, 8, 3, 3, 3], [5] * 40 + [3] * 300, 100),
+            ([20] * 5 + [1] * 20, [8] * 30 + [7] * 200 + [2] * 100, 100),
+            ([12, 9, 9, 7, 4, 4, 2], [9] * 12 + [6] * 20 + [5] * 9 + [3] * 30 + [2] * 15, 8),
+        ],
+    )
+    def test_galloping_pointer_matches_defining_formulas(self, sa, sb, longest):
+        # long runs of equal slope in B' move y by more than the gallop's
+        # single steps within one row, by more than ``longest`` budgets; C' is
+        # also cut short, so that a gallop runs into the horizon
+        c_full = [0, *accumulate(sorted(sa + sb, reverse=True))]
+        moves = set()
+        for scale in (1, 3):
+            af = fsv([scale * v for v in accumulate(sa, initial=0)], scale)
+            bf = fsv(accumulate(sb, initial=0))
+            for cut in (len(c_full), len(c_full) // 2):
+                cf = fsv(c_full[:cut])
+                for i, w_max in ((1, 1), (1, 2), (2, 3), (3, 7)):
+                    got = compute_range_intervals(af, bf, cf, i, w_max)
+                    assert list(got.intervals) == defining_intervals(af, bf, cf, i, w_max)
+                    ys = [iv[1] for iv in got.intervals if iv is not None]
+                    moves.update(b - a for a, b in zip([got.intervals[0][0] - 1] + ys, ys))
+        assert max(moves) > longest
+
+    def test_galloping_pointer_on_random_runs(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            sa = sorted((rng.randint(1, 12) for _ in range(rng.randint(1, 12))), reverse=True)
+            sb = sorted((r for _ in range(rng.randint(1, 5)) for r in [rng.randint(1, 12)] * rng.randint(1, 150)), reverse=True)
+            c_full = [0, *accumulate(sorted(sa + sb, reverse=True))]
+            af, bf = fsv(accumulate(sa, initial=0)), fsv(accumulate(sb, initial=0))
+            cf = fsv(c_full[: rng.randint(1, len(c_full))])
+            i, w_max = rng.randint(1, 3), rng.randint(1, 5)
+            assert list(compute_range_intervals(af, bf, cf, i, w_max).intervals) == defining_intervals(af, bf, cf, i, w_max)
+
     def test_monotone_endpoints(self):
         for i, _, _, af, bf, cf, w_max in iteration_fixtures(3000, 40, rng_seed=19):
             r = compute_range_intervals(af, bf, cf, i, w_max)
