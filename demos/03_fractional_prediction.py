@@ -10,7 +10,6 @@ ranges keeps it exact while skipping most of the split space.
 import numpy as np
 
 from tardyjobs import (
-    brute_force_vector,
     compute_range_intervals,
     convolve_naive,
     convolve_with_ranges,
@@ -25,7 +24,8 @@ inst = generate_instance(seed=7, n=12, d_hash=3, d_max=24, p_max=6, w_max=6)
 print("instance: n=12, 3 distinct due dates, d_max=24")
 
 frac = fractional_solution_vector(inst.classes)
-integral = brute_force_vector(list(inst.jobs), inst.d_max)
+# the Lawler-Moore table over all jobs; its running maximum is the integral vector
+integral = np.maximum.accumulate(build_solution_vector_dp(inst.classes, inst.d_max)).astype(int).tolist()
 print("fractional vector (first 8):", [str(v) for v in frac.values()[:8]])
 print("integral vector   (first 8):", integral[:8])
 bound = inst.d_hash * inst.w_max

@@ -20,7 +20,6 @@ from .core import (
     Job,
     SolveResult,
     group_by_due_date,
-    validate_solution_vector,
 )
 from .fractional import (
     FractionalSolutionVector,
@@ -37,7 +36,7 @@ from .maxplus import (
     convolve_with_ranges,
     minplus_convolve,
 )
-from .oracle import brute_force, brute_force_vector, edd_feasible
+from .oracle import brute_force, edd_feasible
 from .prediction import (
     RangeIntervals,
     compute_range_intervals,
@@ -71,7 +70,6 @@ __all__ = [
     "auto_estimates",
     "auto_select",
     "brute_force",
-    "brute_force_vector",
     "build_inverse_solution_vector",
     "build_solution_vector_concave",
     "build_solution_vector_dp",
@@ -93,5 +91,4 @@ __all__ = [
     "run_bench",
     "serialize_instance",
     "solve",
-    "validate_solution_vector",
 ]

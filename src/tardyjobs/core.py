@@ -15,8 +15,7 @@ early set with total weight at least ``k``; a solver keeps only the
 weight targets it can still reach.  Both are numpy arrays of finite
 integers, :data:`Vector`, of the dtype ``maxplus.vector_dtype`` picks:
 float64 while entries stay below 2**52, else ``dtype=object`` arrays of
-Python ints.  The helpers here validate the structural invariants (zero
-origin, monotonicity).
+Python ints.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -153,20 +152,3 @@ def group_by_due_date(instance: Instance) -> DueDateGrouping:
     starts = [i for i, ((d, _, _), _) in enumerate(classes) if i == 0 or d != classes[i - 1][0][0]]
     bounds = zip(starts, starts[1:] + [len(classes)])
     return DueDateGrouping(tuple(classes[i][0][0] for i in starts), tuple(classes[i:j] for i, j in bounds))
-
-
-def validate_solution_vector(v: Sequence) -> list[str]:
-    """Check solution-vector invariants; return violations (empty = valid).
-
-    A valid vector starts at 0 and is monotone non-decreasing.  Violations
-    are returned as data rather than raised so tests can assert on them.
-    """
-    violations: list[str] = []
-    if len(v) == 0:
-        return ["empty vector"]
-    if v[0] != 0:
-        violations.append("nonzero-origin")
-    for k in range(1, len(v)):
-        if v[k] < v[k - 1]:
-            violations.append(f"non-monotone at {k}")
-    return violations

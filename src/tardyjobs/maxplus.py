@@ -7,8 +7,9 @@ quadratic evaluation; the structured engines are merely faster when their
 precondition on the operands holds:
 
 * ``convolve_naive``          -- no precondition, O(|A|*|B|) entries in one
-                                 numpy pass per block of ``_BLOCK`` rows of
-                                 the shorter operand.
+                                 numpy pass per block of up to ``_BLOCK``
+                                 rows of the shorter operand, at every
+                                 length.
 * ``convolve_sstep_concave``  -- right operand is s-step concave; each full
                                  step of B meets a sliding-window maximum of
                                  A, taken by doubling: ceil(log2 s) shifted
@@ -29,9 +30,10 @@ precondition on the operands holds:
                                  up to ``_BLOCK`` consecutive ranges times
                                  its rows, plus one pass per block.
 
-The (min,+) mirror ``minplus_convolve`` has no step assembly of its own: its
+The (min,+) mirror ``minplus_convolve`` has no engine of its own: its
 step-convex engine is the concave engine run on the negated operands, and its
-naive evaluation folds blocks of rows as the (max,+) one does.
+naive evaluation is the (max,+) one's row fold with ``np.minimum`` as the
+reduction.  That one row fold also answers the step engines' small products.
 
 This module alone decides what a ``core.Vector`` holds, by one rule for
 every container (list, float64 or object array): each operation's one numpy
@@ -85,10 +87,11 @@ SMALL_PRODUCT_CUTOFF = 4096
 # for 20000 rows, so 128 stays on the cheaper side of both.
 _FEW_STEPS = 128
 
-# The naive and range-guided engines fold this many rows of the left operand
-# per numpy pass (_fold_rows).  Its scratch matrix holds _BLOCK rows of the
-# right operand's span: at 32 rows the naive engine ran faster still, but the
-# merges' peak memory on small instances passed 200 KB.
+# The naive evaluation (both reductions) and the range-guided engine fold up
+# to this many rows of the left operand per numpy pass (_fold_rows); an
+# operand shorter than that is one block.  Its scratch matrix holds _BLOCK
+# rows of the right operand's span: at 32 rows the naive engine ran faster
+# still, but the merges' peak memory on small instances passed 200 KB.
 _BLOCK = 16
 
 # Sums of finite entries must stay exactly representable in float64; past
@@ -145,27 +148,25 @@ def convolve_naive(A: Vector, B: Vector) -> Vector:
     """(max,+)-convolve two vectors by direct evaluation of the definition.
 
     The output has ``max(|A|, |B|)`` entries; operand indices out of range
-    contribute nothing.
+    contribute nothing.  One numpy pass per block of up to ``_BLOCK`` rows
+    of the shorter operand, whatever its length.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
-    return _maxplus_rows(*_operands(A, B))
+    a, b = _operands(A, B)
+    return _rows(a, b, max(len(a), len(b)), np.maximum)
 
 
-def _maxplus_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`convolve_naive` on converted operands: one pass per block of
-    ``_BLOCK`` rows of the shorter operand (:func:`_fold_rows`), or one per
-    row while it is shorter than a block."""
+def _rows(a: np.ndarray, b: np.ndarray, L: int, reduce: np.ufunc) -> np.ndarray:
+    """The first L entries of the ``reduce``-convolution of converted
+    operands (np.maximum: (max,+), np.minimum: (min,+)), by direct
+    evaluation: one :func:`_fold_rows` pass per block of ``_BLOCK`` rows of
+    the shorter operand, at every length."""
     if len(a) > len(b):
         a, b = b, a
-    L = len(b)
-    out = np.full(L, NEG_INF, dtype=b.dtype)
-    if len(a) < _BLOCK:
-        for k, x in enumerate(a.tolist()):
-            np.maximum(out[k:], x + b[: L - k], out=out[k:])
-        return out
+    out = np.full(L, NEG_INF if reduce is np.maximum else POS_INF, dtype=b.dtype)
     for k0 in range(0, len(a), _BLOCK):
-        _fold_rows(out, a, b, k0, min(k0 + _BLOCK, len(a)) - 1, 0, L - 1 - k0, np.maximum)
+        _fold_rows(out, a, b, k0, min(k0 + _BLOCK, len(a)) - 1, 0, min(len(b), L - k0) - 1, reduce)
     return out
 
 
@@ -393,9 +394,10 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
     bad = _first_sstep_concave_violation(b, s)
     if bad is not None:
         raise ValueError(f"right operand is not {s}-step concave: first violation at index {bad}")
+    L = max(len(a), len(b))
     if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF:
-        return _maxplus_rows(a, b)
-    return _sstep_maxplus(a, b, s, max(len(a), len(b)))
+        return _rows(a, b, L, np.maximum)
+    return _sstep_maxplus(a, b, s, L)
 
 
 def _sstep_maxplus(a: np.ndarray, b: np.ndarray, s: int, L: int) -> np.ndarray:
@@ -468,26 +470,6 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
 # ---------------------------------------------------------------------------
 
 
-def _minplus_naive(A: Vector, B: Vector) -> Vector:
-    """Full-length (min,+)-convolution by direct evaluation."""
-    return _minplus_rows(*_operands(A, B))
-
-
-def _minplus_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_minplus_naive` on converted operands, in blocks of rows as
-    :func:`_maxplus_rows`."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = np.full(len(a) + len(b) - 1, POS_INF, dtype=b.dtype)
-    if len(a) < _BLOCK:
-        for k, x in enumerate(a.tolist()):
-            np.minimum(out[k : k + len(b)], x + b, out=out[k : k + len(b)])
-        return out
-    for k0 in range(0, len(a), _BLOCK):
-        _fold_rows(out, a, b, k0, min(k0 + _BLOCK, len(a)) - 1, 0, len(b) - 1, np.minimum)
-    return out
-
-
 def minplus_convolve(A: Vector, B: Vector, s: int | None = None) -> Vector:
     """(min,+)-convolve inverse vectors: C[l] = min over splits of A[k]+B[l-k].
 
@@ -501,21 +483,23 @@ def minplus_convolve(A: Vector, B: Vector, s: int | None = None) -> Vector:
     step's last entry, negates to an s-step concave vector with full steps,
     so the rest is the concave engine of :func:`convolve_sstep_concave` on
     ``-A`` and ``-B[1:]``, negated back.  Otherwise, and without ``s``, the
-    naive evaluation answers.
+    naive evaluation answers: the row fold of :func:`convolve_naive`, with
+    the minimum as its reduction, over the full output.
     """
     if len(A) == 0 or len(B) == 0:
         raise ValueError("empty input vector")
     if s is None:
-        return _minplus_naive(A, B)
+        a, b = _operands(A, B)
+        return _rows(a, b, len(a) + len(b) - 1, np.minimum)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     a, b = _operands(A, B)
     bad = _first_sstep_convex_violation(b, s)
     if bad is not None:
         raise ValueError(f"right operand is not {s}-step convex: first violation at index {bad}")
-    if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF:
-        return _minplus_rows(a, b)
     L = len(a) + len(b) - 1
+    if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF:
+        return _rows(a, b, L, np.minimum)
     out = np.full(L, POS_INF, dtype=a.dtype)
     out[: len(a)] = a + b[0]
     if len(b) > 1:  # b[1:] copies each entry from its step's last index: -b[1:] is s-step concave

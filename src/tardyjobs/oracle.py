@@ -12,7 +12,6 @@ from .core import Instance, Job, SolveResult
 __all__ = [
     "edd_feasible",
     "brute_force",
-    "brute_force_vector",
 ]
 
 DEFAULT_CAP = 20
@@ -68,30 +67,3 @@ def brute_force(instance: Instance, cap: int = DEFAULT_CAP) -> SolveResult:
         max_early_weight=best_w,
         early_set=tuple(sorted(best_ids)),
     )
-
-
-def brute_force_vector(jobs: list[Job], horizon: int, cap: int = DEFAULT_CAP) -> list[int]:
-    """entry[k] = max weight over feasible early sets with total p <= k."""
-    _check_cap(len(jobs), cap)
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    ordered = sorted(jobs, key=lambda j: (j.d, j.id))
-    n = len(ordered)
-    out = [0] * (horizon + 1)
-
-    stack = [(0, 0, 0)]
-    while stack:
-        idx, t, w = stack.pop()
-        if w > out[t]:
-            out[t] = w
-        if idx == n:
-            continue
-        job = ordered[idx]
-        stack.append((idx + 1, t, w))
-        nt = t + job.p
-        if nt <= job.d and nt <= horizon:
-            stack.append((idx + 1, nt, w + job.w))
-    for k in range(1, horizon + 1):
-        if out[k] < out[k - 1]:
-            out[k] = out[k - 1]
-    return out

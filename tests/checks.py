@@ -2,9 +2,56 @@
 
 from __future__ import annotations
 
-from tardyjobs import FractionalSolutionVector, RangeIntervals, convolve_naive
+from typing import Sequence
+
+from tardyjobs import FractionalSolutionVector, Job, RangeIntervals, convolve_naive
 from tardyjobs.core import Vector
 from tardyjobs.maxplus import _first_sstep_concave_violation, _first_sstep_convex_violation, _operands
+from tardyjobs.oracle import DEFAULT_CAP, _check_cap
+
+
+def validate_solution_vector(v: Sequence) -> list[str]:
+    """Check solution-vector invariants; return violations (empty = valid).
+
+    A valid vector starts at 0 and is monotone non-decreasing.  Violations
+    are returned as data rather than raised so tests can assert on them.
+    """
+    violations: list[str] = []
+    if len(v) == 0:
+        return ["empty vector"]
+    if v[0] != 0:
+        violations.append("nonzero-origin")
+    for k in range(1, len(v)):
+        if v[k] < v[k - 1]:
+            violations.append(f"non-monotone at {k}")
+    return violations
+
+
+def brute_force_vector(jobs: list[Job], horizon: int, cap: int = DEFAULT_CAP) -> list[int]:
+    """entry[k] = max weight over feasible early sets with total p <= k."""
+    _check_cap(len(jobs), cap)
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    ordered = sorted(jobs, key=lambda j: (j.d, j.id))
+    n = len(ordered)
+    out = [0] * (horizon + 1)
+
+    stack = [(0, 0, 0)]
+    while stack:
+        idx, t, w = stack.pop()
+        if w > out[t]:
+            out[t] = w
+        if idx == n:
+            continue
+        job = ordered[idx]
+        stack.append((idx + 1, t, w))
+        nt = t + job.p
+        if nt <= job.d and nt <= horizon:
+            stack.append((idx + 1, nt, w + job.w))
+    for k in range(1, horizon + 1):
+        if out[k] < out[k - 1]:
+            out[k] = out[k - 1]
+    return out
 
 
 def is_sstep_concave(B: Vector, s: int) -> bool:

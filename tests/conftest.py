@@ -17,10 +17,11 @@ from tardyjobs import (
     Job,
     SolveResult,
     SolverPolicy,
-    brute_force_vector,
     generate_instance,
 )
 from tardyjobs.generate import SplitMix64
+
+from checks import brute_force_vector
 
 ALL_POLICIES = [
     SolverPolicy.LAWLER_MOORE,

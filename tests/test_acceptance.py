@@ -14,7 +14,6 @@ from tardyjobs import (
     RangeIntervals,
     SolverPolicy,
     brute_force,
-    brute_force_vector,
     build_inverse_solution_vector,
     build_solution_vector_concave,
     build_solution_vector_dp,
@@ -30,7 +29,7 @@ from tardyjobs import (
 from tardyjobs.bench import run_bench
 from tardyjobs.generate import SplitMix64
 
-from checks import fractional_gap_check, validate_range_intervals
+from checks import brute_force_vector, fractional_gap_check, validate_range_intervals
 from conftest import ALL_POLICIES, brute_force_permutations, group_jobs_by_due_date, inverse_to_direct, job_classes
 
 

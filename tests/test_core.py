@@ -3,7 +3,9 @@ import dataclasses
 import pytest
 
 import tardyjobs.core
-from tardyjobs import Instance, Job, SolverPolicy, generate_instance, group_by_due_date, solve, validate_solution_vector
+from tardyjobs import Instance, Job, SolverPolicy, generate_instance, group_by_due_date, solve
+
+from checks import validate_solution_vector
 
 
 def J(i, p, w, d):

@@ -7,7 +7,6 @@ import pytest
 from tardyjobs import (
     Instance,
     Job,
-    brute_force_vector,
     fractional_solution_vector,
     fractional_union,
     generate_instance,
@@ -15,7 +14,7 @@ from tardyjobs import (
 )
 from tardyjobs.fractional import FractionalSolutionVector
 
-from checks import fractional_gap_check
+from checks import brute_force_vector, fractional_gap_check
 from conftest import fractional_by_units, job_classes
 
 

@@ -225,8 +225,7 @@ class TestStepEnginesAtScale:
         def refuse(*args):
             raise AssertionError("a step engine fell back to the naive evaluation")
 
-        monkeypatch.setattr(mp, "convolve_naive", refuse)
-        monkeypatch.setattr(mp, "_minplus_naive", refuse)
+        monkeypatch.setattr(mp, "_rows", refuse)
         for s, a, b, want, inv, c, want_inv in cases:
             assert convolve_sstep_concave(shifted(a, big), shifted(b, big), s).tolist() == shifted(want, 2 * big)
             got = minplus_convolve(shifted(inv, big), shifted(c, big), s)
@@ -243,8 +242,7 @@ class TestStepEnginesAtScale:
         def refuse(*args):
             raise AssertionError("a step engine fell back to the naive evaluation")
 
-        monkeypatch.setattr(mp, "convolve_naive", refuse)
-        monkeypatch.setattr(mp, "_minplus_naive", refuse)
+        monkeypatch.setattr(mp, "_rows", refuse)
         assert np.array_equal(convolve_sstep_concave(a, [7], s), want)
         assert np.array_equal(minplus_convolve(a, [7], s), want_inv)
 
@@ -806,18 +804,18 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("shift", [0, 2**60])
     @pytest.mark.parametrize("right", [-1, 9], ids=["shorter", "longer"])
-    @pytest.mark.parametrize("left", [15, 16, 17, 32, 33])
+    @pytest.mark.parametrize("left", [1, 2, 15, 16, 17, 32, 33])
     def test_naive_engines_match_reference(self, left, right, shift, folds):
         rng = random.Random(left * 100 + right)
         a = shifted([rng.randint(-50, 50) for _ in range(left)], shift)
-        b = shifted([rng.randint(-50, 50) for _ in range(left + right)], shift)
+        b = shifted([rng.randint(-50, 50) for _ in range(max(1, left + right))], shift)  # never empty
         got = convolve_naive(a, b)
         assert got.tolist() == reference(a, b, max(len(a), len(b)))
         assert got.dtype == (object if shift else np.float64)
         assert minplus_convolve(a, b).tolist() == reference(a, b, len(a) + len(b) - 1, best=min)
-        # one fold per block of the shorter operand's rows, in both engines
+        # one fold per block of the shorter operand's rows, in both engines, at every length
         rows = min(len(a), len(b))
-        blocks = [min(16, rows - k0) for k0 in range(0, rows, 16)] if rows >= 16 else []
+        blocks = [min(16, rows - k0) for k0 in range(0, rows, 16)]
         assert folds == 2 * blocks
 
     @pytest.mark.parametrize("shift", [0, 2**60])

@@ -6,11 +6,11 @@ from tardyjobs import (
     Instance,
     Job,
     brute_force,
-    brute_force_vector,
     edd_feasible,
     generate_instance,
 )
 
+from checks import brute_force_vector
 from conftest import brute_force_permutations, job_classes
 
 

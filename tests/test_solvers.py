@@ -26,11 +26,10 @@ from tardyjobs import (
     lawler_moore,
     reconstruct_schedule,
     solve,
-    validate_solution_vector,
 )
 from tardyjobs.generate import SplitMix64
 
-from checks import validate_range_intervals
+from checks import validate_range_intervals, validate_solution_vector
 from conftest import (
     ALL_POLICIES,
     group_jobs_by_due_date,
