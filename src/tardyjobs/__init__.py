@@ -29,8 +29,6 @@ from .fractional import (
 from .generate import SplitMix64, generate_instance
 from .instance_io import parse_instance, serialize_instance
 from .maxplus import (
-    NEG_INF,
-    POS_INF,
     convolve_naive,
     convolve_sstep_concave,
     convolve_with_ranges,
@@ -61,8 +59,6 @@ __all__ = [
     "FractionalSolutionVector",
     "Instance",
     "Job",
-    "NEG_INF",
-    "POS_INF",
     "RangeIntervals",
     "SolveResult",
     "SolverPolicy",

@@ -97,14 +97,14 @@ def parse_instance(source: str | Path | IO[str]) -> Instance:
     from the file suffix, else by sniffing for a JSON object."""
     if isinstance(source, (str, Path)):
         path = Path(source)
-        text = path.read_text()
-        suffix = path.suffix.lower()
-        if suffix == ".json":
-            return parse_instance_json(text)
-        if suffix == ".csv":
-            return parse_instance_csv(text)
+        text, suffix = path.read_text(), path.suffix.lower()
     else:
-        text = source.read()
+        text, suffix = source.read(), ""
+    text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark, as Excel's "CSV UTF-8" export writes
+    if suffix == ".json":
+        return parse_instance_json(text)
+    if suffix == ".csv":
+        return parse_instance_csv(text)
     if not text.strip():
         raise ValueError("empty file")
     if text.lstrip()[0] == "{":

@@ -196,32 +196,22 @@ def _fold_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, k0: int, k1: int, 
 # ---------------------------------------------------------------------------
 
 
-def _first_violation(b: np.ndarray, off_stride_bad: np.ndarray, bends: np.ndarray, s: int) -> int | None:
-    """First index breaking the step structure: an off-stride entry flagged
-    in ``off_stride_bad``, or a stride entry ``l >= 2s`` whose second
-    difference is flagged in ``bends``."""
-    bad = off_stride_bad & (np.arange(len(b)) % s != 0)
-    bad[2 * s :] |= bends & (np.arange(2 * s, len(b)) % s == 0)
-    first = np.flatnonzero(bad)
-    return int(first[0]) if first.size else None
-
-
 def _first_sstep_concave_violation(b: np.ndarray, s: int) -> int | None:
     """Index of the first entry breaking the s-step concave structure.
 
     Structure: the stride-s subsample B[0], B[s], B[2s], ... has
     non-increasing consecutive differences, and every off-stride entry
-    copies its predecessor.  Tested whole in a few passes; the index is
-    located only when that test fails.
+    copies its predecessor.  Each breaking entry is flagged in one bool
+    array, a stride entry ``l >= 2s`` by its rise B[l] - B[l-s].
     """
+    bad = np.empty(len(b), dtype=bool)
+    np.not_equal(b[1:], b[:-1], out=bad[1:])
+    bad[::s] = False
     stride = b[::s]
     rises = stride[1:] - stride[:-1]
-    if (rises[1:] <= rises[:-1]).all() and (b == stride[np.arange(len(b)) // s]).all():
-        return None
-    copies = np.zeros(len(b), dtype=bool)
-    copies[1:] = b[1:] != b[:-1]
-    rise = b[s:] - b[:-s]  # rise[i] = B[i+s] - B[i]
-    return _first_violation(b, copies, rise[s:] > rise[:-s], s)
+    np.greater(rises[1:], rises[:-1], out=bad[2 * s :: s])
+    first = int(bad.argmax())
+    return first if bad[first] else None
 
 
 def _first_sstep_convex_violation(b: np.ndarray, s: int) -> int | None:
@@ -230,17 +220,17 @@ def _first_sstep_convex_violation(b: np.ndarray, s: int) -> int | None:
     Structure: the stride-s subsample is convex (non-decreasing consecutive
     differences) and every off-stride entry copies its *successor*, i.e.
     ``B[l] = B[s*ceil(l/s)]``.  This forces the last index to be a multiple
-    of s.  Tested and located like the concave structure.
+    of s: an off-stride last entry has no successor and is flagged.
     """
+    bad = np.empty(len(b), dtype=bool)
+    np.not_equal(b[:-1], b[1:], out=bad[:-1])
+    bad[-1] = True
+    bad[::s] = False
     stride = b[::s]
     rises = stride[1:] - stride[:-1]
-    successors = (len(b) - 1) % s == 0 and (b[1:].reshape(-1, s) == stride[1:, None]).all()
-    if successors and (rises[1:] >= rises[:-1]).all():
-        return None
-    copies = np.ones(len(b), dtype=bool)  # the last entry has no successor
-    copies[:-1] = b[:-1] != b[1:]
-    rise = b[s:] - b[:-s]
-    return _first_violation(b, copies, rise[s:] < rise[:-s], s)
+    np.less(rises[1:], rises[:-1], out=bad[2 * s :: s])
+    first = int(bad.argmax())
+    return first if bad[first] else None
 
 
 def _sliding_max(a: np.ndarray, width: int, length: int) -> np.ndarray:

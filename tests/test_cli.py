@@ -70,6 +70,17 @@ class TestParsing:
         p.write_text(serialize_instance(inst, "csv"))
         assert parse_instance(p) == inst
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, fmt):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark
+        inst = generate_instance(seed=6, n=4, d_hash=2, d_max=9)
+        text = "\ufeff" + serialize_instance(inst, fmt)
+        assert parse_instance(io.StringIO(text)) == inst
+        for name in (f"inst.{fmt}", "inst.txt"):  # by suffix, and sniffed
+            p = tmp_path / name
+            p.write_text(text, encoding="utf-8")
+            assert parse_instance(p) == inst
+
 
 class TestGenerate:
     def test_deterministic(self):

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 import tardyjobs.maxplus as mp
 from tardyjobs import (
-    NEG_INF,
-    POS_INF,
     RangeIntervals,
     convolve_naive,
     convolve_sstep_concave,
     convolve_with_ranges,
     minplus_convolve,
 )
+from tardyjobs.maxplus import NEG_INF, POS_INF
 from tardyjobs.builders import step_concave_class_vector, step_convex_class_vector
 
 from checks import is_sstep_concave, is_sstep_convex
@@ -296,8 +295,9 @@ def first_break(b, s, convex):
 
 
 class TestStructureGuard:
-    """The s-step guards accept a whole vector in a few passes and locate a
-    violation only when that test fails."""
+    """The s-step guards name the index that :func:`first_break` names, on
+    float64 and on exact object operands, and the kernels' errors name it
+    too."""
 
     @staticmethod
     def perturbed(s, convex, rng):
@@ -324,23 +324,18 @@ class TestStructureGuard:
 
     @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
     @pytest.mark.parametrize("convex", [False, True], ids=["concave", "convex"])
-    def test_locates_only_on_failure(self, convex, shift, monkeypatch):
+    def test_random_defects_match_definition(self, convex, shift):
         rng = random.Random(900 + convex)
         guard = mp._first_sstep_convex_violation if convex else mp._first_sstep_concave_violation
-        located = []
-        finder = mp._first_violation
-        monkeypatch.setattr(mp, "_first_violation", lambda *args: located.append(True) or finder(*args))
         seen = set()
         for _ in range(600):
             s = rng.randint(1, 6)
             b = self.perturbed(s, convex, rng)
             want = first_break(b, s, convex)
             seen.add(want is None)
-            located.clear()
             (arr,) = mp._operands(shifted(b, shift))
             assert arr.dtype == (object if shift else np.float64)
             assert guard(arr, s) == want, (b, s)
-            assert located == ([] if want is None else [True]), (b, s)
             a = [rng.randint(0, 50) for _ in range(rng.randint(1, 30))]
             kernel = minplus_convolve if convex else convolve_sstep_concave
             if want is None:
@@ -349,6 +344,36 @@ class TestStructureGuard:
                 with pytest.raises(ValueError, match=f"-step {'convex' if convex else 'concave'}: first violation at index {want}$"):
                     kernel(a, shifted(b, shift), s)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
+    @pytest.mark.parametrize("convex", [False, True], ids=["concave", "convex"])
+    def test_every_single_defect(self, convex, shift):
+        """Every length 1 .. 3s+2 for s = 1 .. 5, so the bends of lengths 2s
+        and 2s+1 and a partial last step are all met: the step vector cut to
+        that length (for convex, a tail off the stride unless the length is
+        1 mod s), then that vector with each index bumped by -1 and by +1."""
+        guard = mp._first_sstep_convex_violation if convex else mp._first_sstep_concave_violation
+        kernel = minplus_convolve if convex else convolve_sstep_concave
+        naive = minplus_convolve if convex else convolve_naive
+        structure = "convex" if convex else "concave"
+        a = [0, 4, 5]
+        outcomes = set()
+        for s in range(1, 6):
+            stride = [5, 7, 10, 13, 17] if convex else [5, 8, 11, 13, 14]  # rises 2, 3, 3, 4 and 3, 3, 2, 1
+            step = [stride[-(-l // s)] if convex else stride[l // s] for l in range(3 * s + 2)]
+            for n in range(1, 3 * s + 3):
+                clean = step[:n]
+                for b in [clean] + [clean[:k] + [clean[k] + d] + clean[k + 1 :] for k in range(n) for d in (-1, 1)]:
+                    want = first_break(b, s, convex)
+                    outcomes.add(want if want is None else want % s == 0)
+                    (arr,) = mp._operands(shifted(b, shift))
+                    assert guard(arr, s) == want, (b, s)
+                    if want is None:
+                        assert np.array_equal(kernel(a, shifted(b, shift), s), naive(a, shifted(b, shift)))
+                    else:
+                        with pytest.raises(ValueError, match=f"not {s}-step {structure}: first violation at index {want}$"):
+                            kernel(a, shifted(b, shift), s)
+        assert outcomes == {None, True, False}  # accepted, a bend, an off-stride entry
 
 
 @pytest.fixture
