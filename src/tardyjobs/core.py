@@ -60,6 +60,9 @@ class Job:
     d: int
 
     def __post_init__(self) -> None:
+        p, w, d = self.p, self.w, self.d
+        if type(self.id) is type(p) is type(w) is type(d) is int and p >= 1 and w >= 1 and d >= 1:
+            return  # plain ints, the common case; anything else takes the checks below
         if not isinstance(self.id, int) or isinstance(self.id, bool):
             raise ValueError(f"job id must be an integer, got {self.id!r}")
         for name in ("p", "w", "d"):

@@ -17,15 +17,31 @@ The generator is specified precisely enough to reimplement in any language:
 
 Distributions: ``uniform`` draws ``w = randint(1, w_max)``;
 ``subset-sum`` sets ``w = min(p, w_max)`` with no extra draw.
+
+SplitMix64 is counter-based: from state ``s``, the j-th next output
+(j = 1, 2, ...) is ``mix(s + j * 0x9E3779B97F4A7C15 mod 2^64)``, with ``mix``
+the three output steps above.  So after the due dates, which need the
+sequential rejection loop, every job draw is computed at once in one numpy
+uint64 pass.  With ``per`` draws of a job besides its slot (2 under
+``uniform``, 1 under ``subset-sum``), that pass takes
+``per * n + (n - d_hash)`` outputs; job i's first output is at offset
+``per * i + max(0, i - d_hash)``, followed by its ``w`` (uniform) and then
+its slot (i >= d_hash).  The generator's state then moves on by as many
+steps as that many ``next_u64`` calls would take.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+
+import numpy as np
 
 from .core import Instance, Job
 
 __all__ = ["SplitMix64", "generate_instance", "DISTRIBUTIONS"]
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 DISTRIBUTIONS = ("uniform", "subset-sum")
 
@@ -37,15 +53,37 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
+    def next_u64s(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as a uint64 array; the state moves on
+        as ``count`` ``next_u64`` calls would move it."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)  # uint64 arrays wrap mod 2^64
+        z += np.uint64(self.state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        return z
+
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], inclusive."""
         return lo + self.next_u64() % (hi - lo + 1)
+
+
+def _randints(z: np.ndarray, lo: int, hi: int) -> list[int]:
+    """``randint(lo, hi)`` of each output in ``z``, as Python ints; lo is 0 or 1."""
+    span = hi - lo + 1
+    if span > _MASK64:  # every output is below the span
+        return [lo + x for x in z.tolist()]
+    return (z % np.uint64(span) + np.uint64(lo)).tolist()
 
 
 def generate_instance(
@@ -75,13 +113,15 @@ def generate_instance(
             dates.append(d)
     dates.sort()
 
-    jobs: list[Job] = []
-    for i in range(n):
-        p = rng.randint(1, p_max)
-        if distribution == "uniform":
-            w = rng.randint(1, w_max)
-        else:  # subset-sum
-            w = min(p, w_max)
-        slot = i if i < d_hash else rng.randint(0, d_hash - 1)
-        jobs.append(Job(id=i, p=p, w=w, d=dates[slot]))
-    return Instance(tuple(jobs))
+    # each job's draws as one row: d_hash rows of per, then rows of per + 1 with the slot last
+    per = 2 if distribution == "uniform" else 1
+    z = rng.next_u64s(per * n + n - d_hash)
+    head = z[: per * d_hash].reshape(d_hash, per)
+    tail = z[per * d_hash :].reshape(n - d_hash, per + 1)
+    ps = _randints(np.concatenate((head[:, 0], tail[:, 0])), 1, p_max)
+    if distribution == "uniform":
+        ws = _randints(np.concatenate((head[:, 1], tail[:, 1])), 1, w_max)
+    else:  # subset-sum
+        ws = [min(p, w_max) for p in ps]
+    slots = chain(range(d_hash), _randints(tail[:, per], 0, d_hash - 1))
+    return Instance(tuple(Job(i, p, w, dates[slot]) for i, (p, w, slot) in enumerate(zip(ps, ws, slots))))

@@ -32,8 +32,9 @@ Two families:
     (min,+) mirror, folding per-weight classes, and after each group keep
     only the weight targets its due date reaches; falls back to
     Lawler-Moore when n >= d_max, where the baseline is at least as fast,
-    and when the total weight exceeds n * d_max, where the weight-indexed
-    vectors would outgrow the baseline's whole table.
+    when the total weight exceeds n * d_max, where the weight-indexed
+    vectors would outgrow the baseline's whole table, and when a table over
+    weights 0..total weight has more entries than memory can address.
   - ``AUTO``: run the candidate with the smallest estimated time.  The
     candidates are the three policies that are fastest on some shape of the
     committed timing grid: Lawler-Moore, concave-p and inverse-w.  Naive and
@@ -212,9 +213,15 @@ DEFAULT_CALIBRATION: dict[SolverPolicy, tuple[float, float, float]] = {
 }
 
 
+# The most entries of a table over budgets or weights: past it, its size in
+# bytes (8 an entry) overflows the platform's index type.
+_MAX_TABLE = np.iinfo(np.intp).max // 8
+
+
 def _inverse_falls_back(instance: Instance) -> bool:
     """Whether inverse-w runs Lawler-Moore instead (see the module docstring)."""
-    return instance.n >= instance.d_max or instance.w_total > instance.n * instance.d_max
+    n, d_max, w_total = instance.n, instance.d_max, instance.w_total
+    return n >= d_max or w_total > n * d_max or w_total + 1 > _MAX_TABLE
 
 
 def _auto_counts(instance: Instance) -> dict[SolverPolicy, tuple[int, float, int]]:
@@ -288,11 +295,6 @@ def auto_select(instance: Instance) -> SolverPolicy:
     """
     estimates = auto_estimates(instance)
     return min(estimates, key=estimates.get)
-
-
-# The most entries of a table over budgets: past it, its size in bytes (8 an
-# entry) overflows the platform's index type.
-_MAX_TABLE = np.iinfo(np.intp).max // 8
 
 
 def solve(

@@ -333,3 +333,38 @@ class TestCli:
         assert main(["solve", "-"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["min_tardy_weight"] + out["max_early_weight"] == inst.w_total
+
+
+class TestWeightIndexedBound:
+    """``tardyjobs solve -`` on instances whose weight-indexed tables are out of reach."""
+
+    @staticmethod
+    def _solve_stdin(jobs, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "tardyjobs.cli", "solve", "-", *args],
+            input=json.dumps({"jobs": jobs}),
+            capture_output=True,
+            text=True,
+        )
+
+    def _assert_clean_error(self, proc):
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    def test_auto_without_addressable_table_exits_1(self):
+        # the horizon 2**64 rules out every budget table, and the weight 2**63 the weight-indexed one
+        proc = self._solve_stdin([{"p": 2**64, "w": 2**63, "d": 2**64}])
+        self._assert_clean_error(proc)
+        assert "memory can address" in proc.stderr
+
+    def test_inverse_w_falls_back_past_addressable_weights(self):
+        # total weight past the addressable table, horizon 7: Lawler-Moore answers
+        jobs = [{"p": 6, "w": 5, "d": 20}, {"p": 1, "w": 2**63 + 2, "d": 2**64 + 1}]
+        proc = self._solve_stdin(jobs, "--algo", "inverse-w")
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert (out["policy"], out["min_tardy_weight"]) == ("lawler-moore", 0)
+
+    def test_addressable_but_unallocatable_weights_exit_1(self):
+        # a table of 2**52 + 1 weights can be addressed but not allocated
+        self._assert_clean_error(self._solve_stdin([{"p": 2**64, "w": 2**52, "d": 2**64}]))

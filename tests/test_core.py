@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 import tardyjobs.core
@@ -138,3 +139,28 @@ class TestValidateSolutionVector:
 
     def test_empty(self):
         assert validate_solution_vector([]) == ["empty vector"]
+
+
+class TestJobChecks:
+    """The plain-int fast path leaves every other outcome of the checks as it was."""
+
+    def test_int_subclass_accepted(self):
+        class Weight(int):
+            pass
+
+        job = Job(id=Weight(0), p=Weight(2), w=Weight(3), d=Weight(4))
+        assert (job.id, job.p, job.w, job.d) == (0, 2, 3, 4)
+
+    @pytest.mark.parametrize("field", ["p", "w", "d"])
+    @pytest.mark.parametrize("value", [True, False, 1.0, np.int64(3), 0, -1, -(2**70)])
+    def test_field_rejected_with_message(self, field, value):
+        kwargs = {"id": 7, "p": 1, "w": 1, "d": 1, field: value}
+        with pytest.raises(ValueError) as err:
+            Job(**kwargs)
+        assert str(err.value) == f"job 7: {field} must be a positive integer, got {value!r}"
+
+    @pytest.mark.parametrize("value", [True, 2.0, np.int64(1)])
+    def test_id_rejected_with_message(self, value):
+        with pytest.raises(ValueError) as err:
+            Job(id=value, p=1, w=1, d=1)
+        assert str(err.value) == f"job id must be an integer, got {value!r}"
