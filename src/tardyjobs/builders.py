@@ -11,7 +11,9 @@ can be built three ways:
   is the Lawler-Moore DP and its witness records),
 * per processing time ``p``: the vector of the jobs of one ``p`` is
   ``p``-step concave (top weights first, so increments shrink), and folding
-  these class vectors with the step-concave engine is near-linear, or
+  these class vectors with the step-concave engine into an accumulator, by
+  default the empty prefix ``[0]``, is near-linear, one kernel call per
+  class, or
 * the weight-indexed mirror: per weight ``w``, fold the *inverse* class
   vectors (minimum processing time per weight target) with the (min,+)
   step engine.  Solvers keep only the weight targets a due date lets them
@@ -100,29 +102,28 @@ def step_concave_class_vector(weights: list[int], p: int, horizon: int) -> Vecto
     return sums[np.minimum(np.arange(horizon + 1) // p, len(sums) - 1)]
 
 
-def build_solution_vector_concave(classes: tuple[JobClass, ...], horizon: int, acc: Vector | None = None) -> Vector:
+def build_solution_vector_concave(classes: tuple[JobClass, ...], horizon: int, acc: Vector = (0,)) -> Vector:
     """Same output as the DP builder, via per-processing-time concave folds.
 
     The classes are those of one due date at or past ``horizon``, whose due
     date is therefore not read; the weights of the jobs of one processing
     time p, ``[w] * c`` per class, make p's class vector.
 
-    With ``acc`` given, the classes are folded into it instead: ``acc`` is a
-    monotone solution vector of other jobs (a merged prefix) spanning at most
-    ``horizon + 1`` budgets, and the result is its (max,+)-convolution with
-    this group's vector.  A prefix that stops short, at its own horizon
-    min(d, P) of its latest due date d and total processing time P, holds
-    its last entry at every later budget, so it is padded with that entry up
-    to ``horizon``.
-    Without it the fold starts from the first class vector, so a group of
-    c classes costs c - 1 kernel calls.
+    The classes are folded into ``acc``, a monotone solution vector of other
+    jobs (a merged prefix) spanning at most ``horizon + 1`` budgets, and the
+    result is its (max,+)-convolution with this group's vector.  By default
+    ``acc`` is the empty prefix ``[0]``, and the result is the group's
+    vector; a group of c classes costs c kernel calls.  A prefix that stops
+    short, at its own horizon min(d, P) of its latest due date d and total
+    processing time P, holds its last entry at every later budget, so it is
+    padded with that entry up to ``horizon``.
 
-    The accumulator, ``acc`` or the first class vector, spans the whole
-    horizon, and every other class vector stops at its reach
-    min(horizon, c*p) for c jobs of time p.  The kernel cuts its output at
-    the longer operand, so the output keeps the horizon, and a class vector
-    that short has about c steps: the step kernel takes one pass per
-    bundle of a run of equal weights, at most ``_FEW_STEPS`` passes.
+    The padded accumulator spans the whole horizon, and every class vector
+    stops at its reach min(horizon, c*p) for c jobs of time p.  The kernel
+    cuts its output at the longer operand, so the output keeps the horizon,
+    and a class vector that short has about c steps: the step kernel takes
+    one pass per bundle of a run of equal weights, at most ``_FEW_STEPS``
+    passes.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -130,16 +131,9 @@ def build_solution_vector_concave(classes: tuple[JobClass, ...], horizon: int, a
     for (_, p, w), c in classes:
         if p <= horizon:  # longer jobs can never fit
             weights.setdefault(p, []).extend([w] * c)
-    order = sorted(weights)
-    if acc is None:
-        if not order:
-            return np.zeros(horizon + 1)
-        first = order.pop(0)
-        acc = step_concave_class_vector(weights[first], first, horizon)
-    else:
-        (acc,) = _operands(acc)
-        acc = acc[np.minimum(np.arange(horizon + 1), len(acc) - 1)]
-    for p in order:
+    (acc,) = _operands(acc)
+    acc = acc[np.minimum(np.arange(horizon + 1), len(acc) - 1)]
+    for p in sorted(weights):
         reach = min(horizon, len(weights[p]) * p)
         acc = convolve_sstep_concave(acc, step_concave_class_vector(weights[p], p, reach), p)
     return acc

@@ -45,12 +45,14 @@ class FractionalSolutionVector:
     lcm of the classes' processing times so every entry is integral after
     scaling.  ``runs`` are the (rate, units) slopes, by non-increasing rate
     and scaled alike, whose prefix sums ``scaled`` holds, flat past the
-    last; a vector built from its entries alone has none.
+    last.  Every vector carries them, so any two can be unioned; the empty
+    prefix, ``fractional_solution_vector((), 0)``, is the entries ``(0,)``
+    at scale 1 over an empty tuple of runs.
     """
 
     scaled: tuple[int, ...]
     scale: int
-    runs: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
+    runs: tuple[tuple[int, int], ...] = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.scaled)
@@ -92,11 +94,9 @@ def fractional_union(a: FractionalSolutionVector, b: FractionalSolutionVector, h
     a's, d the latest, and ``horizon`` <= min(d, P), P the total processing
     time of both, it is the fractional vector of their union: its early sets
     split into early sets of both sides, and any two of those with k + l <=
-    ``horizon`` units are early together.  Raises ``ValueError`` for a
-    vector without runs or a negative horizon.
+    ``horizon`` units are early together; with the empty prefix for a, it
+    is b cut at ``horizon``.  Raises ``ValueError`` for a negative horizon.
     """
-    if a.runs is None or b.runs is None:
-        raise ValueError("a fractional vector built from its entries alone has no runs")
     scale = math.lcm(a.scale, b.scale)
     return _vector([(rate * (scale // v.scale), units) for v in (a, b) for rate, units in v.runs], scale, horizon)
 

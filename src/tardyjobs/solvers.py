@@ -9,13 +9,14 @@ Two families:
   interchangeable jobs.
 * the due-date merge -- take the due-date slices of the class table that
   :func:`~tardyjobs.core.group_by_due_date` cuts as groups, build a
-  solution vector per group, and merge them in due-date order with
-  (max,+)-convolutions.  After merging group i the accumulator
-  entry k holds the best early weight achievable from the first i groups
-  within processing budget k, so the last entry of the final accumulator is
-  the optimum.  Merge i spans budgets 0..h_i, h_i = min(d_i, P<=i) with P<=i
-  the total processing time of the first i groups: no set of them
-  finishes later, so a larger budget would only repeat the last entry.
+  solution vector per group, and merge them in due-date order, from the
+  empty prefix ``[0]``, with (max,+)-convolutions.  After merging group i
+  the accumulator entry k holds the best early weight achievable from the
+  first i groups within processing budget k, so the last entry of the final
+  accumulator is the optimum.  Merge i spans budgets 0..h_i, h_i = min(d_i,
+  P<=i) with P<=i the total processing time of the first i groups: no set
+  of them finishes later, so a larger budget would only repeat the last
+  entry.
   The policy picks how each merge is computed:
 
   - ``MAXPLUS_NAIVE``: quadratic convolution per merge.
@@ -54,8 +55,9 @@ first, building the class table:
 
 * Lawler-Moore: one numpy row update per bundle of t copies of a (d, p, w)
   class with t * p <= d, over min(d, H) - t * p + 1 cells each;
-* concave-p: per group, one kernel call per processing-time class with
-  p <= d_i, over (d_i + 1) * log(d_i + 2) units per class;
+* concave-p: per group, the first like every other, one kernel call per
+  processing-time class with p <= d_i, over (d_i + 1) * log(d_i + 2) units
+  per class;
 * inverse-w: per group, one kernel call per weight class, over the running
   total weight of the groups up to and including it, times min(c,
   ``_FEW_STEPS``) for a class of c jobs: the kernel's passes when the
@@ -134,18 +136,21 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
 
     Group i is the i-th due-date slice of ``instance.classes`` that
     :func:`~tardyjobs.core.group_by_due_date` cuts, handed to its builder as
-    it is.  The accumulator after iteration i is a ``Vector`` spanning
-    budgets 0..h_i, h_i = min(d^(i), P<=i), the best early weight
-    of the first i groups per budget; P<=i, their total processing time, is
-    summed from the slices.  Merge i's group vector spans the same budgets,
-    except under PREDICTION.  There the group's integral and fractional
-    vectors stop at its reach min(h_i, P_i), P_i its own total processing
-    time, past which they are flat.  The operand of shorter span, group or
-    prefix, goes on the left, one row of range intervals per budget; the
-    other is held at its last entries up to h_i, both its vectors.  The
-    union's fractional vector, the next merge's prefix, spans h_i.  A split
-    past the left operand's reach r is matched by the split at r, no worse
-    and with no larger fractional gap, so the rows 0..r hold every witness.
+    it is.  The chain starts from the empty prefix, ``[0]`` and its
+    fractional vector, and merge i folds group i into the prefix of the
+    groups before it, the first group like every other.  The accumulator
+    after iteration i is a ``Vector`` spanning budgets 0..h_i, h_i =
+    min(d^(i), P<=i), the best early weight of the first i groups per
+    budget; P<=i, their total processing time, is summed from the slices.
+    Merge i's group vector spans the same budgets, except under PREDICTION.
+    There the group's integral and fractional vectors stop at its reach
+    min(h_i, P_i), P_i its own total processing time, past which they are
+    flat.  The operand of shorter span, group or prefix, goes on the left,
+    one row of range intervals per budget; the other is held at its last
+    entries up to h_i, both its vectors, runs and all.  The union's
+    fractional vector, the next merge's prefix, spans h_i.  A split past the
+    left operand's reach r is matched by the split at r, no worse and with
+    no larger fractional gap, so the rows 0..r hold every witness.
     The union's fractional vector is the merge of the prefix's and the
     group's rate runs, :func:`~tardyjobs.fractional.fractional_union`.
     Introspection surface for tests and demos; :func:`solve` consumes it.
@@ -154,8 +159,8 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
     if policy not in _MERGE_POLICIES:
         raise ValueError(f"forward merge does not apply to policy {policy}")
     grouping = group_by_due_date(instance)
-    acc: Vector | None = None
-    prefix_frac = None
+    acc: Vector = np.zeros(1)  # the empty prefix: no jobs, weight 0 at budget 0
+    prefix_frac = fractional_solution_vector((), 0)
     total = 0  # P<=i, the total processing time of the first i groups
     for i, (d_i, classes) in enumerate(zip(grouping.due_dates, grouping.groups), start=1):
         work = sum(p * c for (_, p, _), c in classes)  # the group's total processing time
@@ -163,13 +168,9 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
         h = min(d_i, total)
         if policy is SolverPolicy.CONCAVE_BY_P:
             acc = build_solution_vector_concave(classes, h, acc)
-        elif acc is None:
-            acc = build_solution_vector_dp(classes, h)
         elif policy is SolverPolicy.MAXPLUS_NAIVE:
             acc = convolve_naive(acc, build_solution_vector_dp(classes, h))
         else:  # PREDICTION
-            if prefix_frac is None:  # the first merge's prefix is the first group
-                prefix_frac = fractional_solution_vector(grouping.groups[0], len(acc) - 1)
             reach = min(h, work)  # the group's vectors are flat past it
             left = (acc, prefix_frac)
             right = (build_solution_vector_dp(classes, reach), fractional_solution_vector(classes, reach))
@@ -186,7 +187,7 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
 def _held_to(horizon: int, vec: Vector, frac: FractionalSolutionVector) -> tuple[Vector, FractionalSolutionVector]:
     """A solution vector and its fractional vector, both flat past their
     last budget, extended with their last entries to span 0..``horizon``."""
-    held = FractionalSolutionVector(frac.scaled + frac.scaled[-1:] * (horizon + 1 - len(vec)), frac.scale)
+    held = FractionalSolutionVector(frac.scaled + frac.scaled[-1:] * (horizon + 1 - len(vec)), frac.scale, frac.runs)
     return vec[np.minimum(np.arange(horizon + 1), len(vec) - 1)], held
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import accumulate, chain, repeat
 from typing import Sequence
 
 from tardyjobs import FractionalSolutionVector, Job, RangeIntervals, convolve_naive
@@ -88,6 +89,15 @@ def fractional_gap_check(
         if gap < 0 or gap > bound:
             return False
     return True
+
+
+def fractional_runs_check(frac: FractionalSolutionVector) -> bool:
+    """Whether ``frac.runs`` take non-increasing rates and their prefix
+    sums, held flat past the last, are ``frac.scaled``."""
+    rates = [rate for rate, _ in frac.runs]
+    sums = list(accumulate(chain.from_iterable(repeat(rate, units) for rate, units in frac.runs), initial=0))
+    flat = sums + sums[-1:] * (len(frac) - len(sums))
+    return rates == sorted(rates, reverse=True) and flat == list(frac.scaled)
 
 
 def validate_range_intervals(A: Vector, B: Vector, R: RangeIntervals) -> list[str]:

@@ -88,6 +88,12 @@ def delta(a_frac, b_frac, c_frac, k: int, l: int) -> Fraction:
     return c_frac.value(k + l) - a_frac.value(k) - b_frac.value(l)
 
 
+def entry_runs(scaled) -> tuple[tuple[int, int], ...]:
+    """One run of one unit per budget, the consecutive differences of
+    ``scaled``: runs whose prefix sums are its entries."""
+    return tuple((b - a, 1) for a, b in zip(scaled, scaled[1:]))
+
+
 def fractional_by_units(instance: Instance) -> tuple[FractionalSolutionVector, dict[int, int]]:
     """Reference fractional solution vector: the WSPT greedy, one unit at a time.
 
@@ -128,7 +134,7 @@ def fractional_by_units(instance: Instance) -> tuple[FractionalSolutionVector, d
         for t in range(date_index[cur.d], m):
             load[t] += 1
         units[cur.id] += 1
-    return FractionalSolutionVector(scaled=tuple(scaled), scale=scale), units
+    return FractionalSolutionVector(scaled=tuple(scaled), scale=scale, runs=entry_runs(scaled)), units
 
 
 def inverse_to_direct(inv: list, horizon: int) -> list:

@@ -101,7 +101,7 @@ class TestConcaveBuilder:
         got = step_concave_class_vector([2**63 + 1, 2**64 - 1], 2, 4).tolist()
         assert got == [0, 0, 2**64 - 1, 2**64 - 1, 2**64 + 2**63]
 
-    def test_folds_from_the_first_class(self, monkeypatch):
+    def test_one_kernel_call_per_class(self, monkeypatch):
         import tardyjobs.builders as builders
 
         calls = []
@@ -112,10 +112,10 @@ class TestConcaveBuilder:
             build_solution_vector_concave(job_classes(jobs), 6),
             build_solution_vector_dp(job_classes(jobs), 6),
         )
-        assert len(calls) == 2  # three processing-time classes
+        assert len(calls) == 3  # three processing-time classes, folded into the empty prefix
         single = job_classes(group([(2, 5), (2, 1)], 4))
         assert build_solution_vector_concave(single, 4).tolist() == [0, 0, 5, 5, 6]
-        assert len(calls) == 2
+        assert len(calls) == 4
 
     def test_acc_matches_naive_merge(self):
         rng = random.Random(49)
@@ -129,7 +129,7 @@ class TestConcaveBuilder:
 
     def test_classes_far_shorter_than_the_horizon(self, forced_structured_engines, monkeypatch):
         # every class vector stops at its reach c*p, far below the horizon;
-        # the accumulator, the first class vector or a padded acc, spans it
+        # the accumulator, the empty prefix or acc padded flat, spans it
         import tardyjobs.builders as builders
 
         lengths = []

@@ -15,7 +15,7 @@ from tardyjobs import (
 from tardyjobs.fractional import FractionalSolutionVector
 
 from checks import brute_force_vector, fractional_gap_check
-from conftest import fractional_by_units, job_classes
+from conftest import entry_runs, fractional_by_units, job_classes
 
 
 class TestFractionalVector:
@@ -195,26 +195,21 @@ def test_union_is_the_maxplus_convolution():
     assert edges == {"w >= 2^64", "lcm > 2^63"}
 
 
-def test_union_refuses_a_vector_built_from_entries():
-    # entries alone do not say whether the vector is concave, so they give no runs
+def test_union_of_a_built_vector_with_itself():
     built = fractional_solution_vector(Instance((Job(id=0, p=2, w=3, d=4),)).classes)
-    bare = FractionalSolutionVector(scaled=(0, 1, 2), scale=1)
-    for a, b in ((bare, built), (built, bare)):
-        with pytest.raises(ValueError, match="no runs"):
-            fractional_union(a, b, 3)
     assert fractional_union(built, built, 3).values() == [0, Fraction(3, 2), 3, Fraction(9, 2)]
 
 
 class TestGapCheck:
     def test_zero_gap(self):
-        frac = FractionalSolutionVector(scaled=(0, 2, 4), scale=1)
+        frac = FractionalSolutionVector(scaled=(0, 2, 4), scale=1, runs=entry_runs((0, 2, 4)))
         assert fractional_gap_check(frac, [0, 2, 4], d_hash=1, w_max=4)
 
     def test_negative_gap_signals_builder_bug(self):
-        frac = FractionalSolutionVector(scaled=(0, 1), scale=1)
+        frac = FractionalSolutionVector(scaled=(0, 1), scale=1, runs=entry_runs((0, 1)))
         assert not fractional_gap_check(frac, [0, 2], d_hash=1, w_max=5)
 
     def test_length_mismatch_errors(self):
-        frac = FractionalSolutionVector(scaled=(0, 1), scale=1)
+        frac = FractionalSolutionVector(scaled=(0, 1), scale=1, runs=entry_runs((0, 1)))
         with pytest.raises(ValueError, match="length mismatch"):
             fractional_gap_check(frac, [0, 1, 1], d_hash=1, w_max=1)

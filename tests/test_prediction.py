@@ -16,11 +16,12 @@ from tardyjobs.builders import build_solution_vector_dp
 from tardyjobs.fractional import FractionalSolutionVector
 
 from checks import validate_range_intervals
-from conftest import delta, group_jobs_by_due_date, job_classes
+from conftest import delta, entry_runs, group_jobs_by_due_date, job_classes
 
 
 def fsv(values, scale=1):
-    return FractionalSolutionVector(scaled=tuple(values), scale=scale)
+    values = tuple(values)
+    return FractionalSolutionVector(scaled=values, scale=scale, runs=entry_runs(values))
 
 
 def defining_intervals(af, bf, cf, i, w_max):

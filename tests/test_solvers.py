@@ -29,7 +29,7 @@ from tardyjobs import (
 )
 from tardyjobs.generate import SplitMix64
 
-from checks import validate_range_intervals, validate_solution_vector
+from checks import fractional_runs_check, validate_range_intervals, validate_solution_vector
 from conftest import (
     ALL_POLICIES,
     group_jobs_by_due_date,
@@ -310,9 +310,13 @@ class TestSolveMaxplus:
 
 
 class TestPrefixSemantics:
-    def test_first_iteration_is_group_vector(self):
+    @pytest.mark.parametrize(
+        "policy", [SolverPolicy.MAXPLUS_NAIVE, SolverPolicy.PREDICTION, SolverPolicy.CONCAVE_BY_P]
+    )
+    def test_first_iteration_is_group_vector(self, policy):
+        # the first merge folds group 1 into the empty prefix, [0]
         inst = Instance((J(0, 2, 3, 4), J(1, 1, 1, 4), J(2, 2, 2, 9)))
-        states = dict(forward_states(inst, SolverPolicy.MAXPLUS_NAIVE))
+        states = dict(forward_states(inst, policy))
         grouping = group_jobs_by_due_date(inst)
         # the first group's jobs take P = 3 < d = 4: its vector stops there
         assert np.array_equal(states[1], build_solution_vector_dp(job_classes(grouping.groups[0]), 3))
@@ -358,18 +362,18 @@ class TestPrefixSemantics:
         states = list(forward_states(inst, SolverPolicy.PREDICTION))
         groups = group_by_due_date(inst).groups
         h, reach = merge_horizons(inst), group_reaches(inst)
-        # the first prefix spans the accumulator and each later group its reach,
-        # each built from a single due date's slice of the class table
+        # the empty prefix, then every group at its reach, built from its
+        # due date's slice of the class table
         assert [(classes, horizon) for classes, horizon, _ in built] == (
-            [(groups[0], h[0])] + [(groups[i], reach[i]) for i in range(1, 16)]
+            [((), 0)] + [(groups[i], reach[i]) for i in range(16)]
         )
         assert any(r < x for r, x in zip(reach, h))  # some group stops short of its merge
         # one union per merge, at its horizon, of the prefix and the group: the
         # greedy's vector of the prefix through the group, and the next prefix
-        assert [horizon for _, _, horizon, _ in unions] == h[1:]
-        prefix, end = built[0][2], len(groups[0])
-        for i, (a, b, horizon, union) in enumerate(unions, start=1):
-            assert a is prefix and b is built[i][2]
+        assert [horizon for _, _, horizon, _ in unions] == h
+        prefix, end = built[0][2], 0
+        for i, (a, b, horizon, union) in enumerate(unions):
+            assert a is prefix and b is built[i + 1][2]
             end += len(groups[i])
             greedy = fractional_solution_vector(inst.classes[:end], horizon)
             assert (union.scaled, union.scale) == (greedy.scaled, greedy.scale)
@@ -397,19 +401,48 @@ class TestPrefixSemantics:
             states = [acc for _, acc in forward_states(inst, SolverPolicy.PREDICTION)]
             classes = group_by_due_date(inst).groups
             h, reach = merge_horizons(inst), group_reaches(inst)
-            assert len(merges) == len(states) - 1
-            for i, (A, B, violations) in enumerate(merges, start=1):
+            assert len(merges) == len(states)  # one merge per group, the first into the empty prefix
+            for i, (A, B, violations) in enumerate(merges):
                 assert violations == []
-                prefix, group = states[i - 1], build_solution_vector_dp(classes[i], reach[i])
+                prefix = states[i - 1] if i else np.zeros(1)
+                group = build_solution_vector_dp(classes[i], reach[i])
                 assert len(A) == min(len(prefix), len(group)) and len(B) == h[i] + 1
                 if len(group) < len(prefix):
                     assert np.array_equal(A, group)
-                    shorter["group"] += 1
+                    side = "group"
                 else:  # a tie keeps the prefix on the left
                     assert np.array_equal(A, prefix)
-                    shorter["prefix" if len(prefix) < len(group) else "tie"] += 1
+                    side = "prefix" if len(prefix) < len(group) else "tie"
+                shorter[side if i else "empty"] += 1  # [0] is always the shorter: tallied apart
             assert states[-1][-1] == lawler_moore(inst).max_early_weight
         assert shorter["group"] >= 20 and shorter["prefix"] >= 20, shorter
+
+    def test_prediction_operands_keep_their_runs(self, monkeypatch):
+        # every fractional operand of the range sweep, held ones and the
+        # empty prefix included, is the prefix sums of its runs
+        import tardyjobs.solvers as solvers
+
+        operands, held = [], Counter()
+        real_ranges, real_held = solvers.compute_range_intervals, solvers._held_to
+
+        def ranges_spy(a, b, c, i, w_max):
+            operands.extend((a, b, c))
+            return real_ranges(a, b, c, i, w_max)
+
+        def held_spy(horizon, vec, frac):
+            held[horizon + 1 > len(vec)] += 1
+            return real_held(horizon, vec, frac)
+
+        monkeypatch.setattr(solvers, "compute_range_intervals", ranges_spy)
+        monkeypatch.setattr(solvers, "_held_to", held_spy)
+        rng = SplitMix64(4343)
+        instances = [random_small_instance(rng, seed=trial + 900) for trial in range(40)]
+        instances += [generate_instance(seed=s, n=30, d_hash=10, d_max=120, p_max=5) for s in range(5)]
+        for inst in instances:
+            *_, (_, acc) = forward_states(inst, SolverPolicy.PREDICTION)
+            assert acc[-1] == lawler_moore(inst).max_early_weight
+        assert held[True] >= 20, held  # many operands were extended past their own span
+        assert all(fractional_runs_check(frac) for frac in operands)
 
 
 class TestInverseChain:
