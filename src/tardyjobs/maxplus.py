@@ -34,6 +34,11 @@ The (min,+) mirror ``minplus_convolve`` has no engine of its own: its
 step-convex engine is the concave engine run on the negated operands, and its
 naive evaluation is the (max,+) one's row fold with ``np.minimum`` as the
 reduction.  That one row fold also answers the step engines' small products.
+Both loops of row folds, the naive one and the range-guided one, run their
+ufuncs under a buffer of ``_ROW_BUFFER`` elements and give the caller's
+buffer size back on the way out: each fold's broadcast add goes through
+numpy's buffered iterator, whose default buffers of 8192 elements, allocated
+for every block, cost more than the add itself.
 
 This module alone decides what a ``core.Vector`` holds, by one rule for
 every container (list, float64 or object array): each operation's one numpy
@@ -90,9 +95,22 @@ _FEW_STEPS = 128
 # The naive evaluation (both reductions) and the range-guided engine fold up
 # to this many rows of the left operand per numpy pass (_fold_rows); an
 # operand shorter than that is one block.  Its scratch matrix holds _BLOCK
-# rows of the right operand's span: at 32 rows the naive engine ran faster
-# still, but the merges' peak memory on small instances passed 200 KB.
+# rows of the right operand's span.  Fitted under _ROW_BUFFER by perfbench
+# (15 s runs, seed 1, a 2-CPU x86_64 VM): 32 rows took many-dates'
+# policy_ms.naive to 5.1 ms against 6.5 at 16 rows, but on small-p, where a
+# span reaches 5000 budgets, the 32-row matrices (1.3 MB each) raised
+# peak_rss_mb to 47.0 MB in every run, against 46.4-46.8 at 16 rows and at
+# the numpy default buffer; so 16.
 _BLOCK = 16
+
+# Both loops of row folds (_rows and convolve_with_ranges) run their ufuncs
+# under this buffer size, in elements: np.setbufsize before the loop, the
+# caller's size restored in a finally, since numpy 1.x keeps it process-wide.
+# Fitted by the same perfbench runs: many-dates' policy_ms.naive read
+# 9.6-10.1 ms under numpy's default 8192, 7.4-7.7 at 2048, 6.7-6.8 at 1024
+# and 6.5-6.6 at 512 and at 256; small-p's 12.5-13.3 at 512 and at 1024,
+# 15.9-16.8 at 8192.
+_ROW_BUFFER = 512
 
 # Sums of finite entries must stay exactly representable in float64; past
 # this bound vectors are exact Python-int object arrays.
@@ -165,8 +183,12 @@ def _rows(a: np.ndarray, b: np.ndarray, L: int, reduce: np.ufunc) -> np.ndarray:
     if len(a) > len(b):
         a, b = b, a
     out = np.full(L, NEG_INF if reduce is np.maximum else POS_INF, dtype=b.dtype)
-    for k0 in range(0, len(a), _BLOCK):
-        _fold_rows(out, a, b, k0, min(k0 + _BLOCK, len(a)) - 1, 0, min(len(b), L - k0) - 1, reduce)
+    old = np.setbufsize(_ROW_BUFFER)
+    try:
+        for k0 in range(0, len(a), _BLOCK):
+            _fold_rows(out, a, b, k0, min(k0 + _BLOCK, len(a)) - 1, 0, min(len(b), L - k0) - 1, reduce)
+    finally:
+        np.setbufsize(old)
     return out
 
 
@@ -181,6 +203,12 @@ def _fold_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, k0: int, k1: int, 
     fill columns absorbing the shift, so column c of that view collects the
     sums landing on output k0 + x + c and one reduction over rows folds them
     all.
+
+    Callers run it under ``np.setbufsize(_ROW_BUFFER)``.  The add of a
+    broadcast row and column into the matrix's strided first w columns goes
+    through numpy's buffered iterator, which allocates its buffers on every
+    call: under the default 8192 elements one (16, 540) block's add took
+    12-16 us and 196 KB under tracemalloc, at 512 about 4 us and 1.4 KB.
     """
     r, w = k1 - k0 + 1, y - x + 1
     m = np.empty((r, w + r), dtype=out.dtype)
@@ -440,18 +468,22 @@ def convolve_with_ranges(A: Vector, B: Vector, R: "RangeIntervals") -> Vector:
             raise ValueError(f"interval endpoints not monotone at index {k}")
         prev_x, prev_y = x, y
     out = np.full(L, NEG_INF, dtype=b.dtype)
-    k0 = 0
-    while k0 < len(a):
-        if R.intervals[k0] is None:
-            k0 += 1
-            continue
-        k1 = k0  # the block: k0 .. k1, consecutive non-empty ranges
-        while k1 + 1 < len(a) and k1 + 1 - k0 < _BLOCK and R.intervals[k1 + 1] is not None:
-            k1 += 1
-        x, y = R.intervals[k0][0], min(R.intervals[k1][1], L - 1 - k0)  # row k0 reaches no output past L - 1
-        if y >= x:
-            _fold_rows(out, a, b, k0, k1, x, y, np.maximum)
-        k0 = k1 + 1
+    old = np.setbufsize(_ROW_BUFFER)
+    try:
+        k0 = 0
+        while k0 < len(a):
+            if R.intervals[k0] is None:
+                k0 += 1
+                continue
+            k1 = k0  # the block: k0 .. k1, consecutive non-empty ranges
+            while k1 + 1 < len(a) and k1 + 1 - k0 < _BLOCK and R.intervals[k1 + 1] is not None:
+                k1 += 1
+            x, y = R.intervals[k0][0], min(R.intervals[k1][1], L - 1 - k0)  # row k0 reaches no output past L - 1
+            if y >= x:
+                _fold_rows(out, a, b, k0, k1, x, y, np.maximum)
+            k0 = k1 + 1
+    finally:
+        np.setbufsize(old)
     return out
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -908,6 +909,77 @@ class TestRowBlocks:
         got = convolve_with_ranges(a, b, RangeIntervals(intervals, error=0)).tolist()
         assert got == blocked_reference(a, b, intervals) == [min(l, 3) for l in range(19)] + [NEG_INF]
         assert got != blocked_reference(a, b, intervals, block=1)
+
+
+class TestRowBuffer:
+    """The row folds run their ufuncs under ``mp._ROW_BUFFER`` and hand the
+    caller's buffer size back, also when a fold raises: numpy 1.x keeps the
+    buffer size process-wide, so only the restore keeps the caller's."""
+
+    CALLER = 4096  # not numpy's default 8192, nor _ROW_BUFFER
+
+    # operands of _BLOCK + 1 entries: two blocks of rows, below SMALL_PRODUCT_CUTOFF
+    A = list(range(mp._BLOCK + 1))
+    CALLS = {
+        "naive": lambda a: convolve_naive(a, a[::-1]),
+        "minplus": lambda a: minplus_convolve(a, a[::-1]),
+        "minplus_s": lambda a: minplus_convolve(a, [(-(-l // 2)) ** 2 for l in range(len(a))], 2),
+        "ranges": lambda a: convolve_with_ranges(a, a[::-1], RangeIntervals(((0, len(a) - 1),) * len(a), error=0)),
+        "sstep_concave": lambda a: convolve_sstep_concave(a, [-((l // 2) ** 2) for l in range(len(a))], 2),
+    }
+
+    @pytest.fixture
+    def caller_bufsize(self):
+        old = np.setbufsize(self.CALLER)
+        yield
+        np.setbufsize(old)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_folds_run_under_the_row_buffer_and_restore_the_callers(self, call, caller_bufsize, monkeypatch):
+        seen = []
+        fold = mp._fold_rows
+
+        def recorded(*args):
+            seen.append(np.getbufsize())
+            return fold(*args)
+
+        monkeypatch.setattr(mp, "_fold_rows", recorded)
+        self.CALLS[call](self.A)
+        assert len(seen) > 1 and set(seen) == {mp._ROW_BUFFER}
+        assert np.getbufsize() == self.CALLER
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_a_fold_that_raises_restores_the_callers(self, call, caller_bufsize, monkeypatch):
+        calls = []
+        fold = mp._fold_rows
+
+        def second_raises(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("fold failed")
+            return fold(*args)
+
+        monkeypatch.setattr(mp, "_fold_rows", second_raises)
+        with pytest.raises(RuntimeError, match="^fold failed$"):
+            self.CALLS[call](self.A)
+        assert np.getbufsize() == self.CALLER
+
+    def test_naive_peak_stays_within_the_block_matrix(self):
+        # Measured on float64 operands of 1000 entries: the block matrix of
+        # _BLOCK * (w + _BLOCK) entries (w = 1000, every row spans b), the
+        # output, and 9.8 KB more, the folded row of w + _BLOCK - 1 entries
+        # and array headers; numpy's default 8192-element buffers add about
+        # 190 KB, past the 16 KB of slack.
+        rng = np.random.default_rng(5)
+        a, b = rng.integers(0, 10**6, (2, 1000)).astype(np.float64)
+        convolve_naive(a, b)  # first-use allocations outside the trace
+        tracemalloc.start()
+        try:
+            out = convolve_naive(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mp._BLOCK * (len(b) + mp._BLOCK) * 8 + out.nbytes + 16_384
 
 
 class TestMinPlus:

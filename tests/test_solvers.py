@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import accumulate
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tardyjobs
 from tardyjobs import (
     DEFAULT_CALIBRATION,
     Instance,
@@ -164,6 +168,36 @@ class TestHorizonPastTotalTime:
             assert res.min_tardy_weight == 0  # P < every due date: all jobs are early
         # every vector spans at most P + 1 = 268 budgets; a d_max-sized one is 8 MB
         assert max(peaks) < 200_000
+
+    # The check above with the policy first in a fresh interpreter, where no
+    # earlier test has already paid for numpy's or the package's first-use
+    # allocations; it prints one peak per d_max.
+    FRESH_MERGE_PEAKS = """
+import sys, tracemalloc
+from tardyjobs import SolverPolicy, generate_instance, solve
+
+for d_max in (10**6, 10**9):
+    inst = generate_instance(seed=1, n=50, d_hash=4, d_max=d_max, p_max=10, w_max=10)
+    tracemalloc.start()
+    try:
+        res = solve(inst, SolverPolicy(sys.argv[1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.min_tardy_weight == 0
+    print(peak)
+"""
+
+    @pytest.mark.parametrize("policy", (SolverPolicy.MAXPLUS_NAIVE, SolverPolicy.PREDICTION), ids=lambda p: p.value)
+    def test_merge_peak_does_not_grow_with_d_max_in_a_fresh_interpreter(self, policy):
+        src = os.path.dirname(os.path.dirname(tardyjobs.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.FRESH_MERGE_PEAKS, policy.value], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks = [int(line) for line in proc.stdout.split()]
+        assert len(peaks) == 2 and max(peaks) < 200_000, peaks
 
 
 class TestSolveMaxplus:
