@@ -36,16 +36,14 @@ print("gap bound 0 <= frac-integral <= d_hash*w_max holds:", gap_ok)
 # slices of the class table; the fractional vectors are the prefix before a
 # group, the group, and their union: the merge of the two by rate, which is
 # the next prefix.
-grouping = group_by_due_date(inst)
-dates, groups = grouping.due_dates, grouping.groups
-acc = build_solution_vector_dp(groups[0], dates[0])
-a_frac = fractional_solution_vector(groups[0])
+(d_1, first), *rest = group_by_due_date(inst)
+acc = build_solution_vector_dp(first, d_1)
+a_frac = fractional_solution_vector(first)
 
-for i in range(2, len(dates) + 1):
-    grp = groups[i - 1]
-    b_vec = build_solution_vector_dp(grp, dates[i - 1])
+for i, (d_i, grp) in enumerate(rest, start=2):
+    b_vec = build_solution_vector_dp(grp, d_i)
     b_frac = fractional_solution_vector(grp)
-    c_frac = fractional_union(a_frac, b_frac, dates[i - 1])
+    c_frac = fractional_union(a_frac, b_frac, d_i)
 
     ranges = compute_range_intervals(a_frac, b_frac, c_frac, i, inst.w_max)
     widths = [y - x + 1 for iv in ranges.intervals if iv is not None for x, y in (iv,)]

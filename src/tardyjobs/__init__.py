@@ -15,7 +15,6 @@ from .builders import (
     build_solution_vector_dp,
 )
 from .core import (
-    DueDateGrouping,
     Instance,
     Job,
     SolveResult,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchDisagreement",
     "DEFAULT_CALIBRATION",
-    "DueDateGrouping",
     "FractionalSolutionVector",
     "Instance",
     "Job",

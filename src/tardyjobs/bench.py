@@ -15,11 +15,11 @@ The config is a JSON-compatible dict:
 
 One CSV row is emitted per (policy, instance, repetition) with the wall
 time in nanoseconds.  Repetitions run in rounds that solve the instance
-once under every policy, each time on a fresh copy of the instance, so every
-timed call is a first solve.  Correctness comes before timing: all policies (plus
-an untimed reference solve when ``verify`` is on) must agree on every
-instance, otherwise the run aborts with :class:`BenchDisagreement` and no
-rows are reported for it.
+once under every policy, each time on a fresh copy of the instance whose
+construction, class table and all, falls inside the timed call.
+Correctness comes before timing: all policies (plus an untimed reference
+solve when ``verify`` is on) must agree on every instance, otherwise the
+run aborts with :class:`BenchDisagreement` and no rows are reported for it.
 """
 
 from __future__ import annotations
@@ -77,9 +77,8 @@ def run_bench(config: dict) -> list[dict]:
             # slow stretch of a shared machine falls on every policy alike
             for _ in range(repetitions):
                 for policy in policies:
-                    fresh = Instance(instance.jobs)
                     t0 = time.perf_counter_ns()
-                    result = solve(fresh, policy)
+                    result = solve(Instance(instance.jobs), policy)
                     timings[policy.value].append(time.perf_counter_ns() - t0)
                     answer = answers.setdefault(policy.value, result.min_tardy_weight)
                     if answer != result.min_tardy_weight:

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, mul
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,10 +72,17 @@ class Job:
 
 @dataclass(frozen=True)
 class Instance:
-    """An immutable problem instance with cached summary statistics.
+    """An immutable problem instance: its jobs, their class table, and
+    summary statistics read from that table.
 
-    ``classes`` is the jobs' (d, p, w) class table, built on first use and
-    cached on the instance, and so is ``horizon``.
+    ``classes`` holds the jobs' (d, p, w) classes with their sizes, in
+    due-date order and within one due date in (p, w) order.  Jobs of one
+    class are interchangeable, so the dynamic programs run over classes
+    instead of jobs.  A tuple, so that no caller can change what every later
+    solve of the instance reads.  ``horizon`` is min(d_max, total processing
+    time): no set of jobs finishes later, so no budget past it changes an
+    answer.  Both are built once, with the instance, and stay out of
+    equality and hashing, which the jobs already decide.
     """
 
     jobs: tuple[Job, ...]
@@ -86,50 +92,31 @@ class Instance:
     p_max: int = field(init=False)
     w_max: int = field(init=False)
     w_total: int = field(init=False)
+    classes: tuple[JobClass, ...] = field(init=False, compare=False, repr=False)
+    horizon: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         jobs = tuple(self.jobs)
-        object.__setattr__(self, "jobs", jobs)
         if not jobs:
             raise ValueError("instance must contain at least one job")
-        ids = [j.id for j in jobs]
-        if len(set(ids)) != len(ids):
+        if len(set(map(attrgetter("id"), jobs))) != len(jobs):
             raise ValueError("duplicate job ids in instance")
-        object.__setattr__(self, "n", len(jobs))
-        object.__setattr__(self, "d_max", max(j.d for j in jobs))
-        object.__setattr__(self, "d_hash", len({j.d for j in jobs}))
-        object.__setattr__(self, "p_max", max(j.p for j in jobs))
-        object.__setattr__(self, "w_max", max(j.w for j in jobs))
-        object.__setattr__(self, "w_total", sum(j.w for j in jobs))
-
-    @cached_property
-    def classes(self) -> tuple[JobClass, ...]:
-        """The jobs' (d, p, w) classes with their sizes, in due-date order.
-
-        Jobs of one class are interchangeable, so the dynamic programs run
-        over classes instead of jobs.  Within one due date the classes are in
-        (p, w) order.  A tuple, so that no caller can change what every
-        later solve of the instance reads.
-        """
-        return tuple(sorted(Counter(map(attrgetter("d", "p", "w"), self.jobs)).items(), key=itemgetter(0)))
-
-    @cached_property
-    def horizon(self) -> int:
-        """min(d_max, total processing time): no set of jobs finishes later,
-        so no budget past it changes an answer."""
-        return min(self.d_max, sum(p * c for (_, p, _), c in self.classes))
-
-
-@dataclass(frozen=True)
-class DueDateGrouping:
-    """The class table partitioned by due date, groups by increasing due date.
-
-    ``groups[i]`` is the exact-size slice of ``Instance.classes`` whose
-    classes have due date ``due_dates[i]``, in the table's (p, w) order.
-    """
-
-    due_dates: tuple[int, ...]
-    groups: tuple[tuple[JobClass, ...], ...]
+        classes = tuple(sorted(Counter(map(attrgetter("d", "p", "w"), jobs)).items(), key=itemgetter(0)))
+        keys, counts = zip(*classes)
+        ds, ps, ws = zip(*keys)
+        values = {
+            "jobs": jobs,
+            "n": len(jobs),
+            "d_max": ds[-1],
+            "d_hash": len(set(ds)),
+            "p_max": max(ps),
+            "w_max": max(ws),
+            "w_total": sum(map(mul, ws, counts)),
+            "classes": classes,
+            "horizon": min(ds[-1], sum(map(mul, ps, counts))),
+        }
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -148,10 +135,11 @@ class SolveResult:
     policy: SolverPolicy | None = None
 
 
-def group_by_due_date(instance: Instance) -> DueDateGrouping:
-    """The due-date slices of ``instance.classes``, in order: the package's
-    one due-date partition, which every merge chain reads its groups from."""
+def group_by_due_date(instance: Instance) -> tuple[tuple[int, tuple[JobClass, ...]], ...]:
+    """The due-date slices of ``instance.classes`` as ``(d, slice)`` pairs,
+    by increasing due date, each slice in the table's (p, w) order: the
+    package's one due-date partition, which every merge chain reads its
+    groups from."""
     classes = instance.classes
     starts = [i for i, ((d, _, _), _) in enumerate(classes) if i == 0 or d != classes[i - 1][0][0]]
-    bounds = zip(starts, starts[1:] + [len(classes)])
-    return DueDateGrouping(tuple(classes[i][0][0] for i in starts), tuple(classes[i:j] for i, j in bounds))
+    return tuple((classes[i][0][0], classes[i:j]) for i, j in zip(starts, starts[1:] + [len(classes)]))

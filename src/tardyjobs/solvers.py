@@ -36,13 +36,18 @@ Two families:
     when the total weight exceeds n * d_max, where the weight-indexed
     vectors would outgrow the baseline's whole table, and when a table over
     weights 0..total weight has more entries than memory can address.
-  - ``AUTO``: run the candidate with the smallest estimated time.  The
-    candidates are the three policies that are fastest on some shape of the
-    committed timing grid: Lawler-Moore, concave-p and inverse-w.  Naive and
-    prediction build every group with the knapsack DP, as much work as the
-    whole Lawler-Moore table, so they run only when asked for.  On a
-    horizon past the largest table memory can address, AUTO runs inverse-w
-    when no witness is asked for and inverse-w would not fall back.
+  - ``AUTO``: run the candidate with the smallest estimated time, of
+    Lawler-Moore, concave-p and inverse-w.  On the committed timing grid
+    Lawler-Moore is fastest on 85 of the 115 shapes and inverse-w on the
+    other 30.  Concave-p stays because AUTO picks it on large-weight shapes
+    outside the grid, where it is the faster: AUTO took 63.9 ms against
+    Lawler-Moore's 117.8 at n = 2*10^4, 4 due dates, d_max = 2*10^4,
+    p <= 5, w <= 10^6 (2 CPUs, Python 3.11, numpy 2.4); a grid that spans
+    such shapes would settle it.  Naive and prediction build every group
+    with the knapsack DP, as much work as the whole Lawler-Moore table, so
+    they run only when asked for.  On a horizon past the largest table
+    memory can address, AUTO runs inverse-w when no witness is asked for
+    and inverse-w would not fall back.
 
 Every policy returns the exact optimum; they differ only in running time.
 :func:`solve` is the entry point: it resolves ``AUTO``, applies the
@@ -50,8 +55,8 @@ fallbacks, runs the policy and reports which policy ran.
 
 AUTO's estimate for a candidate is ``a * calls + b * units + c * n`` ms,
 counted in what the candidate's loops touch (d_i is the due date of group i);
-the per-job term is the Python pass over the jobs that every candidate makes
-first, building the class table:
+the per-job term is the pass over the jobs that builds the instance's class
+table, which :func:`~tardyjobs.bench.run_bench` times with each solve:
 
 * Lawler-Moore: one numpy row update per bundle of t copies of a (d, p, w)
   class with t * p <= d, over min(d, H) - t * p + 1 cells each;
@@ -72,8 +77,8 @@ constants ``(a, b, c)`` are configuration, ``DEFAULT_CALIBRATION``, fitted by
 ``scripts/fit_auto.py`` to the per-policy medians in ``BENCH_auto_grid.json``.
 :func:`auto_estimates` returns the estimates and :func:`auto_select` the
 choice.  All three counts are projections of the instance's class table,
-``Instance.classes``, which the instance builds once for AUTO, every
-policy's chain, PREDICTION's fractional vectors and the witness alike.
+``Instance.classes``, which the instance builds at construction for AUTO,
+every policy's chain, PREDICTION's fractional vectors and the witness alike.
 """
 
 from __future__ import annotations
@@ -158,11 +163,10 @@ def forward_states(instance: Instance, policy: SolverPolicy) -> Iterator[tuple[i
     """
     if policy not in _MERGE_POLICIES:
         raise ValueError(f"forward merge does not apply to policy {policy}")
-    grouping = group_by_due_date(instance)
     acc: Vector = np.zeros(1)  # the empty prefix: no jobs, weight 0 at budget 0
     prefix_frac = fractional_solution_vector((), 0)
     total = 0  # P<=i, the total processing time of the first i groups
-    for i, (d_i, classes) in enumerate(zip(grouping.due_dates, grouping.groups), start=1):
+    for i, (d_i, classes) in enumerate(group_by_due_date(instance), start=1):
         work = sum(p * c for (_, p, _), c in classes)  # the group's total processing time
         total += work
         h = min(d_i, total)
@@ -194,9 +198,8 @@ def _held_to(horizon: int, vec: Vector, frac: FractionalSolutionVector) -> tuple
 def _solve_inverse(instance: Instance) -> int:
     """Weight-indexed (min,+) mirror of the merge chain over the due-date
     slices of ``instance.classes``; the best early weight."""
-    grouping = group_by_due_date(instance)
     acc: Vector = np.zeros(1)
-    for d_i, classes in zip(grouping.due_dates, grouping.groups):
+    for d_i, classes in group_by_due_date(instance):
         acc = build_inverse_solution_vector(classes, acc)
         # targets needing more time than this due date are out of reach from
         # here on; the vector is non-decreasing, so the rest is a prefix
@@ -287,12 +290,14 @@ def auto_estimates(instance: Instance) -> dict[SolverPolicy, float]:
 def auto_select(instance: Instance) -> SolverPolicy:
     """The AUTO candidate with the smallest estimate in :func:`auto_estimates`.
 
-    The candidates are Lawler-Moore, concave-p and inverse-w, the policies
-    that are fastest on some shape of ``bench/auto_grid.json``; ties go to
-    the earlier one in that order.  Each estimate is ``a * calls + b * units
-    + c * n`` ms in the counts of the module docstring, after inverse-w's
-    fallback; ``(a, b, c)`` comes from ``DEFAULT_CALIBRATION``, fitted by
-    ``scripts/fit_auto.py`` to ``BENCH_auto_grid.json``.
+    The candidates are Lawler-Moore, concave-p and inverse-w; ties go to the
+    earlier one in that order.  On the shapes of ``bench/auto_grid.json``
+    only the first and last are ever fastest; concave-p is kept for
+    large-weight shapes past them (see the module docstring).  Each estimate
+    is ``a * calls + b * units + c * n`` ms in the counts of the module
+    docstring, after inverse-w's fallback; ``(a, b, c)`` comes from
+    ``DEFAULT_CALIBRATION``, fitted by ``scripts/fit_auto.py`` to
+    ``BENCH_auto_grid.json``.
     """
     estimates = auto_estimates(instance)
     return min(estimates, key=estimates.get)

@@ -44,8 +44,8 @@ class JobGrouping(NamedTuple):
 
 def group_jobs_by_due_date(instance: Instance) -> JobGrouping:
     """The instance's jobs by due date, groups by increasing due date and
-    each in id order: the jobs whose class tables are the slices of
-    ``group_by_due_date(instance).groups``."""
+    each in id order: the jobs whose class tables are the slices that
+    ``group_by_due_date(instance)`` pairs with their due dates."""
     buckets: dict[int, list[Job]] = {}
     for job in sorted(instance.jobs, key=lambda j: j.id):
         buckets.setdefault(job.d, []).append(job)

@@ -142,21 +142,38 @@ class TestBench:
         assert header == "policy,seed,n,d_hash,d_max,p_max,w_max,answer,nanos"
 
     def test_every_timed_solve_is_a_first_solve(self, monkeypatch):
+        # each timed window builds its own instance, class table and all,
+        # and solves that instance
+        import types
+
         import tardyjobs.bench as bench_mod
 
-        real = bench_mod.solve
-        seen = []
+        real_clock, real_instance, real_solve = bench_mod.time.perf_counter_ns, bench_mod.Instance, bench_mod.solve
+        events = []
+
+        def clock():
+            events.append(("clock", None))
+            return real_clock()
+
+        def building(jobs):
+            events.append(("build", real_instance(jobs)))
+            return events[-1][1]
 
         def recording(instance, policy):
-            seen.append((instance, "classes" in instance.__dict__))
-            return real(instance, policy)
+            events.append(("solve", instance))
+            return real_solve(instance, policy)
 
+        monkeypatch.setattr(bench_mod, "time", types.SimpleNamespace(perf_counter_ns=clock))
+        monkeypatch.setattr(bench_mod, "Instance", building)
         monkeypatch.setattr(bench_mod, "solve", recording)
         config = {**self.CONFIG, "policies": ["auto", "lawler-moore"], "verify": False}
         rows = run_bench(config)
-        assert len(seen) == len(rows) == 8
-        assert not any(built for _, built in seen)
-        assert len({id(inst) for inst, _ in seen}) == len(seen)
+        assert len(events) == 4 * len(rows) == 32
+        windows = [events[k : k + 4] for k in range(0, len(events), 4)]
+        for start, (build, built), (call, solved), stop in windows:
+            assert (start[0], build, call, stop[0]) == ("clock", "build", "solve", "clock")
+            assert solved is built
+        assert len({id(built) for _, (_, built), _, _ in windows}) == len(windows)
 
     def test_disagreement_aborts(self, monkeypatch):
         import tardyjobs.bench as bench_mod

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -58,6 +59,34 @@ class TestClassTable:
         inst = Instance((J(0, 2, 1, 5), J(1, 1, 3, 5), J(2, 2, 1, 5), J(3, 4, 4, 2)))
         assert inst.classes == (((2, 4, 4), 1), ((5, 1, 3), 1), ((5, 2, 1), 2))
 
+    def test_summaries_match_their_job_level_definitions(self):
+        rng = random.Random(29)
+
+        def jobs(n, values, dates):
+            return [J(i, rng.choice(values), rng.choice(values), rng.choice(dates)) for i in range(n)]
+
+        small = range(1, 51)
+        shapes = [jobs(rng.randint(1, 40), small, [rng.randint(1, 50) for _ in range(rng.randint(1, 8))]) for _ in range(30)]
+        shapes += [jobs(300, range(1, 4), range(1, 4)) for _ in range(3)]  # duplicate-heavy
+        shapes += [jobs(300, range(1, 4), [10**6, 2 * 10**6]) for _ in range(3)]  # and a slack horizon
+        shapes += [jobs(rng.randint(1, 40), small, [rng.randint(1, 50)]) for _ in range(5)]  # one due date
+        shapes.append([J(i, i + 1, 60 - i, 2 * i + 1) for i in range(60)])  # all distinct
+        for base in (2**52, 2**63, 2**64):
+            near = range(base - 3, base + 4)
+            shapes += [jobs(rng.randint(1, 20), near, near) for _ in range(5)]
+            shapes += [jobs(rng.randint(1, 20), small, near), jobs(rng.randint(1, 20), near, small)]
+        for shape in shapes:
+            rng.shuffle(shape)
+            inst = Instance(tuple(shape))
+            assert inst.n == len(shape)
+            assert inst.d_max == max(j.d for j in shape)
+            assert inst.d_hash == len({j.d for j in shape})
+            assert inst.p_max == max(j.p for j in shape)
+            assert inst.w_max == max(j.w for j in shape)
+            assert inst.w_total == sum(j.w for j in shape)
+            assert inst.horizon == min(inst.d_max, sum(j.p for j in shape))
+            assert sum(c for _, c in inst.classes) == inst.n
+
     def test_built_once_across_solves(self, monkeypatch):
         builds = []
         real_counter = tardyjobs.core.Counter
@@ -79,8 +108,6 @@ class TestClassTable:
     def test_cache_leaves_equality_and_hash_alone(self):
         jobs = (J(0, 1, 2, 3), J(1, 2, 2, 3))
         a, b = Instance(jobs), Instance(jobs)
-        a.classes
-        assert "classes" in a.__dict__ and "classes" not in b.__dict__
         assert a == b and hash(a) == hash(b)
 
     def test_replace_gets_its_own_table(self):
@@ -96,31 +123,26 @@ class TestGroupByDueDate:
     def check(inst):
         """The slices concatenate to the class table, each holds the classes
         of one due date, and the due dates ascend."""
-        g = group_by_due_date(inst)
-        assert sum(g.groups, ()) == inst.classes
-        assert len(g.due_dates) == len(g.groups) == inst.d_hash
-        for date, grp in zip(g.due_dates, g.groups):
+        pairs = group_by_due_date(inst)
+        assert sum((grp for _, grp in pairs), ()) == inst.classes
+        assert len(pairs) == inst.d_hash
+        for date, grp in pairs:
             assert grp and all(d == date for (d, _, _), _ in grp)
-        assert list(g.due_dates) == sorted(set(g.due_dates))
-        return g
+        dates = [date for date, _ in pairs]
+        assert dates == sorted(set(dates))
+        return pairs
 
     def test_mixed_dates(self):
         inst = Instance((J(0, 1, 1, 3), J(1, 1, 1, 1), J(2, 1, 1, 3)))
-        g = self.check(inst)
-        assert g.due_dates == (1, 3)
-        assert g.groups == ((((1, 1, 1), 1),), (((3, 1, 1), 2),))
+        assert self.check(inst) == ((1, (((1, 1, 1), 1),)), (3, (((3, 1, 1), 2),)))
 
     def test_single_date(self):
         inst = Instance(tuple(J(i, 1 + i % 2, 1, 4) for i in range(5)))
-        g = self.check(inst)
-        assert g.due_dates == (4,)
-        assert g.groups == (inst.classes,)
+        assert self.check(inst) == ((4, inst.classes),)
 
     def test_all_distinct(self):
         inst = Instance(tuple(J(i, 1, 1, i + 1) for i in range(6)))
-        g = self.check(inst)
-        assert g.due_dates == tuple(range(1, 7))
-        assert all(len(grp) == 1 for grp in g.groups)
+        assert self.check(inst) == tuple((d, (((d, 1, 1), 1),)) for d in range(1, 7))
 
     def test_partition(self):
         for seed in range(20):

@@ -119,9 +119,8 @@ def test_matches_unit_by_unit_reference():
         ))
         got, (want, _) = fractional_solution_vector(inst.classes), fractional_by_units(inst)
         assert (got.scaled, got.scale) == (want.scaled, want.scale)
-        grouping = group_by_due_date(inst)
         end = 0
-        for d, group in zip(grouping.due_dates[:-1], grouping.groups):
+        for d, group in group_by_due_date(inst)[:-1]:
             end += len(group)
             sub = Instance(tuple(j for j in inst.jobs if j.d <= d))
             got, (want, _) = fractional_solution_vector(inst.classes[:end], d), fractional_by_units(sub)

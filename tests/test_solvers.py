@@ -394,7 +394,7 @@ class TestPrefixSemantics:
         monkeypatch.setattr(solvers, "fractional_union", union_spy)
         inst = generate_instance(seed=7, n=80, d_hash=16, d_max=400)
         states = list(forward_states(inst, SolverPolicy.PREDICTION))
-        groups = group_by_due_date(inst).groups
+        groups = [group for _, group in group_by_due_date(inst)]
         h, reach = merge_horizons(inst), group_reaches(inst)
         # the empty prefix, then every group at its reach, built from its
         # due date's slice of the class table
@@ -433,7 +433,7 @@ class TestPrefixSemantics:
         for inst in instances:
             merges.clear()
             states = [acc for _, acc in forward_states(inst, SolverPolicy.PREDICTION)]
-            classes = group_by_due_date(inst).groups
+            classes = [group for _, group in group_by_due_date(inst)]
             h, reach = merge_horizons(inst), group_reaches(inst)
             assert len(merges) == len(states)  # one merge per group, the first into the empty prefix
             for i, (A, B, violations) in enumerate(merges):
