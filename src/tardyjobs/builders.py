@@ -99,7 +99,9 @@ def step_concave_class_vector(weights: list[int], p: int, horizon: int) -> Vecto
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     sums = _prefix_sums(sorted(weights, reverse=True)[: horizon // p])
-    return sums[np.minimum(np.arange(horizon + 1) // p, len(sums) - 1)]
+    counts = np.full(len(sums), p)
+    counts[-1] = horizon + 1 - (len(sums) - 1) * p  # the last entry repeats to the horizon
+    return np.repeat(sums, counts)
 
 
 def build_solution_vector_concave(classes: tuple[JobClass, ...], horizon: int, acc: Vector = (0,)) -> Vector:
@@ -148,7 +150,9 @@ def step_convex_class_vector(processing_times: list[int], w: int) -> Vector:
     Horizon is the class's total weight.
     """
     sums = _prefix_sums(sorted(processing_times))
-    return sums[(np.arange(len(processing_times) * w + 1) + w - 1) // w]
+    counts = np.full(len(sums), w)
+    counts[0] = 1  # target 0 needs no job
+    return np.repeat(sums, counts)
 
 
 def build_inverse_solution_vector(classes: tuple[JobClass, ...], acc: Vector = (0,)) -> Vector:

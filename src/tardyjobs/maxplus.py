@@ -10,9 +10,14 @@ precondition on the operands holds:
                                  numpy pass per block of up to ``_BLOCK``
                                  rows of the shorter operand, at every
                                  length.
-* ``convolve_sstep_concave``  -- right operand is s-step concave; each full
-                                 step of B meets a sliding-window maximum of
-                                 A, taken by doubling: ceil(log2 s) shifted
+* ``convolve_sstep_concave``  -- right operand is s-step concave; every
+                                 full step of B meets one width-s sliding
+                                 maximum of A, taken once a call and shared
+                                 by a final step s wide; a final step one
+                                 entry wide meets A itself.  A monotone A,
+                                 as every solver's accumulator is, gives
+                                 that maximum as a copy or a shift, any
+                                 other A by doubling: ceil(log2 s) shifted
                                  maxima over the output.  Two branches,
                                  each counted in O(L) numpy passes: while
                                  the steps' rises form runs of equal value
@@ -34,11 +39,14 @@ The (min,+) mirror ``minplus_convolve`` has no engine of its own: its
 step-convex engine is the concave engine run on the negated operands, and its
 naive evaluation is the (max,+) one's row fold with ``np.minimum`` as the
 reduction.  That one row fold also answers the step engines' small products.
-Both loops of row folds, the naive one and the range-guided one, run their
-ufuncs under a buffer of ``_ROW_BUFFER`` elements and give the caller's
-buffer size back on the way out: each fold's broadcast add goes through
-numpy's buffered iterator, whose default buffers of 8192 elements, allocated
-for every block, cost more than the add itself.
+Both loops of row folds, the naive one past one block and the range-guided
+one, run their ufuncs under a buffer of ``_ROW_BUFFER`` elements and give
+the caller's buffer size back on the way out: each fold's broadcast add
+goes through numpy's buffered iterator, whose default buffers of 8192
+elements, allocated for every block, cost more than the add itself.  A
+naive evaluation of one block, as the step engines' small products mostly
+are, folds under the caller's size: setting and restoring it costs more
+than the smaller buffers save there.
 
 This module alone decides what a ``core.Vector`` holds, by one rule for
 every container (list, float64 or object array): each operation's one numpy
@@ -81,12 +89,15 @@ __all__ = [
 
 # At or below this |A|*|B| product the step engines run the naive evaluation.
 # Measured in process (mean over seeds of the best of 5 solves, 2 CPUs,
-# numpy 2.4), 4096 against 16384 against 65536: many-dates (n=200, d#=16,
-# D=2000) concave-p 3.88/3.62/3.56 ms and inverse-w 4.10/3.52/3.40 ms, small-p
-# (n=5000, d#=4, D=5000, p<=5) concave-p 4.77/4.75/4.77 ms, seeds 1-10; the
-# exact path (n=300, d#=16, D=3000, p<=10, w<=2**70) concave-p
-# 33.0/43.2/67.2 ms, seeds 1-3.  float64 gains a little from a larger cutoff,
-# object arrays lose more, so it stays at 4096 rather than split by dtype.
+# numpy 2.4, two runs), 4096 against 16384 against 65536: many-dates (n=200,
+# d#=16, D=2000) concave-p 3.32-3.33/3.63-3.67/3.72-3.73 ms and inverse-w
+# 3.35-3.43/3.43-3.48/3.43-3.48 ms, small-p (n=5000, d#=4, D=5000, p<=5)
+# concave-p 4.29-4.72/4.32-4.55/4.36-4.92 ms, seeds 1-10; the exact path
+# (n=300, d#=16, D=3000, p<=10, w<=2**70) concave-p 24.4-26.0/39.5-42.8/
+# 65.3-70.5 ms, seeds 1-3.  With one sliding maximum a call the step engine
+# answers mid-sized float64 products as fast as the naive evaluation: 4096
+# is within the two runs' spread of the best on float64 and the best on
+# object arrays, so it stays.
 # Tests shrink it to 0 to force the step engines' code paths on small inputs.
 SMALL_PRODUCT_CUTOFF = 4096
 
@@ -109,9 +120,13 @@ _FEW_STEPS = 128
 # the numpy default buffer; so 16.
 _BLOCK = 16
 
-# Both loops of row folds (_rows and convolve_with_ranges) run their ufuncs
-# under this buffer size, in elements: np.setbufsize before the loop, the
-# caller's size restored in a finally, since numpy 1.x keeps it process-wide.
+# Both loops of row folds (_rows past one block, and convolve_with_ranges)
+# run their ufuncs under this buffer size, in elements: np.setbufsize before
+# the loop, the caller's size restored in a finally, since numpy 1.x keeps
+# it process-wide.  A one-block _rows skips the pair: replaying the 156
+# one-block calls of three many-dates concave-p solves took 9.1-9.6 us a
+# call without it against 10.8-11.6 with it (164 inverse-w calls: 9.1-9.8
+# against 10.8-11.0).
 # Fitted by the same perfbench runs: many-dates' policy_ms.naive read
 # 9.6-10.1 ms under numpy's default 8192, 7.4-7.7 at 2048, 6.7-6.8 at 1024
 # and 6.5-6.6 at 512 and at 256; small-p's 12.5-13.3 at 512 and at 1024,
@@ -136,12 +151,9 @@ def vector_dtype(bound: int) -> type:
 
 
 def _exact(v: Sequence) -> np.ndarray:
-    """v as an object array of Python ints.  An object array of Python ints
-    passes as is (one type scan); any other entry goes through ``int()``,
+    """v as an object array of Python ints, each entry through ``int()``,
     since a float added to an int past 2**53 silently rounds.  NaN or an
     infinity raises as not finite, a fraction as not an integer."""
-    if isinstance(v, np.ndarray) and v.dtype == object and set(map(type, v)) <= {int}:
-        return v
     out = []
     for k, x in enumerate(v.tolist() if isinstance(v, np.ndarray) else v):
         try:
@@ -157,15 +169,23 @@ def _operands(*vectors: Sequence) -> list[np.ndarray]:
     """The vectors, whatever their container, as float64 arrays when every
     sum of one entry of each is exact there (magnitudes summing below
     ``EXACT_FLOAT_BOUND``; NaN or an infinity fails this too), else as
-    object arrays checked by :func:`_exact`."""
-    try:
-        arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
-    except OverflowError:  # an int beyond the float range
-        pass
-    else:
-        if sum(np.abs(v).max(initial=0.0) for v in arrays) < EXACT_FLOAT_BOUND:
-            return arrays
-    return [_exact(v) for v in vectors]
+    object arrays: an object array of Python ints as is (one type scan),
+    any other vector checked by :func:`_exact`.
+
+    An object array of Python ints gives its magnitude from those ints, so
+    operands already past the bound are never copied to float64 to learn
+    it; below it, the float64 copies decide as for any other container.
+    """
+    ints = [isinstance(v, np.ndarray) and v.dtype == object and set(map(type, v)) <= {int} for v in vectors]
+    if not any(ints) or sum(np.abs(v).max(initial=0) for v, i in zip(vectors, ints) if i) < EXACT_FLOAT_BOUND:
+        try:
+            arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
+        except OverflowError:  # an int beyond the float range
+            pass
+        else:
+            if sum(np.abs(v).max(initial=0.0) for v in arrays) < EXACT_FLOAT_BOUND:
+                return arrays
+    return [v if i else _exact(v) for v, i in zip(vectors, ints)]
 
 
 def convolve_naive(A: Vector, B: Vector) -> Vector:
@@ -185,10 +205,14 @@ def _rows(a: np.ndarray, b: np.ndarray, L: int, reduce: np.ufunc) -> np.ndarray:
     """The first L entries of the ``reduce``-convolution of converted
     operands (np.maximum: (max,+), np.minimum: (min,+)), by direct
     evaluation: one :func:`_fold_rows` pass per block of ``_BLOCK`` rows of
-    the shorter operand, at every length."""
+    the shorter operand, at every length, under ``_ROW_BUFFER`` when there
+    is more than one block."""
     if len(a) > len(b):
         a, b = b, a
     out = np.full(L, NEG_INF if reduce is np.maximum else POS_INF, dtype=b.dtype)
+    if len(a) <= _BLOCK:  # one block, under the caller's buffer size (see _ROW_BUFFER)
+        _fold_rows(out, a, b, 0, len(a) - 1, 0, min(len(b), L) - 1, reduce)
+        return out
     old = np.setbufsize(_ROW_BUFFER)
     try:
         for k0 in range(0, len(a), _BLOCK):
@@ -210,7 +234,8 @@ def _fold_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, k0: int, k1: int, 
     sums landing on output k0 + x + c and one reduction over rows folds them
     all.
 
-    Callers run it under ``np.setbufsize(_ROW_BUFFER)``.  The add of a
+    Callers of more than one block run it under
+    ``np.setbufsize(_ROW_BUFFER)``.  The add of a
     broadcast row and column into the matrix's strided first w columns goes
     through numpy's buffered iterator, which allocates its buffers on every
     call: under the default 8192 elements one (16, 540) block's add took
@@ -271,20 +296,36 @@ def _sliding_max(a: np.ndarray, width: int, length: int) -> np.ndarray:
     """out[m] = max(a[m-width+1 .. m] clipped to a's range) for m < length,
     NEG_INF where that window is empty.
 
-    By doubling: a[:length], padded with NEG_INF to ``length``, holds the
-    windows of one entry; a pass ``x[step:] = max(x[step:], x[:-step])``
-    with ``step <= span``, reading the previous pass's values, widens every
-    window from ``span`` to ``span + step`` entries.  Steps 1, 2, 4, ...,
-    the last cut to reach ``width`` exactly, make ceil(log2 width) passes
-    of O(length) each; a window of one entry is a copy of a.
+    A monotone operand needs no maximum: each window's is its last entry
+    held at a[-1] for width - 1 entries past a's end (non-decreasing; a
+    constant operand counts), or its first entry, a shifted right by
+    width - 1 and a[0] before it (non-increasing).  A solution vector is
+    the one, a negated inverse vector the other.  Any other operand is
+    widened by doubling: a[:length], padded with NEG_INF to ``length``,
+    holds the windows of one entry; a pass
+    ``x[step:] = max(x[step:], x[:-step])`` with ``step <= span``, reading
+    the previous pass's values, widens every window from ``span`` to
+    ``span + step`` entries.  Steps 1, 2, 4, ..., the last cut to reach
+    ``width`` exactly, make ceil(log2 width) passes of O(length) each.
     """
-    x = np.full(length, NEG_INF, dtype=a.dtype)
-    x[: len(a)] = a[:length]
-    span = 1
-    while span < width:
-        step = min(span, width - span)
-        np.maximum(x[step:], x[:-step], out=x[step:])  # numpy buffers the overlap
-        span += step
+    x = np.empty(length, dtype=a.dtype)
+    n, k = len(a), width - 1
+    if (a[1:] >= a[:-1]).all():
+        x[:n] = a[:length]
+        x[n : n + k] = a[-1]
+        x[n + k :] = NEG_INF
+    elif (a[1:] <= a[:-1]).all():
+        x[:k] = a[0]
+        x[k : k + n] = a[: max(length - k, 0)]
+        x[k + n :] = NEG_INF
+    else:
+        x[:n] = a[:length]
+        x[n:] = NEG_INF
+        span = 1
+        while span < width:
+            step = min(span, width - span)
+            np.maximum(x[step:], x[:-step], out=x[step:])  # numpy buffers the overlap
+            span += step
     return x
 
 
@@ -388,11 +429,12 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
     """(max,+)-convolve where the right operand is s-step concave.
 
     Output equals ``convolve_naive(A, B)`` entry for entry.  Splits are
-    grouped by the step of B they use: the final step of B, which may be
-    shorter than s, is one sliding-window maximum of A; every full step t
-    pairs the stride entry ``B[t*s]`` with the width-s window maximum of A
-    ending at ``l - t*s``.  The full steps take one of two branches (L the
-    output length):
+    grouped by the step of B they use: every full step t pairs the stride
+    entry ``B[t*s]`` with the width-s window maximum of A ending at
+    ``l - t*s``, and the final step of B, which may be shorter than s, pairs
+    its stride entry with the window maximum of its own width: that same
+    maximum when s wide, A itself when one entry wide.  The full steps take
+    one of two branches (L the output length):
 
     * the steps whose stride entries rise by equal amounts form a run, and
       a run of m steps is O(log m) shifted maxima over the output, one per
@@ -426,13 +468,27 @@ def convolve_sstep_concave(A: Vector, B: Vector, s: int) -> Vector:
 
 def _sstep_maxplus(a: np.ndarray, b: np.ndarray, s: int, L: int) -> np.ndarray:
     """The first L entries of the (max,+)-convolution of a with an s-step
-    concave b, by the step engine of :func:`convolve_sstep_concave`."""
+    concave b, by the step engine of :func:`convolve_sstep_concave`.
+
+    One sliding maximum per call: the full steps' width-s maximum of a,
+    which a final step s wide reuses (as every (min,+) call's does); a
+    final step one entry wide, as a class vector's stopped at its reach,
+    pairs its stride entry with a itself; only a final step of another
+    width takes a maximum of its own.
+    """
     Bc = b[::s]  # concave stride subsample
     start = (len(Bc) - 1) * s  # the final step of B covers b[start:]
-    out = np.full(L, NEG_INF, dtype=a.dtype)
-    out[start:] = Bc[-1] + _sliding_max(a, len(b) - start, L - start)
-    if len(Bc) > 1:
-        np.maximum(out, _stride_maxplus(_sliding_max(a, s, L), Bc[:-1], s), out=out)
+    last = len(b) - start  # its width, 1..s
+    M = _sliding_max(a, s, L) if len(Bc) > 1 or last == s else None
+    if last == s:
+        tail = M[: L - start]
+    elif last == 1:
+        tail = a[: L - start]
+    else:
+        tail = _sliding_max(a, last, L - start)
+    out = _stride_maxplus(M, Bc[:-1], s) if len(Bc) > 1 else np.full(L, NEG_INF, dtype=a.dtype)
+    seg = out[start : start + len(tail)]
+    np.maximum(seg, Bc[-1] + tail, out=seg)
     return out
 
 
@@ -528,8 +584,11 @@ def minplus_convolve(A: Vector, B: Vector, s: int | None = None) -> Vector:
     L = len(a) + len(b) - 1
     if len(a) * len(b) <= SMALL_PRODUCT_CUTOFF:
         return _rows(a, b, L, np.minimum)
-    out = np.full(L, POS_INF, dtype=a.dtype)
-    out[: len(a)] = a + b[0]
-    if len(b) > 1:  # b[1:] copies each entry from its step's last index: -b[1:] is s-step concave
-        np.minimum(out[1:], -_sstep_maxplus(-a, -b[1:], s, L - 1), out=out[1:])
+    if len(b) == 1:
+        return a + b[0]
+    out = np.empty(L, dtype=a.dtype)  # b[1:] copies each entry from its step's last index: -b[1:] is s-step concave
+    np.negative(_sstep_maxplus(-a, -b[1:], s, L - 1), out=out[1:])
+    out[0] = a[0] + b[0]
+    head = out[1 : len(a)]
+    np.minimum(head, a[1:] + b[0], out=head)
     return out

@@ -71,6 +71,9 @@ table, which :func:`~tardyjobs.bench.run_bench` times with each solve:
   about as much as that many passes.  The kernel takes one pass per
   bundle of a run of equal steps, so a class with repeated processing
   times costs fewer passes at any size, which the count does not follow.
+  A call's fixed passes fall to the per-call term, its one sliding
+  maximum among them: a shift of the negated accumulator, so the step
+  width w adds no passes.
 
 Where inverse-w would fall back, its estimate is Lawler-Moore's.  The
 constants ``(a, b, c)`` are configuration, ``DEFAULT_CALIBRATION``, fitted by

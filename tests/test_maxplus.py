@@ -139,15 +139,34 @@ class TestSStepConcave:
         assert np.array_equal(convolve_sstep_concave(a, b, 3), convolve_naive(a, b))
 
 
+def ordered(values, order):
+    """values rearranged to the given order; "mixed" puts a peak at index 1
+    of three or more values, so that they are neither sorted way."""
+    if order == "non-decreasing":
+        return sorted(values)
+    if order == "non-increasing":
+        return sorted(values, reverse=True)
+    if order == "constant":
+        return [values[0]] * len(values)
+    if len(values) >= 3:
+        values[1] = max(values) + 1
+    return values
+
+
+ORDERS = ["non-decreasing", "non-increasing", "constant", "mixed"]
+
+
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("dtype", [np.float64, object])
 @pytest.mark.parametrize("width", [1, 2, 5, 3, 4, 7, 100])
-def test_sliding_max_matches_definition(width, dtype):
+def test_sliding_max_matches_definition(width, dtype, order):
     # the one-entry window is the final step of every class vector stopped at
-    # its reach; lengths run past len(a), where the windows empty out
+    # its reach; lengths run past len(a), where the windows empty out, and
+    # short of width - 1, where a non-increasing operand's shift starts
     rng = random.Random(width)
-    for n_a in (1, 4, 9):
-        a = np.array([rng.randint(-50, 50) for _ in range(n_a)], dtype=dtype)
-        for length in (1, n_a, n_a + width + 3):
+    for n_a in (1, 2, 4, 9):
+        a = np.array(ordered([rng.randint(-50, 50) for _ in range(n_a)], order), dtype=dtype)
+        for length in (1, max(width - 2, 1), n_a, n_a + width + 3):
             got = mp._sliding_max(a, width, length)
             assert got.dtype == a.dtype
             assert got.tolist() == [max(a[max(0, m - width + 1) : m + 1], default=NEG_INF) for m in range(length)]
@@ -497,6 +516,94 @@ class TestStepCounts:
             assert branches == [branch] and bundles == [(1,)] * min(n_rises, FEW + 1), n_rises
 
 
+class TestFinalStep:
+    """The final step of B one entry wide (a class vector stopped at its
+    reach), s wide (every (min,+) call's) or in between, after no, a few
+    or many full steps, on both branches of the full steps, against the
+    naive evaluation; the orders of A cover each way a sliding maximum is
+    taken."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
+    @pytest.mark.parametrize("s", [1, 2, 5, 8])
+    def test_concave_matches_naive(self, s, shift, order, forced_structured_engines, monkeypatch):
+        rng = random.Random(700 + s)
+        for last in sorted({1, (s + 1) // 2, s}):
+            for steps in (0, 3, 20):
+                n_b = steps * s + last
+                for n_a in (1, n_b // 2 + 1, n_b + 9):
+                    a = shifted(ordered([rng.randint(0, 10**6) for _ in range(n_a)], order), shift)
+                    b = shifted(sstep_concave(n_b, s, rng), shift)
+                    want = convolve_naive(a, b).tolist()
+                    for few in FORCED:
+                        monkeypatch.setattr(mp, "_FEW_STEPS", few)
+                        assert convolve_sstep_concave(a, b, s).tolist() == want, (last, steps, n_a, few)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
+    @pytest.mark.parametrize("s", [1, 2, 5, 8])
+    def test_minplus_matches_naive(self, s, shift, order, forced_structured_engines, monkeypatch):
+        # an s-step convex B ends on the stride, so B[1:] ends in a full
+        # step: one entry wide only at s = 1
+        rng = random.Random(750 + s)
+        for steps in (1, 4, 20):
+            b = shifted(sstep_convex(steps, s, rng), shift)
+            for n_a in (1, steps * s // 2 + 1, steps * s + 9):
+                a = shifted(ordered([rng.randint(0, 10**6) for _ in range(n_a)], order), shift)
+                want = minplus_convolve(a, b).tolist()
+                for few in FORCED:
+                    monkeypatch.setattr(mp, "_FEW_STEPS", few)
+                    assert minplus_convolve(a, b, s).tolist() == want, (steps, n_a, few)
+
+
+class TestOperandsUntouched:
+    """No kernel writes into its operands or returns memory shared with
+    them, on float64 and on object arrays of Python ints, both of which
+    enter a kernel as they are, in every branch: the small product's naive
+    evaluation, and past a zero SMALL_PRODUCT_CUTOFF the composition and
+    the divide and conquer."""
+
+    BRANCHES = {
+        "small-product": {},
+        "compose": {"SMALL_PRODUCT_CUTOFF": 0, "_FEW_STEPS": 10**9},
+        "divide": {"SMALL_PRODUCT_CUTOFF": 0, "_FEW_STEPS": -1},
+    }
+    KERNELS = {
+        "naive": lambda a, b, c, s: convolve_naive(a, b),
+        "sstep_concave": lambda a, b, c, s: convolve_sstep_concave(a, b, s),
+        "minplus": lambda a, b, c, s: minplus_convolve(a, c),
+        "minplus_s": lambda a, b, c, s: minplus_convolve(a, c, s),
+        "ranges": lambda a, b, c, s: convolve_with_ranges(a, b, full_ranges(a, b)),
+    }
+    STEP_KERNELS = ("sstep_concave", "minplus_s")
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    @pytest.mark.parametrize("shift", [0, 2**60], ids=["float64", "object"])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_operands_stay_as_they_were(self, kernel, shift, branch, monkeypatch, branches):
+        for name, value in self.BRANCHES[branch].items():
+            monkeypatch.setattr(mp, name, value)
+        rng = random.Random(800)
+        dtype = np.float64 if shift == 0 else object
+        # (s, |A|, B's full steps, B's final step): B shorter and longer than
+        # A, one step alone, and B of one entry
+        for s, n_a, steps, last in ((1, 1, 9, 1), (3, 12, 13, 1), (3, 40, 4, 3), (4, 30, 6, 2), (5, 7, 0, 1)):
+            for order in ("non-decreasing", "non-increasing", "mixed"):
+                a = np.array(shifted(ordered([rng.randint(0, 99) for _ in range(n_a)], order), shift), dtype=dtype)
+                b = np.array(shifted(sstep_concave(steps * s + last, s, rng), shift), dtype=dtype)
+                c = np.array(shifted(sstep_convex(steps, s, rng), shift), dtype=dtype)
+                copies = [v.copy() for v in (a, b, c)]
+                branches.clear()
+                out = self.KERNELS[kernel](a, b, c, s)
+                for v, copy in zip((a, b, c), copies):
+                    assert v.dtype == copy.dtype and v.tolist() == copy.tolist(), (s, n_a, order)
+                    assert not np.shares_memory(out, v), (s, n_a, order)
+                if kernel in self.STEP_KERNELS and branch != "small-product" and steps > 1:
+                    assert branches and set(branches) == {branch}, (s, n_a, order)
+                else:
+                    assert branches == [], (s, n_a, order)
+
+
 def equal_rise_runs(n_steps, n_rises, rng):
     """A concave stride subsample of n_steps entries whose rises take
     n_rises distinct values of mixed signs, in runs of random length."""
@@ -689,6 +796,52 @@ def test_float_operands_enter_exact_arithmetic_through_int():
     assert got == [0, 2**60 + 1] and all(type(x) is int for x in got)
     with pytest.raises(ValueError, match="^operand entry 0.5 is not an integer at index 0$"):
         convolve_naive(np.array([0.5, 2**60], dtype=object), np.array([0.0, 1.0]))
+
+
+class TestOperandDtype:
+    """The kernels' one dtype rule: float64 while the operands' magnitudes
+    sum below EXACT_FLOAT_BOUND, whatever their containers, else object
+    arrays of Python ints."""
+
+    CONTAINERS = {
+        "list": list,
+        "float64": lambda v: np.array(v, dtype=np.float64),
+        "object": lambda v: np.array(v, dtype=object),
+    }
+
+    @pytest.mark.parametrize("right", CONTAINERS)
+    @pytest.mark.parametrize("left", CONTAINERS)
+    def test_magnitudes_either_side_of_the_bound(self, left, right):
+        bound, half = mp.EXACT_FLOAT_BOUND, mp.EXACT_FLOAT_BOUND // 2
+        for x, y, dtype in (
+            (half, half - 1, np.float64),
+            (half, half, object),
+            (-(bound - 1), 0, np.float64),
+            (0, -bound, object),
+            (2**60, 1, object),
+        ):
+            a, b = mp._operands(self.CONTAINERS[left]([0, x, 1]), self.CONTAINERS[right]([y, 0]))
+            assert a.dtype == b.dtype == dtype, (x, y)
+            assert a.tolist() == [0, x, 1] and b.tolist() == [y, 0], (x, y)
+
+    def test_object_ints_past_the_bound_are_not_copied_to_float64(self, monkeypatch):
+        copies = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def asarray(self, v, dtype=None):
+                copies.append(dtype)
+                return np.asarray(v, dtype=dtype)
+
+        monkeypatch.setattr(mp, "np", Numpy())
+        big = np.array([0, 2**60], dtype=object)
+        a, b = mp._operands(big, np.array([0.0, 1.0]))
+        assert copies == [] and a is big and b.dtype == object and b.tolist() == [0, 1]
+        # below the bound the float64 copies decide, an object array's too
+        a, b = mp._operands(np.array([0, 2**40], dtype=object), [0, 1])
+        assert copies == [np.float64, np.float64] and a.dtype == b.dtype == np.float64
 
 
 class TestMixedMagnitudes:
@@ -962,6 +1115,30 @@ class TestRowBuffer:
         monkeypatch.setattr(mp, "_fold_rows", second_raises)
         with pytest.raises(RuntimeError, match="^fold failed$"):
             self.CALLS[call](self.A)
+        assert np.getbufsize() == self.CALLER
+
+    # a shorter operand of _BLOCK entries at most: one block of rows, which
+    # numpy buffers as cheaply under the caller's size
+    ONE_BLOCK = {
+        "naive": lambda: convolve_naive(list(range(40)), list(range(mp._BLOCK))),
+        "minplus": lambda: minplus_convolve(list(range(mp._BLOCK)), list(range(40))),
+        "minplus_s": lambda: minplus_convolve(list(range(40)), [(-(-l // 2)) ** 2 for l in range(mp._BLOCK - 1)], 2),
+        "sstep_concave": lambda: convolve_sstep_concave(list(range(40)), [-((l // 2) ** 2) for l in range(6)], 2),
+    }
+
+    @pytest.mark.parametrize("call", ONE_BLOCK)
+    def test_one_block_folds_under_the_callers_buffer(self, call, caller_bufsize, monkeypatch):
+        seen, resized = [], []
+        fold, setbufsize = mp._fold_rows, np.setbufsize
+
+        def recorded(*args):
+            seen.append(np.getbufsize())
+            return fold(*args)
+
+        monkeypatch.setattr(mp, "_fold_rows", recorded)
+        monkeypatch.setattr(np, "setbufsize", lambda size: resized.append(size) or setbufsize(size))
+        self.ONE_BLOCK[call]()
+        assert seen == [self.CALLER] and resized == []
         assert np.getbufsize() == self.CALLER
 
     def test_naive_peak_stays_within_the_block_matrix(self):
